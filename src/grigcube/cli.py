@@ -18,6 +18,14 @@ from .gamma import edge_records, to_dot
 from .omega import OmegaParseError, OmegaSequence
 
 
+def _count(text: str) -> int:
+    """A non-negative integer flag; a negative one would make a check
+    vacuous or a ball empty."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _parse_omegas(values: list[str] | None) -> list[OmegaSequence]:
     texts = values if values else list(DEFAULT_OMEGAS)
     return [OmegaSequence.parse(text) for text in texts]
@@ -106,20 +114,20 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
     check.add_argument("--omega", action="append",
                        help="sequence as pre:period, repeatable")
-    check.add_argument("--max-len", type=int, default=None)
-    check.add_argument("--depth", type=int, default=None)
+    check.add_argument("--max-len", type=_count, default=None)
+    check.add_argument("--depth", type=_count, default=None)
     check.add_argument("--seed", type=int, default=0)
     check.set_defaults(func=_cmd_check)
 
     orbit = sub.add_parser("orbit", help="orbit growth of a cube vertex")
     orbit.add_argument("--omega", required=True)
     orbit.add_argument("--vertex", default="∅")
-    orbit.add_argument("--max-len", type=int, default=10)
+    orbit.add_argument("--max-len", type=_count, default=10)
     orbit.set_defaults(func=_cmd_orbit)
 
     schreier = sub.add_parser("schreier", help="labelled ball as DOT or JSON lines")
     schreier.add_argument("--omega", required=True)
-    schreier.add_argument("--radius", type=int, default=3)
+    schreier.add_argument("--radius", type=_count, default=3)
     schreier.add_argument("--format", choices=("dot", "jsonl"), default="dot")
     schreier.set_defaults(func=_cmd_schreier)
 

@@ -155,6 +155,36 @@ def stabilizes_level1(g: GroupElement) -> bool:
     return g.word.count("a") % 2 == 0
 
 
+@lru_cache(maxsize=None)
+def _level(omega: OmegaSequence) -> tuple[OmegaSequence, frozenset[str]]:
+    """The shifted sequence and the letters of b, c, d that act as "a" on
+    the left subtree.  Shifting cycles through at most
+    len(preperiod) + len(period) sequences, so the table stays that small
+    for each sequence in use."""
+    return omega.shift(), frozenset(x for x in BCD if passive_letter(omega, x) == "a")
+
+
+def _sections(omega: OmegaSequence, word: str) -> tuple[bool, OmegaSequence, str, str]:
+    """One step of the wreath recursion on a word.
+
+    Returns the level-1 swap flag, the shifted sequence and the reduced
+    words of the left and right restrictions, which live over it.
+    """
+    shifted, active = _level(omega)
+    swap = False
+    left: list[str] = []
+    right: list[str] = []
+    for letter in word:
+        if letter == "a":
+            swap = not swap
+            left, right = right, left
+        else:
+            if letter in active:
+                left.append("a")
+            right.append(letter)
+    return swap, shifted, reduce_word("".join(left)), reduce_word("".join(right))
+
+
 def decompose(g: GroupElement) -> tuple[bool, GroupElement, GroupElement]:
     """Split g into a level-1 swap flag and the two subtree restrictions.
 
@@ -163,23 +193,8 @@ def decompose(g: GroupElement) -> tuple[bool, GroupElement, GroupElement]:
     restrictions live over the shifted sequence and their reduced words
     are at most (length(g) + 1) / 2 long.
     """
-    omega = g.omega
-    shifted = omega.shift()
-    swap = False
-    sections: list[list[str]] = [[], []]
-    for letter in g.word:
-        if letter == "a":
-            swap = not swap
-            sections.reverse()
-        else:
-            if passive_letter(omega, letter) == "a":
-                sections[0].append("a")
-            sections[1].append(letter)
-    return (
-        swap,
-        GroupElement.from_word(shifted, "".join(sections[0])),
-        GroupElement.from_word(shifted, "".join(sections[1])),
-    )
+    swap, shifted, w0, w1 = _sections(g.omega, g.word)
+    return swap, GroupElement(shifted, w0), GroupElement(shifted, w1)
 
 
 def restriction(g: GroupElement, vertex: str) -> GroupElement:
@@ -199,8 +214,8 @@ def _is_trivial(omega: OmegaSequence, word: str) -> bool:
         return not word
     if word.count("a") % 2:
         return False
-    _, g0, g1 = decompose(GroupElement(omega, word))
-    return _is_trivial(g0.omega, g0.word) and _is_trivial(g1.omega, g1.word)
+    _, shifted, w0, w1 = _sections(omega, word)
+    return _is_trivial(shifted, w0) and _is_trivial(shifted, w1)
 
 
 def is_trivial(g: GroupElement) -> bool:
@@ -219,29 +234,43 @@ def equal(g: GroupElement, h: GroupElement) -> bool:
     return is_trivial(g * h.inverse())
 
 
+_A_KEY = (True, "1", "1")
+
+
 @lru_cache(maxsize=None)
 def _canonical_key(omega: OmegaSequence, word: str):
-    if _is_trivial(omega, word):
-        return "1"
-    if len(word) == 1 and word in BCD:
-        return word
-    if len(word) > 1:
-        for letter in BCD:
-            if _is_trivial(omega, reduce_word(word + letter)):
-                return letter
-    swap, g0, g1 = decompose(GroupElement(omega, word))
-    return swap, _canonical_key(g0.omega, g0.word), _canonical_key(g1.omega, g1.word)
+    if len(word) <= 1:
+        return _A_KEY if word == "a" else word or "1"
+    swap, shifted, w0, w1 = _sections(omega, word)
+    k0 = _canonical_key(shifted, w0)
+    k1 = _canonical_key(shifted, w1)
+    if not swap and k1.__class__ is str:
+        if k1 == "1":
+            if k0 == "1":
+                return "1"
+        elif k0 == (_A_KEY if passive_letter(omega, k1) == "a" else "1"):
+            return k1
+    return swap, k0, k1
 
 
 def canonical_key(g: GroupElement):
     """A finite token equal across exactly the words of one automorphism.
 
-    The trivial element is the leaf "1" and anything equal to a letter
-    b, c, d is that letter's leaf; every other element yields the triple
-    (swap flag, key of left restriction, key of right restriction).  The
-    leaf tests are semantic, so the token depends on the automorphism and
-    not on the particular reduced word.  Distinctness of the three leaf
-    letters requires a repetition-free sequence.
+    The key is read off the words by the wreath recursion: the empty word
+    is the leaf "1", the word "a" is (True, "1", "1"), a letter b, c, d
+    is its own leaf, and any longer word yields the triple (swap flag,
+    key of left restriction, key of right restriction).  Two triples
+    collapse to the leaf of the element they portray: (False, "1", "1")
+    to "1", and (False, key of passive_letter(omega, x), x) to x, since
+    that is how x itself decomposes.
+
+    By induction on word length the key equals the semantic portrait in
+    which "1" marks exactly the trivial element and x exactly the
+    elements equal to the letter x, so it depends on the automorphism
+    only and tells automorphisms apart.  The induction needs b, c and d
+    to be nontrivial and pairwise distinct over every shift of the
+    sequence.  A repetition-free sequence guarantees that; for any other
+    sequence UnsupportedOmegaError is raised.
     """
     if not g.omega.is_repetition_free():
         raise UnsupportedOmegaError(
@@ -259,9 +288,12 @@ def _extensions(word: str) -> str:
 class ElementBall:
     """Distinct group elements of length at most max_len.
 
-    Each element is represented by a shortest reduced word, found by
-    breadth-first enumeration of alternating words with deduplication by
-    canonical key.  Contains the identity and is closed under inverses.
+    Each element is represented by the first of its shortest reduced
+    words in breadth-first order, deduplicated by canonical key.  The
+    sphere of length n is grown from the representatives of the sphere
+    of length n - 1 only: every prefix of a shortest word is itself a
+    shortest word, so no element of the sphere is missed.  Contains the
+    identity and is closed under inverses.
     """
 
     def __init__(self, omega: OmegaSequence, max_len: int,
@@ -284,22 +316,37 @@ class ElementBall:
 
 @lru_cache(maxsize=None)
 def enumerate_ball(omega: OmegaSequence, max_len: int) -> ElementBall:
+    """The ball of radius max_len, grown sphere by sphere.
+
+    The candidates of length n are r + s for each representative r of
+    the sphere of length n - 1 and each letter s that keeps r + s
+    alternating, in that order; a candidate whose key is new becomes a
+    representative.  This picks the same words, in the same order, as
+    extending every alternating word of length n - 1.  Let u + s be the
+    first of those words found for an element of length n; then u is a
+    shortest word of length n - 1.  If an earlier word u' named u's
+    element, u' + s would name the same element as u + s, and reduced it
+    is either shorter than n, so the element was found before, or an
+    alternating word that comes before u + s.  Either way u + s would not
+    be first, so u is a representative.
+    """
     if not omega.is_repetition_free():
         raise UnsupportedOmegaError(
             f"ball enumeration needs a repetition-free sequence, got {omega}"
         )
     by_key: dict = {}
     elements: list[GroupElement] = []
-    words = [""]
+    sphere = [""]
     for length in range(max_len + 1):
-        if length:
-            words = [w + s for w in words for s in _extensions(w)]
-        for word in words:
-            g = GroupElement(omega, word)
+        candidates = [r + s for r in sphere for s in _extensions(r)] if length else sphere
+        sphere = []
+        for word in candidates:
             key = _canonical_key(omega, word)
             if key not in by_key:
+                g = GroupElement(omega, word)
                 by_key[key] = g
                 elements.append(g)
+                sphere.append(word)
     return ElementBall(omega, max_len, tuple(elements), by_key)
 
 

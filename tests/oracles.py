@@ -3,8 +3,16 @@
 The production code applies generators to rays with an iterative digit
 scan. The functions here instead follow the recursive definition on
 finite binary strings, so agreement between the two is meaningful.
+
+The ball enumeration here extends every alternating word and keys it
+with semantic leaf tests through the word problem; the production code
+grows each sphere from the last one's representatives and reads its
+leaves off the syntax.
 """
 
+from functools import lru_cache
+
+from grigcube.elements import GroupElement, decompose, is_trivial
 from grigcube.omega import LETTER_SYMBOL, OmegaSequence
 
 
@@ -43,3 +51,38 @@ def words_agree_on_level(v: str, w: str, omega: OmegaSequence, level: int) -> bo
 
 def word_is_trivial_on_level(word: str, omega: OmegaSequence, level: int) -> bool:
     return all(oracle_word(word, omega, s) == s for s in all_strings(level))
+
+
+@lru_cache(maxsize=None)
+def oracle_key(omega: OmegaSequence, word: str):
+    """Portrait key whose leaves are decided by the word problem: "1" for
+    the trivial element, x for anything equal to the letter x."""
+    g = GroupElement.from_word(omega, word)
+    if is_trivial(g):
+        return "1"
+    if len(g.word) == 1 and g.word in "bcd":
+        return g.word
+    if len(g.word) > 1:
+        for letter in "bcd":
+            if is_trivial(GroupElement.from_word(omega, g.word + letter)):
+                return letter
+    swap, g0, g1 = decompose(g)
+    return swap, oracle_key(g0.omega, g0.word), oracle_key(g1.omega, g1.word)
+
+
+def oracle_ball_words(omega: OmegaSequence, max_len: int) -> tuple[str, ...]:
+    """Representative words of the ball, by breadth-first search over every
+    alternating word, the first word of each oracle key kept."""
+    seen = set()
+    found = []
+    words = [""]
+    for length in range(max_len + 1):
+        if length:
+            words = [w + s for w in words
+                     for s in ("abcd" if not w else "bcd" if w[-1] == "a" else "a")]
+        for word in words:
+            key = oracle_key(omega, word)
+            if key not in seen:
+                seen.add(key)
+                found.append(word)
+    return tuple(found)

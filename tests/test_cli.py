@@ -44,6 +44,19 @@ class TestExitCodes:
         assert records[0]["status"] == "unsupported"
         assert "unsupported" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("check", "--suite", "faithful", "--omega", ":012", "--max-len", "-1"),
+        ("check", "--suite", "prefix", "--omega", ":012", "--depth", "-1"),
+        ("orbit", "--omega", ":012", "--max-len", "-1"),
+        ("schreier", "--omega", ":012", "--radius", "-2"),
+        ("schreier", "--omega", ":012", "--radius", "two"),
+    ])
+    def test_bad_count_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
 
 class TestCheck:
     def test_prefix_passes(self, capsys):

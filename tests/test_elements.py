@@ -20,7 +20,13 @@ from grigcube.elements import (
 )
 from grigcube.omega import OmegaSequence
 
-from oracles import oracle_word, word_is_trivial_on_level, words_agree_on_level
+from oracles import (
+    oracle_ball_words,
+    oracle_key,
+    oracle_word,
+    word_is_trivial_on_level,
+    words_agree_on_level,
+)
 
 OM = OmegaSequence.parse(":012")
 OM01 = OmegaSequence.parse(":01")
@@ -352,3 +358,39 @@ class TestBall:
         small = {g.word for g in enumerate_ball(OM, 4)}
         big = {g.word for g in enumerate_ball(OM, 6)}
         assert small <= big
+
+
+ORACLE_OMEGAS = (":012", ":01", ":02", ":12", "2:01", "0:12", "21:0102")
+
+
+class TestAgainstOracle:
+    """Sphere growth with syntactic keys against the word-BFS ball and the
+    semantic keys of tests/oracles.py."""
+
+    @pytest.mark.parametrize("text", ORACLE_OMEGAS)
+    @pytest.mark.parametrize("n", (0, 1, 2, 5, 9, 13))
+    def test_ball_words_match_oracle(self, text, n):
+        om = OmegaSequence.parse(text)
+        assert tuple(g.word for g in enumerate_ball(om, n)) == oracle_ball_words(om, n)
+
+    @pytest.mark.parametrize("text", (":012", "2:01"))
+    def test_product_keys_match_oracle_and_equality(self, text):
+        om = OmegaSequence.parse(text)
+        ball = enumerate_ball(om, 6)
+        products = [g * h for g in ball for h in ball]
+        by_key: dict = {}
+        by_oracle: dict = {}
+        for i, p in enumerate(products):
+            by_key.setdefault(canonical_key(p), []).append(i)
+            by_oracle.setdefault(oracle_key(om, p.word), []).append(i)
+        assert sorted(by_key.values()) == sorted(by_oracle.values())
+        # equal() against the first product of the same class and of
+        # another class picked by a fixed stride
+        first = {i: members[0] for members in by_key.values() for i in members}
+        heads = [members[0] for members in by_key.values()]
+        for i, p in enumerate(products):
+            for j in (first[i], heads[i * 7919 % len(heads)]):
+                q = products[j]
+                same_key = canonical_key(p) == canonical_key(q)
+                assert same_key == (oracle_key(om, p.word) == oracle_key(om, q.word))
+                assert same_key == equal(p, q)
