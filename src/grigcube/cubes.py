@@ -17,11 +17,10 @@ from .elements import (
     GroupElement,
     OmegaMismatchError,
     Ray,
-    ZERO_RAY,
     apply,
     enumerate_ball,
 )
-from .gamma import ball, in_gamma_plus
+from .gamma import in_gamma_plus, line_apply, ray_at
 from .omega import OmegaSequence
 
 
@@ -46,9 +45,16 @@ class CubeVertex:
 
     @classmethod
     def parse(cls, text: str) -> "CubeVertex":
+        """Comma-separated rays; an empty part or a repeated ray is an error."""
         if text in ("∅", "", "empty"):
             return cls()
-        return cls(frozenset(Ray.parse(part) for part in text.split(",")))
+        parts = text.split(",")
+        if "" in parts:
+            raise ValueError(f"empty ray in vertex {text!r}")
+        delta = frozenset(Ray.parse(part) for part in parts)
+        if len(delta) != len(parts):
+            raise ValueError(f"repeated ray in vertex {text!r}")
+        return cls(delta)
 
 
 def base_vertex() -> CubeVertex:
@@ -58,11 +64,11 @@ def base_vertex() -> CubeVertex:
 
 @lru_cache(maxsize=None)
 def _commensuration(omega: OmegaSequence, word: str) -> frozenset:
-    g_inv = GroupElement(omega, word).inverse()
+    inverse, n = word[::-1], len(word)
     return frozenset(
-        x
-        for x in ball(omega, ZERO_RAY, len(word))
-        if in_gamma_plus(x) != in_gamma_plus(apply(g_inv, x))
+        ray_at(t)
+        for t in range(-n, n + 1)
+        if (t >= 0) != (line_apply(omega, inverse, t) >= 0)
     )
 
 
@@ -70,8 +76,8 @@ def commensuration_delta(omega: OmegaSequence, g: GroupElement) -> frozenset:
     """Rays moved across the half-line boundary by g.
 
     Each generator shifts a ray at most one step along the line, so every
-    such ray lies within length(g) of the all-zero ray and the scan over
-    that ball is exhaustive.
+    such ray has a coordinate t with |t| <= length(g), and the scan of
+    that window, t >= 0 against g^-1 t >= 0, is exhaustive.
     """
     if omega != g.omega:
         raise OmegaMismatchError(f"{omega} vs {g.omega}")

@@ -9,6 +9,7 @@ restrictions, which contracts word length.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -18,6 +19,9 @@ GENERATORS = "abcd"
 BCD = "bcd"
 
 _MERGE = {frozenset("bc"): "d", frozenset("cd"): "b", frozenset("bd"): "c"}
+
+# a foreign letter, or an adjacent pair that reduce_word would rewrite
+_NOT_REDUCED = re.compile("[^abcd]|aa|[bcd][bcd]")
 
 
 class OmegaMismatchError(ValueError):
@@ -68,7 +72,8 @@ class Ray:
     digits: str = ""
 
     def __post_init__(self) -> None:
-        if self.digits and (set(self.digits) - {"0", "1"} or self.digits.endswith("0")):
+        # strip() leaves something exactly when a digit is not 0 or 1
+        if self.digits and (self.digits.strip("01") or self.digits[-1] != "1"):
             raise ValueError(f"not a canonical ray: {self.digits!r}")
 
     @classmethod
@@ -95,7 +100,9 @@ class GroupElement:
     word: str = ""
 
     def __post_init__(self) -> None:
-        if self.word != reduce_word(self.word):
+        # a word is reduced exactly when no letter is foreign and no pair
+        # cancels or merges; reduce_word names a foreign letter
+        if _NOT_REDUCED.search(self.word) and self.word != reduce_word(self.word):
             raise ValueError(f"word {self.word!r} is not reduced; use from_word")
 
     @classmethod

@@ -1,9 +1,32 @@
-"""The orbital graph of the all-zero ray: a labelled two-ended line.
+"""The orbital graph of the all-zero ray: a labelled two-ended line, as ℤ.
 
-Vertices are the rays with finitely many 1s.  The right half-line
-(gamma plus) consists of the all-zero ray together with the rays whose
-last 1 sits at an odd position; its unlabelled shape does not depend on
-the defining sequence, only the edge labels do.
+Vertices are the rays with finitely many 1s.  Each ray x gets an integer
+coordinate c(x), read off its digits in closed form:
+
+    c(ε) = 0,   c(w0) = c(w),   c(w1) = J(n) − c(w)  for the 1 at position n,
+
+    J(n) = (−1)^(n+1) · (2^n − (−1)^n) / 3 = (1 − (−2)^n) / 3
+         = 1, −1, 3, −5, 11, −21, …
+
+The coordinates of the rays with at most n digits form the interval
+I_n = I_{n−1} ∪ (J(n) − I_{n−1}) of 2^n integers, the two halves disjoint
+and adjacent, so c is a bijection from the rays onto ℤ.  In these
+coordinates the generators act by a rule in which the sequence only
+picks a letter:
+
+* ``a`` swaps 2k and 2k + 1;
+* b, c and d pair 2k − 1 with 2k.  The pair whose odd end is u sits at
+  level L = ν₂(3u + 1); the letter whose symbol is ω_L fixes both ends
+  and the other two swap them.
+
+Every edge therefore joins neighbouring integers, and the graph is the
+line ℤ with the all-zero ray at 0.  Its unlabelled shape does not depend
+on the sequence, only the labels do.  The right half-line (gamma plus)
+is t ≥ 0: the all-zero ray and the rays whose last 1 sits at an odd
+position.  The punctured right half-line is t ≥ 1.
+
+``apply`` and ``neighbors`` still act on the ray strings; the DOT and
+JSON output is built from them and sorted by coordinate.
 """
 
 from __future__ import annotations
@@ -12,7 +35,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .elements import Ray, ZERO_RAY, _apply_letter
-from .omega import OmegaSequence
+from .omega import LETTER_SYMBOL, OmegaSequence
 
 GENERATOR_COLORS = {"a": "red", "b": "blue", "c": "green", "d": "orange"}
 
@@ -47,41 +70,101 @@ def neighbors(omega: OmegaSequence, x: Ray) -> list[LabelledEdge]:
     ]
 
 
-def ball(omega: OmegaSequence, center: Ray, radius: int) -> set[Ray]:
-    """Vertices within the given edge distance of the center."""
-    seen = {center}
-    frontier = [center]
-    for _ in range(radius):
-        new = []
-        for x in frontier:
-            for _, y, _ in neighbors(omega, x):
-                if y not in seen:
-                    seen.add(y)
-                    new.append(y)
-        frontier = new
-    return seen
+def _jump(n: int) -> int:
+    """J(n) = (1 − (−2)^n) / 3, the reflection point of digit n."""
+    return (1 - (-2) ** n) // 3
 
 
 @lru_cache(maxsize=None)
 def line_coordinate(omega: OmegaSequence, x: Ray) -> int:
-    """Signed distance from the all-zero ray, positive on the gamma plus side."""
-    if x == ZERO_RAY:
-        return 0
-    seen = {ZERO_RAY}
-    frontier = [ZERO_RAY]
-    dist = 0
-    while frontier:
-        dist += 1
-        new = []
-        for v in frontier:
-            for _, y, _ in neighbors(omega, v):
-                if y not in seen:
-                    if y == x:
-                        return dist if in_gamma_plus(x) else -dist
-                    seen.add(y)
-                    new.append(y)
-        frontier = new
-    raise ValueError(f"unreachable vertex {x!r}")
+    """Signed distance from the all-zero ray, positive on the gamma plus side.
+
+    The digit formula: c(ε) = 0, a 0 at position n keeps c and a 1
+    reflects it to J(n) − c.  The rays whose last 1 sits at position n
+    get the block J(n) − I_{n−1}, just above I_{n−1} for odd n and just
+    below it for even n, so c maps the rays onto ℤ with gamma plus on
+    t ≥ 0.  Every edge joins t to t ± 1 (see line_apply), so |c(x)| is
+    the edge distance from the all-zero ray.  The formula reads digits
+    only, so it holds for every sequence; ω decides the edge labels, not
+    the positions.  Memoised per (sequence, ray), because a traced run
+    reports the counters of this table.
+    """
+    return _coordinate(x.digits)
+
+
+def _coordinate(digits: str) -> int:
+    c = 0
+    for n, digit in enumerate(digits, 1):
+        if digit == "1":
+            c = _jump(n) - c
+    return c
+
+
+@lru_cache(maxsize=4096)
+def ray_at(t: int) -> Ray:
+    """The ray with line coordinate t, the inverse of line_coordinate.
+
+    Grows I_n = I_{n−1} ∪ (J(n) − I_{n−1}) from I_0 = {0} until it holds
+    t; the last digit is then a 1 at position n.  Reading down, digit k
+    is 0 when the remaining value lies in I_{k−1} and 1 otherwise, and a
+    1 reflects the value back through J(k).  No sequence is involved, so
+    the same ray answers for every ω.  The scans ask for the same few
+    coordinates near 0 over and over, so a bounded table keeps them.
+    """
+    bounds = [(0, 0)]
+    while not bounds[-1][0] <= t <= bounds[-1][1]:
+        lo, hi = bounds[-1]
+        j = _jump(len(bounds))
+        bounds.append((min(lo, j - hi), max(hi, j - lo)))
+    digits = []
+    for k in range(len(bounds) - 1, 0, -1):
+        lo, hi = bounds[k - 1]
+        if lo <= t <= hi:
+            digits.append("0")
+        else:
+            digits.append("1")
+            t = _jump(k) - t
+    return Ray("".join(reversed(digits)))
+
+
+def line_apply(omega: OmegaSequence, word: str, t: int) -> int:
+    """Image of the coordinate t under a word, letters applied right to left.
+
+    ``a`` flips the first digit, so it swaps two rays that agree after
+    it.  Their coordinates start as {0, 1}, and each later 1 at position
+    k maps the pair {2m, 2m + 1} to {J(k) − 2m − 1, J(k) − 2m}, again of
+    that form as J(k) is odd: ``a`` is t ↦ t XOR 1.
+
+    A letter of b, c, d keeps the prefix 1^(L−1) 0 up to the first 0 and
+    flips digit L + 1 unless ω_L is its symbol.  The rays 1^(L−1) 0 and
+    1^(L−1) 0 1 sit at the ends of {u₀, u₀ + 1}, u₀ odd, with
+    3u₀ + 1 = (−2)^L.  A later 1 at position k > L + 1 sends the odd end
+    u to u' = J(k) − u − 1, and 3u' + 1 = ±2^k − (3u + 1) keeps
+    ν₂(3u + 1) = L.  So the pair {u, u + 1}, u odd, lies at level
+    L = ν₂(3u + 1), and the two letters whose symbol is not ω_L swap it.
+    The sequence only picks the fixing letter, so the rule holds for
+    every ω.
+    """
+    for letter in reversed(word):
+        if letter == "a":
+            t ^= 1
+        else:
+            u = t if t & 1 else t - 1
+            v = 3 * u + 1
+            if omega.at((v & -v).bit_length() - 1) != LETTER_SYMBOL[letter]:
+                t = 2 * u + 1 - t
+    return t
+
+
+def ball(omega: OmegaSequence, center: Ray, radius: int) -> set[Ray]:
+    """Vertices within the given edge distance of the center.
+
+    The line is ℤ for every sequence, so the ball is the interval of
+    coordinates |t − c(center)| ≤ radius, mapped back to rays; it is
+    empty for a negative radius.
+    """
+    c = _coordinate(center.digits)
+    return {ray_at(t) for t in range(c - radius, c + radius + 1)}
 
 
 def _sort_key(omega: OmegaSequence):

@@ -15,8 +15,6 @@ from typing import Iterable, NamedTuple
 
 from .elements import (
     GroupElement,
-    ZERO_RAY,
-    apply,
     canonical_key,
     decompose,
     enumerate_ball,
@@ -24,13 +22,18 @@ from .elements import (
     stabilizes_level1,
 )
 from .cubes import CubeVertex, act, commensuration_delta
-from .gamma import ball, in_gamma_plus, in_gamma_plus_tilde
+from .gamma import line_apply, ray_at
 from .omega import OmegaSequence
 
 
 class StabilizerTarget(Enum):
     GAMMA_PLUS = "gamma_plus"
     GAMMA_PLUS_TILDE = "gamma_plus_tilde"
+
+
+def _window(g: GroupElement) -> range:
+    """Coordinates within length(g) + 1 of the all-zero ray."""
+    return range(-g.length - 1, g.length + 2)
 
 
 def stabilizes_gamma_plus(omega: OmegaSequence, g: GroupElement) -> bool:
@@ -41,13 +44,13 @@ def stabilizes_gamma_plus(omega: OmegaSequence, g: GroupElement) -> bool:
 def stabilizes_gamma_plus_tilde(omega: OmegaSequence, g: GroupElement) -> bool:
     """Whether g preserves the punctured right half-line setwise.
 
-    Crossings are confined to the ball of radius length(g) + 1 around the
-    all-zero ray, which the scan covers.
+    The punctured half-line is t >= 1.  Crossings are confined to the
+    coordinates |t| <= length(g) + 1, which the scan covers.
     """
-    g_inv = g.inverse()
+    inverse = g.word[::-1]
     return all(
-        in_gamma_plus_tilde(x) == in_gamma_plus_tilde(apply(g_inv, x))
-        for x in ball(omega, ZERO_RAY, g.length + 1)
+        (t >= 1) == (line_apply(g.omega, inverse, t) >= 1)
+        for t in _window(g)
     )
 
 
@@ -186,9 +189,10 @@ def fixed_vertex_for_subgroup(
     """A cube vertex fixed by every element of a finite subgroup.
 
     The vertex colours the union of the subgroup translates of the right
-    half-line; its delta therefore sits inside the ball of radius equal
-    to the longest element.  Raises if the input is not a subgroup or if
-    the candidate is not fixed.
+    half-line; its delta is the set of coordinates t < 0 that some h^-1
+    carries to t >= 0, all within the longest element's length of the
+    all-zero ray.  Raises if the input is not a subgroup or if the
+    candidate is not fixed.
     """
     elements = tuple(subgroup)
     keys = {canonical_key(h) for h in elements}
@@ -201,11 +205,11 @@ def fixed_vertex_for_subgroup(
             if canonical_key(g * h) not in keys:
                 raise ValueError(f"not closed under product: {g.word!r} * {h.word!r}")
     radius = max(g.length for g in elements)
+    inverses = [(h.omega, h.word[::-1]) for h in elements]
     delta = frozenset(
-        x
-        for x in ball(omega, ZERO_RAY, radius)
-        if not in_gamma_plus(x)
-        and any(in_gamma_plus(apply(h.inverse(), x)) for h in elements)
+        ray_at(t)
+        for t in range(-radius, 0)
+        if any(line_apply(om, word, t) >= 0 for om, word in inverses)
     )
     vertex = CubeVertex(delta)
     for h in elements:
@@ -237,17 +241,15 @@ def stabilizer_bound_check(
     return BoundCheck(order, depth, bound, order <= bound)
 
 
-def _carries_plus_to_tilde(omega: OmegaSequence, g: GroupElement) -> bool:
+def _carries_plus_to_tilde(g: GroupElement) -> bool:
     return all(
-        in_gamma_plus(x) == in_gamma_plus_tilde(apply(g, x))
-        for x in ball(omega, ZERO_RAY, g.length + 1)
+        (t >= 0) == (line_apply(g.omega, g.word, t) >= 1) for t in _window(g)
     )
 
 
-def _carries_tilde_to_plus(omega: OmegaSequence, g: GroupElement) -> bool:
+def _carries_tilde_to_plus(g: GroupElement) -> bool:
     return all(
-        in_gamma_plus_tilde(x) == in_gamma_plus(apply(g, x))
-        for x in ball(omega, ZERO_RAY, g.length + 1)
+        (t >= 1) == (line_apply(g.omega, g.word, t) >= 0) for t in _window(g)
     )
 
 
@@ -305,8 +307,8 @@ def verify_restriction_lemma(omega: OmegaSequence, max_len: int) -> RestrictionR
         if not level1 and stab_tilde:
             counts["swapping"] += 1
             if not (
-                _carries_plus_to_tilde(shifted, g0)
-                and _carries_tilde_to_plus(shifted, g1)
+                _carries_plus_to_tilde(g0)
+                and _carries_tilde_to_plus(g1)
             ):
                 violations.append(f"{g.word or '1'}: swapping")
     return RestrictionReport(

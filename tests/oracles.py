@@ -8,11 +8,17 @@ The ball enumeration here extends every alternating word and keys it
 with semantic leaf tests through the word problem; the production code
 grows each sphere from the last one's representatives and reads its
 leaves off the syntax.
+
+The Schreier line here is found by breadth-first search over the ray
+action, and the half-line scans apply words to rays; the production
+code gives each ray its integer coordinate in closed form and scans
+integer windows.
 """
 
 from functools import lru_cache
 
-from grigcube.elements import GroupElement, decompose, is_trivial
+from grigcube.elements import GroupElement, Ray, ZERO_RAY, apply, decompose, is_trivial
+from grigcube.gamma import in_gamma_plus, in_gamma_plus_tilde, neighbors
 from grigcube.omega import LETTER_SYMBOL, OmegaSequence
 
 
@@ -86,3 +92,77 @@ def oracle_ball_words(omega: OmegaSequence, max_len: int) -> tuple[str, ...]:
                 seen.add(key)
                 found.append(word)
     return tuple(found)
+
+
+def oracle_ball(omega: OmegaSequence, center: Ray, radius: int) -> set[Ray]:
+    """Vertices within the given edge distance of the center, by
+    breadth-first search over the four labelled edges of each ray."""
+    seen = {center}
+    frontier = [center]
+    for _ in range(radius):
+        new = []
+        for x in frontier:
+            for _, y, _ in neighbors(omega, x):
+                if y not in seen:
+                    seen.add(y)
+                    new.append(y)
+        frontier = new
+    return seen
+
+
+def oracle_line_coordinates(omega: OmegaSequence, radius: int) -> dict[Ray, int]:
+    """Every ray of the search ball around the all-zero ray with its
+    signed distance from it, positive on the gamma plus side."""
+    coordinates = {ZERO_RAY: 0}
+    frontier = [ZERO_RAY]
+    for dist in range(1, radius + 1):
+        new = []
+        for x in frontier:
+            for _, y, _ in neighbors(omega, x):
+                if y not in coordinates:
+                    coordinates[y] = dist if in_gamma_plus(y) else -dist
+                    new.append(y)
+        frontier = new
+    return coordinates
+
+
+def oracle_commensuration(omega: OmegaSequence, g: GroupElement) -> frozenset:
+    """Rays of the search ball of radius length(g) that g moves across
+    the half-line boundary, tested on the rays themselves."""
+    g_inv = g.inverse()
+    return frozenset(
+        x
+        for x in oracle_ball(omega, ZERO_RAY, g.length)
+        if in_gamma_plus(x) != in_gamma_plus(apply(g_inv, x))
+    )
+
+
+def _scan(omega: OmegaSequence, g: GroupElement, before, after) -> bool:
+    return all(
+        before(x) == after(apply(g, x))
+        for x in oracle_ball(omega, ZERO_RAY, g.length + 1)
+    )
+
+
+def oracle_stabilizes_gamma_plus_tilde(omega: OmegaSequence, g: GroupElement) -> bool:
+    return _scan(omega, g.inverse(), in_gamma_plus_tilde, in_gamma_plus_tilde)
+
+
+def oracle_carries_plus_to_tilde(omega: OmegaSequence, g: GroupElement) -> bool:
+    return _scan(omega, g, in_gamma_plus, in_gamma_plus_tilde)
+
+
+def oracle_carries_tilde_to_plus(omega: OmegaSequence, g: GroupElement) -> bool:
+    return _scan(omega, g, in_gamma_plus_tilde, in_gamma_plus)
+
+
+def oracle_fixed_delta(omega: OmegaSequence, elements) -> frozenset:
+    """Rays off the right half-line that some element of the subgroup
+    carries onto it, over the search ball of the longest element."""
+    radius = max(g.length for g in elements)
+    return frozenset(
+        x
+        for x in oracle_ball(omega, ZERO_RAY, radius)
+        if not in_gamma_plus(x)
+        and any(in_gamma_plus(apply(h.inverse(), x)) for h in elements)
+    )

@@ -58,6 +58,18 @@ class TestExitCodes:
         assert "error:" in err
 
 
+    @pytest.mark.parametrize("command", [
+        ("act", "--omega", ":012", "--word", "b"),
+        ("orbit", "--omega", ":01", "--max-len", "2"),
+    ])
+    @pytest.mark.parametrize("vertex", ["1,,101", "101,", ",1", "0inf,0inf", "1,101,1"])
+    def test_bad_vertex_is_usage_error(self, capsys, command, vertex):
+        code, out, err = run_cli(capsys, *command, "--vertex", vertex)
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
+
 class TestCheck:
     def test_prefix_passes(self, capsys):
         code, out, err = run_cli(

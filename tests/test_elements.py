@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grigcube.elements import (
+    _NOT_REDUCED,
     GroupElement,
     OmegaMismatchError,
     Ray,
@@ -60,6 +61,21 @@ class TestRay:
             Ray("10")
         with pytest.raises(ValueError):
             Ray("2")
+
+    @pytest.mark.parametrize("digits", ["10", "0x1", "2", "1 1", "01\n1", "x"])
+    def test_rejection_names_the_digits(self, digits):
+        with pytest.raises(ValueError, match="not a canonical ray"):
+            Ray(digits)
+
+    @given(st.text(alphabet="012x", max_size=8))
+    def test_validation_is_the_set_test(self, digits):
+        canonical = not digits or (set(digits) <= {"0", "1"} and digits.endswith("1"))
+        try:
+            Ray(digits)
+        except ValueError:
+            assert not canonical
+        else:
+            assert canonical
 
     def test_text_roundtrip(self):
         for text in ("0inf", "1", "01", "1101"):
@@ -120,6 +136,23 @@ class TestReduce:
     def test_reduction_preserves_action(self, word):
         reduced = reduce_word(word)
         assert words_agree_on_level(word, reduced, OM, 8)
+
+
+class TestElementValidation:
+    @given(st.text(alphabet="abcdx", max_size=10))
+    def test_search_agrees_with_reduce_word(self, word):
+        try:
+            reduced = reduce_word(word) == word
+        except ValueError:
+            reduced = False
+        assert (_NOT_REDUCED.search(word) is None) == reduced
+
+    def test_messages(self):
+        with pytest.raises(ValueError, match="invalid generator 'x'"):
+            GroupElement(OM, "axb")
+        with pytest.raises(ValueError, match="is not reduced"):
+            GroupElement(OM, "abca")
+        assert GroupElement(OM, "abacad").word == "abacad"
 
 
 class TestApply:

@@ -1,19 +1,23 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grigcube.elements import GroupElement, Ray, ZERO_RAY, apply
+from grigcube.elements import GroupElement, Ray, ZERO_RAY, _apply_letter, apply
 from grigcube.gamma import (
     ball,
     ball_edges,
     edge_records,
     in_gamma_plus,
     in_gamma_plus_tilde,
+    line_apply,
     line_coordinate,
     neighbors,
     prepend,
+    ray_at,
     to_dot,
 )
 from grigcube.omega import OmegaSequence
+
+from oracles import oracle_ball, oracle_letter, oracle_line_coordinates
 
 OM = OmegaSequence.parse(":012")
 OM01 = OmegaSequence.parse(":01")
@@ -126,6 +130,68 @@ class TestLineCoordinate:
                 c = line_coordinate(om, x)
                 for e in neighbors(om, x):
                     assert abs(line_coordinate(om, e.target) - c) <= 1
+
+
+# sequences with and without repetition: the line model needs neither
+ORACLE_OMEGAS = [
+    OmegaSequence.parse(t)
+    for t in (":012", ":01", "2:01", ":0", "1:12", "00:12", "2:2201", ":0112")
+]
+
+
+@pytest.fixture(scope="module", params=ORACLE_OMEGAS, ids=str)
+def searched(request):
+    """A sequence with the search coordinates of its radius-401 ball."""
+    return request.param, oracle_line_coordinates(request.param, 401)
+
+
+class TestClosedFormAgainstOracle:
+    def test_coordinates_and_ball_at_radius_200(self, searched):
+        om, coordinates = searched
+        near = {x for x, t in coordinates.items() if abs(t) <= 200}
+        assert ball(om, ZERO_RAY, 200) == near == oracle_ball(om, ZERO_RAY, 200)
+        for x in near:
+            assert line_coordinate(om, x) == coordinates[x]
+            assert ray_at(coordinates[x]) == x
+
+    def test_off_center_ball(self, searched):
+        om, coordinates = searched
+        for text in ("1", "11", "1101", "0001"):
+            center = Ray.parse(text)
+            assert ball(om, center, 7) == oracle_ball(om, center, 7)
+
+    def test_letters_per_coordinate(self, searched):
+        om, coordinates = searched
+        rays = {t: x for x, t in coordinates.items()}
+        for t in range(-400, 401):
+            digits = rays[t].digits
+            for letter in "abcd":
+                image = line_apply(om, letter, t)
+                assert rays[image].digits == _apply_letter(letter, om, digits)
+                padded = oracle_letter(letter, om, digits + "00")
+                assert rays[image] == Ray.from_digits(padded)
+
+    @given(st.integers(min_value=-(2**41), max_value=2**41))
+    def test_ray_at_inverts_the_coordinate(self, t):
+        assert line_coordinate(OM, ray_at(t)) == t
+
+    @given(st.text(alphabet="01", max_size=40).map(Ray.from_digits))
+    def test_coordinate_inverts_ray_at(self, x):
+        assert ray_at(line_coordinate(OM, x)) == x
+
+    def test_half_lines_are_signs(self):
+        for t in range(-300, 301):
+            assert in_gamma_plus(ray_at(t)) == (t >= 0)
+            assert in_gamma_plus_tilde(ray_at(t)) == (t >= 1)
+
+    @given(st.text(alphabet="abcd", max_size=12), st.integers(-10**6, 10**6))
+    def test_words_act_letter_by_letter(self, word, t):
+        g = GroupElement.from_word(OM, word)
+        assert line_apply(OM, word, t) == line_apply(OM, g.word, t)
+        assert line_coordinate(OM, apply(g, ray_at(t))) == line_apply(OM, g.word, t)
+
+    def test_negative_radius_is_empty(self):
+        assert ball(OM, ZERO_RAY, -1) == set()
 
 
 class TestUnlabelledShape:

@@ -1,12 +1,13 @@
 import pytest
 
-from grigcube.cubes import CubeVertex, act, base_vertex
+from grigcube.cubes import CubeVertex, act, base_vertex, commensuration_delta
 from grigcube.elements import (
     GroupElement,
     Ray,
     ZERO_RAY,
     apply,
     canonical_key,
+    decompose,
     element_order,
     enumerate_ball,
     is_trivial,
@@ -15,6 +16,8 @@ from grigcube.gamma import ball, in_gamma_plus, in_gamma_plus_tilde
 from grigcube.omega import OmegaSequence, fixing_letter
 from grigcube.stabilizers import (
     StabilizerTarget,
+    _carries_plus_to_tilde,
+    _carries_tilde_to_plus,
     fixed_vertex_for_subgroup,
     stabilizer_bound_check,
     stabilizer_in_ball,
@@ -22,6 +25,14 @@ from grigcube.stabilizers import (
     stabilizes_gamma_plus_tilde,
     subgroup_closure,
     verify_restriction_lemma,
+)
+
+from oracles import (
+    oracle_carries_plus_to_tilde,
+    oracle_carries_tilde_to_plus,
+    oracle_commensuration,
+    oracle_fixed_delta,
+    oracle_stabilizes_gamma_plus_tilde,
 )
 
 OM = OmegaSequence.parse(":012")
@@ -223,3 +234,37 @@ class TestRestrictionCases:
         assert apply(d1, ZERO_RAY) != ZERO_RAY
         assert not stabilizes_gamma_plus(shifted, d1)
         assert stabilizes_gamma_plus_tilde(shifted, d1)
+
+
+@pytest.mark.parametrize("text", [":012", "2:01"])
+class TestIntegerScansAgainstRays:
+    """Each window scan over coordinates against the ray scan it replaced."""
+
+    def test_commensuration(self, text):
+        om = OmegaSequence.parse(text)
+        for g in enumerate_ball(om, 8):
+            assert commensuration_delta(om, g) == oracle_commensuration(om, g)
+
+    def test_punctured_and_carrying(self, text):
+        # the restriction lemma asks these of g's restrictions as well
+        om = OmegaSequence.parse(text)
+        for g in enumerate_ball(om, 8):
+            _, g0, g1 = decompose(g)
+            for h in (g, g0, g1):
+                o = h.omega
+                assert stabilizes_gamma_plus_tilde(o, h) == oracle_stabilizes_gamma_plus_tilde(o, h)
+                assert _carries_plus_to_tilde(h) == oracle_carries_plus_to_tilde(o, h)
+                assert _carries_tilde_to_plus(h) == oracle_carries_tilde_to_plus(o, h)
+
+    def test_fixed_vertex(self, text):
+        om = OmegaSequence.parse(text)
+        subgroups = [
+            subgroup_closure([g]) for g in enumerate_ball(om, 8)
+            if element_order(g, cap=4) is not None
+        ]
+        subgroups.append(subgroup_closure([element("a", om), element(fixing_letter(om, 1), om)]))
+        subgroups.append(subgroup_closure([element("b", om), element("c", om)]))
+        assert len(subgroups) > 50
+        for subgroup in subgroups:
+            vertex = fixed_vertex_for_subgroup(om, subgroup)
+            assert vertex.delta == oracle_fixed_delta(om, subgroup)
