@@ -1,9 +1,16 @@
 """Vertices of the cube complex the group acts on.
 
 A vertex is a two-colouring of the rays that agrees with the right
-half-line colouring outside a finite set; only that symmetric difference
-(delta) is stored.  Two vertices span an edge when their deltas differ in
-one ray, and hyperplanes are labelled by rays.
+half-line colouring Γ₊ outside a finite set; only that symmetric
+difference (delta) is stored.  Two vertices span an edge when their
+deltas differ in one ray.
+
+The group acts through the defect δ(g) = Γ₊ Δ gΓ₊, a finite set for
+every g.  It is a cocycle, δ(gh) = δ(g) Δ g·δ(h), so it is fixed by its
+values on the generators: δ(a) = ∅, and for s ∈ {b, c, d}, δ(s) is the
+pair {−1, 0} of line coordinates that s swaps across the boundary when
+ω₁ is not its symbol, and ∅ when it is.  A vertex v goes to the vertex
+with delta δ(g) Δ g·v.delta.
 """
 
 from __future__ import annotations
@@ -21,11 +28,7 @@ from .elements import (
     enumerate_ball,
 )
 from .gamma import in_gamma_plus, line_apply, ray_at
-from .omega import OmegaSequence
-
-
-class DimensionLimitError(ValueError):
-    """Raised when a cube would be expanded past the configured dimension."""
+from .omega import LETTER_SYMBOL, OmegaSequence
 
 
 @dataclass(frozen=True)
@@ -64,85 +67,42 @@ def base_vertex() -> CubeVertex:
 
 @lru_cache(maxsize=None)
 def _commensuration(omega: OmegaSequence, word: str) -> frozenset:
-    inverse, n = word[::-1], len(word)
-    return frozenset(
-        ray_at(t)
-        for t in range(-n, n + 1)
-        if (t >= 0) != (line_apply(omega, inverse, t) >= 0)
-    )
+    """δ(word) as line coordinates, by the cocycle, letters right to left.
 
-
-def commensuration_delta(omega: OmegaSequence, g: GroupElement) -> frozenset:
-    """Rays moved across the half-line boundary by g.
-
-    Each generator shifts a ray at most one step along the line, so every
-    such ray has a coordinate t with |t| <= length(g), and the scan of
-    that window, t >= 0 against g^-1 t >= 0, is exhaustive.
+    The suffix after each letter s has defect D, and the suffix from s
+    on has δ(s) Δ s·D.  Only b, c and d move a coordinate across the
+    boundary between −1 and 0, the pair at level 1, and they do so
+    unless ω₁ is their symbol.  No window and no hypothesis on ω.
     """
+    delta = frozenset()
+    for letter in reversed(word):
+        delta = frozenset(line_apply(omega, letter, t) for t in delta)
+        if letter != "a" and omega.at(1) != LETTER_SYMBOL[letter]:
+            delta ^= {-1, 0}
+    return delta
+
+
+def _delta(omega: OmegaSequence, g: GroupElement) -> frozenset:
+    """δ(g) = Γ₊ Δ gΓ₊ as line coordinates; g must be over omega."""
     if omega != g.omega:
         raise OmegaMismatchError(f"{omega} vs {g.omega}")
     return _commensuration(omega, g.word)
 
 
+def commensuration_delta(omega: OmegaSequence, g: GroupElement) -> frozenset:
+    """Rays moved across the half-line boundary by g, the set Γ₊ Δ gΓ₊."""
+    return frozenset(ray_at(t) for t in _delta(omega, g))
+
+
 def act(omega: OmegaSequence, g: GroupElement, v: CubeVertex) -> CubeVertex:
     """Image of a vertex: push the delta forward and add the boundary flips."""
-    if omega != g.omega:
-        raise OmegaMismatchError(f"{omega} vs {g.omega}")
     moved = frozenset(apply(g, x) for x in v.delta)
-    return CubeVertex(_commensuration(omega, g.word) ^ moved)
+    return CubeVertex(commensuration_delta(omega, g) ^ moved)
 
 
 def distance(v: CubeVertex, w: CubeVertex) -> int:
     """Hamming distance between the colourings."""
     return len(v.delta ^ w.delta)
-
-
-@dataclass(frozen=True)
-class Hyperplane:
-    label: Ray
-
-
-@dataclass(frozen=True)
-class HalfSpace:
-    label: Ray
-    side: bool
-
-    def contains(self, v: CubeVertex) -> bool:
-        return v.color(self.label) == self.side
-
-
-@dataclass(frozen=True)
-class Cube:
-    """The cube spanned by flipping any subset of the label rays."""
-
-    base: CubeVertex
-    labels: frozenset
-
-    @property
-    def dimension(self) -> int:
-        return len(self.labels)
-
-
-def cube_vertices(cube: Cube, max_dimension: int = 20) -> set[CubeVertex]:
-    if cube.dimension > max_dimension:
-        raise DimensionLimitError(
-            f"cube of dimension {cube.dimension} exceeds the cap {max_dimension}"
-        )
-    vertices = {cube.base}
-    for label in cube.labels:
-        vertices |= {v.flip(label) for v in vertices}
-    return vertices
-
-
-def act_on_cube(omega: OmegaSequence, g: GroupElement, cube: Cube) -> Cube:
-    return Cube(
-        act(omega, g, cube.base),
-        frozenset(apply(g, x) for x in cube.labels),
-    )
-
-
-def separating_hyperplanes(v: CubeVertex, w: CubeVertex) -> set:
-    return {Hyperplane(x) for x in v.delta ^ w.delta}
 
 
 class OrbitRow(NamedTuple):

@@ -304,21 +304,16 @@ class ElementBall:
     """
 
     def __init__(self, omega: OmegaSequence, max_len: int,
-                 elements: tuple[GroupElement, ...], by_key: dict):
+                 elements: tuple[GroupElement, ...]):
         self.omega = omega
         self.max_len = max_len
         self.elements = elements
-        self.by_key = by_key
 
     def __iter__(self):
         return iter(self.elements)
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def find(self, g: GroupElement) -> GroupElement | None:
-        """The ball representative equal to g, or None if outside the ball."""
-        return self.by_key.get(canonical_key(g))
 
 
 @lru_cache(maxsize=None)
@@ -341,7 +336,7 @@ def enumerate_ball(omega: OmegaSequence, max_len: int) -> ElementBall:
         raise UnsupportedOmegaError(
             f"ball enumeration needs a repetition-free sequence, got {omega}"
         )
-    by_key: dict = {}
+    seen = set()
     elements: list[GroupElement] = []
     sphere = [""]
     for length in range(max_len + 1):
@@ -349,12 +344,11 @@ def enumerate_ball(omega: OmegaSequence, max_len: int) -> ElementBall:
         sphere = []
         for word in candidates:
             key = _canonical_key(omega, word)
-            if key not in by_key:
-                g = GroupElement(omega, word)
-                by_key[key] = g
-                elements.append(g)
+            if key not in seen:
+                seen.add(key)
+                elements.append(GroupElement(omega, word))
                 sphere.append(word)
-    return ElementBall(omega, max_len, tuple(elements), by_key)
+    return ElementBall(omega, max_len, tuple(elements))
 
 
 def element_order(g: GroupElement, cap: int = 64) -> int | None:

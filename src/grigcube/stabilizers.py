@@ -21,7 +21,7 @@ from .elements import (
     is_trivial,
     stabilizes_level1,
 )
-from .cubes import CubeVertex, act, commensuration_delta
+from .cubes import CubeVertex, _delta, act
 from .gamma import line_apply, ray_at
 from .omega import OmegaSequence
 
@@ -31,27 +31,24 @@ class StabilizerTarget(Enum):
     GAMMA_PLUS_TILDE = "gamma_plus_tilde"
 
 
-def _window(g: GroupElement) -> range:
-    """Coordinates within length(g) + 1 of the all-zero ray."""
-    return range(-g.length - 1, g.length + 2)
+def _origin_image(g: GroupElement) -> int:
+    """g·0, the coordinate of the image of the all-zero ray."""
+    return line_apply(g.omega, g.word, 0)
 
 
 def stabilizes_gamma_plus(omega: OmegaSequence, g: GroupElement) -> bool:
-    """Whether g preserves the right half-line setwise."""
-    return not commensuration_delta(omega, g)
+    """Whether g preserves the right half-line setwise: δ(g) = ∅."""
+    return not _delta(omega, g)
 
 
 def stabilizes_gamma_plus_tilde(omega: OmegaSequence, g: GroupElement) -> bool:
     """Whether g preserves the punctured right half-line setwise.
 
-    The punctured half-line is t >= 1.  Crossings are confined to the
-    coordinates |t| <= length(g) + 1, which the scan covers.
+    The punctured half-line is Γ₊ Δ {0}, so its image is
+    Γ₊ Δ δ(g) Δ {g·0}, and g stabilizes it exactly when
+    δ(g) = {0} Δ {g·0}.
     """
-    inverse = g.word[::-1]
-    return all(
-        (t >= 1) == (line_apply(g.omega, inverse, t) >= 1)
-        for t in _window(g)
-    )
+    return _delta(omega, g) == {0} ^ {_origin_image(g)}
 
 
 @dataclass
@@ -189,10 +186,9 @@ def fixed_vertex_for_subgroup(
     """A cube vertex fixed by every element of a finite subgroup.
 
     The vertex colours the union of the subgroup translates of the right
-    half-line; its delta is the set of coordinates t < 0 that some h^-1
-    carries to t >= 0, all within the longest element's length of the
-    all-zero ray.  Raises if the input is not a subgroup or if the
-    candidate is not fixed.
+    half-line; its delta is the part of that union off the half-line,
+    the coordinates t < 0 of the δ(h).  Raises if the input is not a
+    subgroup or if the candidate is not fixed.
     """
     elements = tuple(subgroup)
     keys = {canonical_key(h) for h in elements}
@@ -204,14 +200,9 @@ def fixed_vertex_for_subgroup(
         for h in elements:
             if canonical_key(g * h) not in keys:
                 raise ValueError(f"not closed under product: {g.word!r} * {h.word!r}")
-    radius = max(g.length for g in elements)
-    inverses = [(h.omega, h.word[::-1]) for h in elements]
-    delta = frozenset(
-        ray_at(t)
-        for t in range(-radius, 0)
-        if any(line_apply(om, word, t) >= 0 for om, word in inverses)
-    )
-    vertex = CubeVertex(delta)
+    vertex = CubeVertex(frozenset(
+        ray_at(t) for h in elements for t in _delta(omega, h) if t < 0
+    ))
     for h in elements:
         if act(omega, h, vertex) != vertex:
             raise AssertionError(f"candidate vertex moved by {h.word!r}")
@@ -242,15 +233,13 @@ def stabilizer_bound_check(
 
 
 def _carries_plus_to_tilde(g: GroupElement) -> bool:
-    return all(
-        (t >= 0) == (line_apply(g.omega, g.word, t) >= 1) for t in _window(g)
-    )
+    """gΓ₊ = Γ₊ Δ {0}: δ(g) = {0}."""
+    return _delta(g.omega, g) == {0}
 
 
 def _carries_tilde_to_plus(g: GroupElement) -> bool:
-    return all(
-        (t >= 1) == (line_apply(g.omega, g.word, t) >= 0) for t in _window(g)
-    )
+    """g(Γ₊ Δ {0}) = Γ₊: δ(g) = {g·0}."""
+    return _delta(g.omega, g) == {_origin_image(g)}
 
 
 class RestrictionReport(NamedTuple):
@@ -278,6 +267,12 @@ def verify_restriction_lemma(omega: OmegaSequence, max_len: int) -> RestrictionR
     g1 in the plain one: the letter d over (012) repeated stabilizes both
     sets, yet its right restriction moves the all-zero ray off the
     half-line.
+
+    The third case never occurs, on any sequence, so its count is 0.
+    Each δ(s) has 0 or 2 points and δ(gh) = δ(g) Δ g·δ(h), so |δ(g)| is
+    always even.  A swapping g that stabilized the punctured half-line
+    would have g0 carry the half-line onto the punctured half-line,
+    that is δ(g0) = {0}, which is odd.
     """
     shifted = omega.shift()
     counts = {"half_line": 0, "punctured": 0, "swapping": 0}

@@ -11,14 +11,16 @@ leaves off the syntax.
 
 The Schreier line here is found by breadth-first search over the ray
 action, and the half-line scans apply words to rays; the production
-code gives each ray its integer coordinate in closed form and scans
-integer windows.
+code gives each ray its integer coordinate in closed form.  The defect
+δ(g) = Γ₊ Δ gΓ₊ is found here by scanning a window of the line, on rays
+or on integers; the production code builds it letter by letter from
+its cocycle and reads every half-line predicate off it.
 """
 
 from functools import lru_cache
 
 from grigcube.elements import GroupElement, Ray, ZERO_RAY, apply, decompose, is_trivial
-from grigcube.gamma import in_gamma_plus, in_gamma_plus_tilde, neighbors
+from grigcube.gamma import in_gamma_plus, in_gamma_plus_tilde, line_apply, neighbors
 from grigcube.omega import LETTER_SYMBOL, OmegaSequence
 
 
@@ -134,6 +136,19 @@ def oracle_commensuration(omega: OmegaSequence, g: GroupElement) -> frozenset:
         x
         for x in oracle_ball(omega, ZERO_RAY, g.length)
         if in_gamma_plus(x) != in_gamma_plus(apply(g_inv, x))
+    )
+
+
+def oracle_commensuration_window(omega: OmegaSequence, g: GroupElement) -> frozenset:
+    """Coordinates t that g moves across the half-line boundary, t >= 0
+    against g^-1 t >= 0, by the integer action over |t| <= length(g).
+    Each letter moves a coordinate by at most one, so the window holds
+    every crossing."""
+    inverse, n = g.inverse().word, g.length
+    return frozenset(
+        t
+        for t in range(-n, n + 1)
+        if (t >= 0) != (line_apply(omega, inverse, t) >= 0)
     )
 
 

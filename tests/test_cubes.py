@@ -1,20 +1,17 @@
 from itertools import product
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from grigcube.cubes import (
-    Cube,
     CubeVertex,
-    DimensionLimitError,
+    _commensuration,
     act,
-    act_on_cube,
     base_vertex,
     commensuration_delta,
-    cube_vertices,
     distance,
     orbit_growth,
-    separating_hyperplanes,
 )
 from grigcube.elements import (
     GroupElement,
@@ -28,7 +25,12 @@ from grigcube.elements import (
 from grigcube.gamma import ball, in_gamma_plus
 from grigcube.omega import OmegaSequence
 
+from oracles import oracle_commensuration, oracle_commensuration_window
+
 OM = OmegaSequence.parse(":012")
+DEFAULT_OMEGAS = (":012", ":01", ":02", ":12", "2:01")
+# with and without repetition: the cocycle needs no hypothesis on ω
+LINE_OMEGAS = (":012", ":01", "2:01", ":0", "1:12", "00:12", "2:2201", ":0112")
 
 rays = st.text(alphabet="01", max_size=5).map(Ray.from_digits)
 vertices = st.frozensets(rays, max_size=4).map(CubeVertex)
@@ -39,6 +41,16 @@ alternating_words = st.lists(
 
 def element(word):
     return GroupElement.from_word(OM, word)
+
+
+def random_elements(omega, count, max_len=20, seed=0):
+    rng = Random(seed)
+    return [
+        GroupElement.from_word(
+            omega, "".join(rng.choice("abcd") for _ in range(rng.randint(0, max_len)))
+        )
+        for _ in range(count)
+    ]
 
 
 class TestCubeVertex:
@@ -116,6 +128,35 @@ class TestCommensuration:
         assert left == right
 
 
+@pytest.mark.parametrize("text", LINE_OMEGAS)
+class TestCocycleAgainstScans:
+    """δ built letter by letter from its cocycle against the window scans."""
+
+    def test_against_integer_window(self, text):
+        om = OmegaSequence.parse(text)
+        for g in random_elements(om, 1000):
+            assert _commensuration(om, g.word) == oracle_commensuration_window(om, g)
+
+    def test_against_ray_scan(self, text):
+        om = OmegaSequence.parse(text)
+        for g in random_elements(om, 300, seed=1):
+            assert commensuration_delta(om, g) == oracle_commensuration(om, g)
+
+
+class TestDeltaParity:
+    """Every δ(s) has 0 or 2 points, so the cocycle keeps |δ(g)| even."""
+
+    @pytest.mark.parametrize("text", DEFAULT_OMEGAS)
+    def test_even_on_ball(self, text):
+        om = OmegaSequence.parse(text)
+        assert all(len(commensuration_delta(om, g)) % 2 == 0 for g in enumerate_ball(om, 10))
+
+    @pytest.mark.parametrize("text", [":0", "00:12"])
+    def test_even_with_repetition(self, text):
+        om = OmegaSequence.parse(text)
+        assert all(len(commensuration_delta(om, g)) % 2 == 0 for g in random_elements(om, 400))
+
+
 class TestAction:
     def test_base_vertex_examples(self):
         v0 = base_vertex()
@@ -179,41 +220,6 @@ class TestDistance:
     @given(vertices, vertices, vertices)
     def test_triangle_inequality(self, u, v, w):
         assert distance(u, w) <= distance(u, v) + distance(v, w)
-
-
-class TestCubes:
-    def test_vertices_of_square(self):
-        labels = frozenset({ZERO_RAY, Ray.parse("1")})
-        cube = Cube(base_vertex(), labels)
-        assert cube.dimension == 2
-        assert len(cube_vertices(cube)) == 4
-
-    def test_vertex_set(self):
-        cube = Cube(base_vertex(), frozenset({ZERO_RAY}))
-        texts = sorted(v.text() for v in cube_vertices(cube))
-        assert texts == ["0inf", "∅"]
-
-    def test_dimension_limit(self):
-        labels = frozenset(Ray.from_digits("1" * k) for k in range(1, 25))
-        cube = Cube(base_vertex(), labels)
-        with pytest.raises(DimensionLimitError):
-            cube_vertices(cube)
-
-    def test_act_on_cube(self):
-        cube = Cube(base_vertex(), frozenset({ZERO_RAY}))
-        image = act_on_cube(OM, element("b"), cube)
-        assert image.base == act(OM, element("b"), base_vertex())
-        assert image.labels == frozenset({Ray.parse("01")})
-        left = sorted(v.text() for v in cube_vertices(image))
-        right = sorted(act(OM, element("b"), v).text() for v in cube_vertices(cube))
-        assert left == right
-
-    def test_separating_hyperplanes(self):
-        v = base_vertex()
-        w = CubeVertex(frozenset({ZERO_RAY, Ray.parse("11")}))
-        labels = {h.label for h in separating_hyperplanes(v, w)}
-        assert labels == {ZERO_RAY, Ray.parse("11")}
-        assert separating_hyperplanes(v, v) == set()
 
 
 class TestOrbitGrowth:

@@ -381,12 +381,6 @@ class TestBall:
         for g in ball:
             assert canonical_key(g.inverse()) in keys
 
-    def test_find(self):
-        ball = enumerate_ball(OM, 6)
-        g = GroupElement.from_word(OM, "adadada")
-        found = ball.find(g)
-        assert found is not None and found.word == "d"
-
     def test_nested(self):
         small = {g.word for g in enumerate_ball(OM, 4)}
         big = {g.word for g in enumerate_ball(OM, 6)}

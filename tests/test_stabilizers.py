@@ -3,6 +3,7 @@ import pytest
 from grigcube.cubes import CubeVertex, act, base_vertex, commensuration_delta
 from grigcube.elements import (
     GroupElement,
+    OmegaMismatchError,
     Ray,
     ZERO_RAY,
     apply,
@@ -11,6 +12,7 @@ from grigcube.elements import (
     element_order,
     enumerate_ball,
     is_trivial,
+    stabilizes_level1,
 )
 from grigcube.gamma import ball, in_gamma_plus, in_gamma_plus_tilde
 from grigcube.omega import OmegaSequence, fixing_letter
@@ -67,6 +69,10 @@ class TestPointwisePredicates:
             )
             assert stabilizes_gamma_plus(OM, g) == plus
             assert stabilizes_gamma_plus_tilde(OM, g) == tilde
+
+    def test_sequence_mismatch(self):
+        with pytest.raises(OmegaMismatchError):
+            stabilizes_gamma_plus_tilde(OmegaSequence.parse(":01"), element("b"))
 
     def test_plus_stabilizer_fixes_base_vertex(self):
         v0 = base_vertex()
@@ -175,6 +181,11 @@ class TestFixedVertex:
         v = fixed_vertex_for_subgroup(OM, subgroup)
         assert all(act(OM, g, v) == v for g in subgroup)
 
+    def test_sequence_mismatch(self):
+        subgroup = subgroup_closure([element("b")])
+        with pytest.raises(OmegaMismatchError):
+            fixed_vertex_for_subgroup(OmegaSequence.parse(":01"), subgroup)
+
     def test_not_a_subgroup(self):
         with pytest.raises(ValueError):
             fixed_vertex_for_subgroup(OM, [element("b")])  # identity missing
@@ -218,6 +229,14 @@ class TestRestrictionCases:
         assert report.case_counts["punctured"] == 4
         assert report.case_counts["swapping"] == 0
 
+    def test_no_swapping_element_stabilizes_punctured(self):
+        # a swapping g in the punctured stabilizer would have δ(g0) = {0},
+        # of odd size, and every δ has even size
+        for om in ALL_OMEGAS:
+            for g in enumerate_ball(om, 10):
+                if not stabilizes_level1(g):
+                    assert not stabilizes_gamma_plus_tilde(om, g)
+
     def test_right_restriction_can_leave_half_line_stabilizer(self):
         # the letter fixing level one of (012)^inf stabilizes both
         # half-lines, yet its right restriction moves the all-zero ray:
@@ -238,7 +257,7 @@ class TestRestrictionCases:
 
 @pytest.mark.parametrize("text", [":012", "2:01"])
 class TestIntegerScansAgainstRays:
-    """Each window scan over coordinates against the ray scan it replaced."""
+    """Each predicate read off the cocycle δ against a ray scan of a window."""
 
     def test_commensuration(self, text):
         om = OmegaSequence.parse(text)
