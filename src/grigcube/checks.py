@@ -11,9 +11,6 @@ from random import Random
 from .cubes import CubeVertex, act, base_vertex, commensuration_delta
 from .elements import (
     GroupElement,
-    Ray,
-    ZERO_RAY,
-    apply,
     decompose,
     element_order,
     enumerate_ball,
@@ -21,7 +18,16 @@ from .elements import (
     stabilizes_level1,
     canonical_key,
 )
-from .gamma import ball, in_gamma_plus, in_gamma_plus_tilde, prepend
+from .gamma import (
+    Ray,
+    ZERO_RAY,
+    _coordinate,
+    in_gamma_plus,
+    in_gamma_plus_tilde,
+    line_apply,
+    prepend,
+    ray_at,
+)
 from .omega import OmegaSequence, fixing_letter
 from .stabilizers import (
     StabilizerTarget,
@@ -197,10 +203,11 @@ def _random_word(rng: Random, max_len: int) -> str:
 
 
 def _random_vertex(rng: Random, max_rays: int = 4, max_depth: int = 6) -> CubeVertex:
+    """Up to max_rays random rays of up to max_depth digits, as coordinates."""
     delta = set()
     for _ in range(rng.randint(0, max_rays)):
         digits = "".join(rng.choice("01") for _ in range(rng.randint(0, max_depth)))
-        delta.add(Ray.from_digits(digits))
+        delta.add(_coordinate(digits))
     return CubeVertex(frozenset(delta))
 
 
@@ -212,23 +219,27 @@ def check_commensuration(
     seed: int = 0,
 ) -> list[CheckReport]:
     """Boundary crossings stay within the word-length ball, and acting is
-    a group action."""
+    a group action.
+
+    The crossings are found by scanning the window |t| <= length + 4 of
+    the line for the coordinates t with t >= 0 unlike g^-1 t >= 0.
+    """
     rng = Random(seed)
     started = time.monotonic()
     counterexample = None
     for _ in range(words):
         g = GroupElement(omega, _random_word(rng, max_len))
-        g_inv = g.inverse()
+        inverse, n = g.inverse().word, g.length
         wide = {
-            x
-            for x in ball(omega, ZERO_RAY, g.length + 4)
-            if in_gamma_plus(x) != in_gamma_plus(apply(g_inv, x))
+            t
+            for t in range(-n - 4, n + 5)
+            if (t >= 0) != (line_apply(omega, inverse, t) >= 0)
         }
-        allowed = ball(omega, ZERO_RAY, g.length)
-        if not wide <= allowed:
+        escaped = [t for t in wide if abs(t) > n]
+        if escaped:
             counterexample = {
                 "word": g.word,
-                "escaped": sorted(x.text() for x in wide - allowed),
+                "escaped": sorted(ray_at(t).text() for t in escaped),
             }
             break
         if wide != commensuration_delta(omega, g):

@@ -1,9 +1,9 @@
 """Vertices of the cube complex the group acts on.
 
-A vertex is a two-colouring of the rays that agrees with the right
-half-line colouring Γ₊ outside a finite set; only that symmetric
-difference (delta) is stored.  Two vertices span an edge when their
-deltas differ in one ray.
+A vertex is a two-colouring of the line Γ = ℤ that agrees with the right
+half-line colouring Γ₊ (t ≥ 0) outside a finite set; only that symmetric
+difference (delta) is stored, as line coordinates.  Two vertices span an
+edge when their deltas differ in one point.
 
 The group acts through the defect δ(g) = Γ₊ Δ gΓ₊, a finite set for
 every g.  It is a cocycle, δ(gh) = δ(g) Δ g·δ(h), so it is fixed by its
@@ -20,31 +20,31 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
-from .elements import (
-    GroupElement,
-    OmegaMismatchError,
-    Ray,
-    apply,
-    enumerate_ball,
-)
-from .gamma import in_gamma_plus, line_apply, ray_at
+from .elements import GroupElement, OmegaMismatchError, enumerate_ball
+from .gamma import Ray, _coordinate, in_gamma_plus, line_apply, ray_at
 from .omega import LETTER_SYMBOL, OmegaSequence
 
 
 @dataclass(frozen=True)
 class CubeVertex:
+    """A finite colouring of the line, by the line coordinates of its delta.
+
+    Rays name the points only in the text form and in color and flip.
+    """
+
     delta: frozenset = field(default_factory=frozenset)
 
     def color(self, x: Ray) -> bool:
-        return in_gamma_plus(x) != (x in self.delta)
+        return in_gamma_plus(x) != (_coordinate(x.digits) in self.delta)
 
     def flip(self, x: Ray) -> "CubeVertex":
-        return CubeVertex(self.delta ^ {x})
+        return CubeVertex(self.delta ^ {_coordinate(x.digits)})
 
     def text(self) -> str:
         if not self.delta:
             return "∅"
-        return ",".join(x.text() for x in sorted(self.delta, key=lambda r: r.digits))
+        rays = sorted((ray_at(t) for t in self.delta), key=lambda r: r.digits)
+        return ",".join(x.text() for x in rays)
 
     @classmethod
     def parse(cls, text: str) -> "CubeVertex":
@@ -54,7 +54,7 @@ class CubeVertex:
         parts = text.split(",")
         if "" in parts:
             raise ValueError(f"empty ray in vertex {text!r}")
-        delta = frozenset(Ray.parse(part) for part in parts)
+        delta = frozenset(_coordinate(Ray.parse(part).digits) for part in parts)
         if len(delta) != len(parts):
             raise ValueError(f"repeated ray in vertex {text!r}")
         return cls(delta)
@@ -82,22 +82,18 @@ def _commensuration(omega: OmegaSequence, word: str) -> frozenset:
     return delta
 
 
-def _delta(omega: OmegaSequence, g: GroupElement) -> frozenset:
-    """δ(g) = Γ₊ Δ gΓ₊ as line coordinates; g must be over omega."""
+def commensuration_delta(omega: OmegaSequence, g: GroupElement) -> frozenset:
+    """δ(g) = Γ₊ Δ gΓ₊, the line coordinates g moves across the half-line
+    boundary; g must be over omega."""
     if omega != g.omega:
         raise OmegaMismatchError(f"{omega} vs {g.omega}")
     return _commensuration(omega, g.word)
 
 
-def commensuration_delta(omega: OmegaSequence, g: GroupElement) -> frozenset:
-    """Rays moved across the half-line boundary by g, the set Γ₊ Δ gΓ₊."""
-    return frozenset(ray_at(t) for t in _delta(omega, g))
-
-
 def act(omega: OmegaSequence, g: GroupElement, v: CubeVertex) -> CubeVertex:
     """Image of a vertex: push the delta forward and add the boundary flips."""
-    moved = frozenset(apply(g, x) for x in v.delta)
-    return CubeVertex(commensuration_delta(omega, g) ^ moved)
+    return CubeVertex(commensuration_delta(omega, g)
+                      ^ {line_apply(omega, g.word, t) for t in v.delta})
 
 
 def distance(v: CubeVertex, w: CubeVertex) -> int:

@@ -13,7 +13,8 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .omega import LETTER_SYMBOL, OmegaSequence, passive_letter
+from .gamma import Ray, _coordinate, line_apply, ray_at
+from .omega import OmegaSequence, passive_letter
 
 GENERATORS = "abcd"
 BCD = "bcd"
@@ -62,37 +63,6 @@ def reduce_word(word: str) -> str:
 
 
 @dataclass(frozen=True)
-class Ray:
-    """A boundary ray of the tree carrying finitely many 1s.
-
-    Stored as the digit prefix up to and including the last 1; the empty
-    string is the all-zero ray.
-    """
-
-    digits: str = ""
-
-    def __post_init__(self) -> None:
-        # strip() leaves something exactly when a digit is not 0 or 1
-        if self.digits and (self.digits.strip("01") or self.digits[-1] != "1"):
-            raise ValueError(f"not a canonical ray: {self.digits!r}")
-
-    @classmethod
-    def from_digits(cls, digits: str) -> "Ray":
-        """Build a ray from any finite 0/1 prefix, dropping trailing zeros."""
-        return cls(digits.rstrip("0"))
-
-    def text(self) -> str:
-        return self.digits if self.digits else "0inf"
-
-    @classmethod
-    def parse(cls, text: str) -> "Ray":
-        return cls("") if text == "0inf" else cls(text)
-
-
-ZERO_RAY = Ray("")
-
-
-@dataclass(frozen=True)
 class GroupElement:
     """A group element over a fixed sequence, stored as a reduced word."""
 
@@ -127,34 +97,9 @@ class GroupElement:
         return GroupElement(self.omega, self.word[::-1])
 
 
-def _apply_letter(letter: str, omega: OmegaSequence, digits: str) -> str:
-    if letter == "a":
-        if not digits:
-            return "1"
-        if digits[0] == "1":
-            return ("0" + digits[1:]).rstrip("0")
-        return "1" + digits[1:]
-    # b, c, d fix the all-ones prefix and then act below the first 0:
-    # they flip the next digit unless the sequence symbol at that depth
-    # matches the letter's own symbol.
-    m = 0
-    while m < len(digits) and digits[m] == "1":
-        m += 1
-    if omega.at(m + 1) == LETTER_SYMBOL[letter]:
-        return digits
-    if m >= len(digits):
-        return digits + "01"
-    i = m + 1
-    flipped = "1" if digits[i] == "0" else "0"
-    return (digits[:i] + flipped + digits[i + 1:]).rstrip("0")
-
-
 def apply(g: GroupElement, ray: Ray) -> Ray:
-    """Image of a ray, letters applied right to left."""
-    digits = ray.digits
-    for letter in reversed(g.word):
-        digits = _apply_letter(letter, g.omega, digits)
-    return Ray(digits)
+    """Image of a ray, letters applied right to left, through its line coordinate."""
+    return ray_at(line_apply(g.omega, g.word, _coordinate(ray.digits)))
 
 
 def stabilizes_level1(g: GroupElement) -> bool:

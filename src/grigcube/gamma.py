@@ -25,19 +25,53 @@ on the sequence, only the labels do.  The right half-line (gamma plus)
 is t ≥ 0: the all-zero ray and the rays whose last 1 sits at an odd
 position.  The punctured right half-line is t ≥ 1.
 
-``apply`` and ``neighbors`` still act on the ray strings; the DOT and
-JSON output is built from them and sorted by coordinate.
+Inside the package a vertex is its coordinate and ``line_apply`` is the
+only generator action.  Rays appear at the edges: parsing and printing
+cube vertices, the digit-prefix suite, ``apply`` and ``neighbors`` (thin
+wrappers that take and return rays), and the DOT and JSON output, which
+is sorted by coordinate.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .elements import Ray, ZERO_RAY, _apply_letter
 from .omega import LETTER_SYMBOL, OmegaSequence
 
 GENERATOR_COLORS = {"a": "red", "b": "blue", "c": "green", "d": "orange"}
+
+
+@dataclass(frozen=True)
+class Ray:
+    """A boundary ray of the tree carrying finitely many 1s.
+
+    Stored as the digit prefix up to and including the last 1; the empty
+    string is the all-zero ray.
+    """
+
+    digits: str = ""
+
+    def __post_init__(self) -> None:
+        # strip() leaves something exactly when a digit is not 0 or 1
+        if self.digits and (self.digits.strip("01") or self.digits[-1] != "1"):
+            raise ValueError(f"not a canonical ray: {self.digits!r}")
+
+    @classmethod
+    def from_digits(cls, digits: str) -> "Ray":
+        """Build a ray from any finite 0/1 prefix, dropping trailing zeros."""
+        return cls(digits.rstrip("0"))
+
+    def text(self) -> str:
+        return self.digits if self.digits else "0inf"
+
+    @classmethod
+    def parse(cls, text: str) -> "Ray":
+        return cls("") if text == "0inf" else cls(text)
+
+
+ZERO_RAY = Ray("")
 
 
 def in_gamma_plus(x: Ray) -> bool:
@@ -64,10 +98,8 @@ class LabelledEdge(NamedTuple):
 
 def neighbors(omega: OmegaSequence, x: Ray) -> list[LabelledEdge]:
     """The four labelled edges at x, loops included."""
-    return [
-        LabelledEdge(x, Ray(_apply_letter(s, omega, x.digits)), s)
-        for s in "abcd"
-    ]
+    t = _coordinate(x.digits)
+    return [LabelledEdge(x, ray_at(line_apply(omega, s, t)), s) for s in "abcd"]
 
 
 def _jump(n: int) -> int:
@@ -93,6 +125,7 @@ def line_coordinate(omega: OmegaSequence, x: Ray) -> int:
 
 
 def _coordinate(digits: str) -> int:
+    """The coordinate of a digit prefix; trailing zeros do not move it."""
     c = 0
     for n, digit in enumerate(digits, 1):
         if digit == "1":

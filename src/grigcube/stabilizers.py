@@ -21,7 +21,7 @@ from .elements import (
     is_trivial,
     stabilizes_level1,
 )
-from .cubes import CubeVertex, _delta, act
+from .cubes import CubeVertex, act, commensuration_delta
 from .gamma import line_apply, ray_at
 from .omega import OmegaSequence
 
@@ -31,14 +31,9 @@ class StabilizerTarget(Enum):
     GAMMA_PLUS_TILDE = "gamma_plus_tilde"
 
 
-def _origin_image(g: GroupElement) -> int:
-    """g·0, the coordinate of the image of the all-zero ray."""
-    return line_apply(g.omega, g.word, 0)
-
-
 def stabilizes_gamma_plus(omega: OmegaSequence, g: GroupElement) -> bool:
     """Whether g preserves the right half-line setwise: δ(g) = ∅."""
-    return not _delta(omega, g)
+    return not commensuration_delta(omega, g)
 
 
 def stabilizes_gamma_plus_tilde(omega: OmegaSequence, g: GroupElement) -> bool:
@@ -48,7 +43,7 @@ def stabilizes_gamma_plus_tilde(omega: OmegaSequence, g: GroupElement) -> bool:
     Γ₊ Δ δ(g) Δ {g·0}, and g stabilizes it exactly when
     δ(g) = {0} Δ {g·0}.
     """
-    return _delta(omega, g) == {0} ^ {_origin_image(g)}
+    return commensuration_delta(omega, g) == {0} ^ {line_apply(omega, g.word, 0)}
 
 
 @dataclass
@@ -201,7 +196,7 @@ def fixed_vertex_for_subgroup(
             if canonical_key(g * h) not in keys:
                 raise ValueError(f"not closed under product: {g.word!r} * {h.word!r}")
     vertex = CubeVertex(frozenset(
-        ray_at(t) for h in elements for t in _delta(omega, h) if t < 0
+        t for h in elements for t in commensuration_delta(omega, h) if t < 0
     ))
     for h in elements:
         if act(omega, h, vertex) != vertex:
@@ -224,22 +219,12 @@ def stabilizer_bound_check(
     n is the smallest even integer bounding the digit length of every
     ray in the delta of v.
     """
-    depth = max((len(x.digits) for x in v.delta), default=0)
+    depth = max((len(ray_at(t).digits) for t in v.delta), default=0)
     if depth % 2:
         depth += 1
     bound = 8 * 4 * 4**depth
     order = sum(1 for g in enumerate_ball(omega, max_len) if act(omega, g, v) == v)
     return BoundCheck(order, depth, bound, order <= bound)
-
-
-def _carries_plus_to_tilde(g: GroupElement) -> bool:
-    """gΓ₊ = Γ₊ Δ {0}: δ(g) = {0}."""
-    return _delta(g.omega, g) == {0}
-
-
-def _carries_tilde_to_plus(g: GroupElement) -> bool:
-    """g(Γ₊ Δ {0}) = Γ₊: δ(g) = {g·0}."""
-    return _delta(g.omega, g) == {_origin_image(g)}
 
 
 class RestrictionReport(NamedTuple):
@@ -254,14 +239,15 @@ def verify_restriction_lemma(omega: OmegaSequence, max_len: int) -> RestrictionR
     """Check how half-line stabilization passes to subtree restrictions.
 
     For every ball element g with restrictions (g0, g1) over the shifted
-    sequence, three implications are checked:
+    sequence, three cases are counted:
 
-    * g fixes level 1 and stabilizes the half-line: g0 and g1 stabilize
-      the punctured half-line.
-    * g fixes level 1 and stabilizes the punctured half-line: g0
-      stabilizes the half-line and g1 the punctured half-line.
-    * g swaps level 1 and stabilizes the punctured half-line: g0 carries
-      the half-line onto the punctured half-line and g1 the reverse.
+    * g fixes level 1 and stabilizes the half-line: g0 and g1 must
+      stabilize the punctured half-line.
+    * g fixes level 1 and stabilizes the punctured half-line: g0 must
+      stabilize the half-line and g1 the punctured half-line.
+    * g swaps level 1 and stabilizes the punctured half-line: g0 would
+      have to carry the half-line onto the punctured half-line, which no
+      element does, so every such g is a violation.
 
     Note the second case does not put g0 in the punctured stabilizer nor
     g1 in the plain one: the letter d over (012) repeated stabilizes both
@@ -270,9 +256,8 @@ def verify_restriction_lemma(omega: OmegaSequence, max_len: int) -> RestrictionR
 
     The third case never occurs, on any sequence, so its count is 0.
     Each δ(s) has 0 or 2 points and δ(gh) = δ(g) Δ g·δ(h), so |δ(g)| is
-    always even.  A swapping g that stabilized the punctured half-line
-    would have g0 carry the half-line onto the punctured half-line,
-    that is δ(g0) = {0}, which is odd.
+    always even, while g0 carrying the half-line onto the punctured
+    half-line means δ(g0) = {0}, which is odd.
     """
     shifted = omega.shift()
     counts = {"half_line": 0, "punctured": 0, "swapping": 0}
@@ -301,11 +286,7 @@ def verify_restriction_lemma(omega: OmegaSequence, max_len: int) -> RestrictionR
                 violations.append(f"{g.word or '1'}: punctured")
         if not level1 and stab_tilde:
             counts["swapping"] += 1
-            if not (
-                _carries_plus_to_tilde(g0)
-                and _carries_tilde_to_plus(g1)
-            ):
-                violations.append(f"{g.word or '1'}: swapping")
+            violations.append(f"{g.word or '1'}: swapping")
     return RestrictionReport(
         str(omega), max_len, len(ball_elements), counts, tuple(violations)
     )

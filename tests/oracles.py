@@ -1,27 +1,65 @@
 """Independent reference implementations used only by the tests.
 
-The production code applies generators to rays with an iterative digit
-scan. The functions here instead follow the recursive definition on
-finite binary strings, so agreement between the two is meaningful.
+The production code acts on the line coordinates of rays.  Two
+references here act on the rays themselves: ``_apply_letter`` is the
+iterative digit scan the production code used to run, and
+``oracle_letter`` follows the recursive definition on finite binary
+strings, so agreement among the three is meaningful.
 
 The ball enumeration here extends every alternating word and keys it
 with semantic leaf tests through the word problem; the production code
 grows each sphere from the last one's representatives and reads its
 leaves off the syntax.
 
-The Schreier line here is found by breadth-first search over the ray
-action, and the half-line scans apply words to rays; the production
-code gives each ray its integer coordinate in closed form.  The defect
-δ(g) = Γ₊ Δ gΓ₊ is found here by scanning a window of the line, on rays
-or on integers; the production code builds it letter by letter from
-its cocycle and reads every half-line predicate off it.
+The Schreier line here is found by breadth-first search over the
+digit-scan action, and the half-line scans, the fixed vertex and the
+action on cube vertices apply words to rays with it; the production code
+gives each ray its integer coordinate in closed form and acts on that.
+The defect δ(g) = Γ₊ Δ gΓ₊ is found here by scanning a window of the
+line, on rays or on integers; the production code builds it letter by
+letter from its cocycle and reads every half-line predicate off it.
 """
 
 from functools import lru_cache
 
-from grigcube.elements import GroupElement, Ray, ZERO_RAY, apply, decompose, is_trivial
-from grigcube.gamma import in_gamma_plus, in_gamma_plus_tilde, line_apply, neighbors
+from grigcube.elements import GroupElement, decompose, is_trivial
+from grigcube.gamma import Ray, ZERO_RAY, in_gamma_plus, in_gamma_plus_tilde, line_apply
 from grigcube.omega import LETTER_SYMBOL, OmegaSequence
+
+
+def _apply_letter(letter: str, omega: OmegaSequence, digits: str) -> str:
+    """One generator on the canonical digit prefix of a ray, by a scan."""
+    if letter == "a":
+        if not digits:
+            return "1"
+        if digits[0] == "1":
+            return ("0" + digits[1:]).rstrip("0")
+        return "1" + digits[1:]
+    # b, c, d fix the all-ones prefix and then act below the first 0:
+    # they flip the next digit unless the sequence symbol at that depth
+    # matches the letter's own symbol.
+    m = 0
+    while m < len(digits) and digits[m] == "1":
+        m += 1
+    if omega.at(m + 1) == LETTER_SYMBOL[letter]:
+        return digits
+    if m >= len(digits):
+        return digits + "01"
+    i = m + 1
+    flipped = "1" if digits[i] == "0" else "0"
+    return (digits[:i] + flipped + digits[i + 1:]).rstrip("0")
+
+
+def oracle_apply(g: GroupElement, x: Ray) -> Ray:
+    """Image of a ray by the digit scan, letters applied right to left."""
+    digits = x.digits
+    for letter in reversed(g.word):
+        digits = _apply_letter(letter, g.omega, digits)
+    return Ray(digits)
+
+
+def _neighbor_rays(omega: OmegaSequence, x: Ray) -> list[Ray]:
+    return [Ray(_apply_letter(s, omega, x.digits)) for s in "abcd"]
 
 
 def oracle_letter(letter: str, omega: OmegaSequence, s: str) -> str:
@@ -104,7 +142,7 @@ def oracle_ball(omega: OmegaSequence, center: Ray, radius: int) -> set[Ray]:
     for _ in range(radius):
         new = []
         for x in frontier:
-            for _, y, _ in neighbors(omega, x):
+            for y in _neighbor_rays(omega, x):
                 if y not in seen:
                     seen.add(y)
                     new.append(y)
@@ -120,7 +158,7 @@ def oracle_line_coordinates(omega: OmegaSequence, radius: int) -> dict[Ray, int]
     for dist in range(1, radius + 1):
         new = []
         for x in frontier:
-            for _, y, _ in neighbors(omega, x):
+            for y in _neighbor_rays(omega, x):
                 if y not in coordinates:
                     coordinates[y] = dist if in_gamma_plus(y) else -dist
                     new.append(y)
@@ -135,7 +173,7 @@ def oracle_commensuration(omega: OmegaSequence, g: GroupElement) -> frozenset:
     return frozenset(
         x
         for x in oracle_ball(omega, ZERO_RAY, g.length)
-        if in_gamma_plus(x) != in_gamma_plus(apply(g_inv, x))
+        if in_gamma_plus(x) != in_gamma_plus(oracle_apply(g_inv, x))
     )
 
 
@@ -154,21 +192,13 @@ def oracle_commensuration_window(omega: OmegaSequence, g: GroupElement) -> froze
 
 def _scan(omega: OmegaSequence, g: GroupElement, before, after) -> bool:
     return all(
-        before(x) == after(apply(g, x))
+        before(x) == after(oracle_apply(g, x))
         for x in oracle_ball(omega, ZERO_RAY, g.length + 1)
     )
 
 
 def oracle_stabilizes_gamma_plus_tilde(omega: OmegaSequence, g: GroupElement) -> bool:
     return _scan(omega, g.inverse(), in_gamma_plus_tilde, in_gamma_plus_tilde)
-
-
-def oracle_carries_plus_to_tilde(omega: OmegaSequence, g: GroupElement) -> bool:
-    return _scan(omega, g, in_gamma_plus, in_gamma_plus_tilde)
-
-
-def oracle_carries_tilde_to_plus(omega: OmegaSequence, g: GroupElement) -> bool:
-    return _scan(omega, g, in_gamma_plus_tilde, in_gamma_plus)
 
 
 def oracle_fixed_delta(omega: OmegaSequence, elements) -> frozenset:
@@ -179,5 +209,11 @@ def oracle_fixed_delta(omega: OmegaSequence, elements) -> frozenset:
         x
         for x in oracle_ball(omega, ZERO_RAY, radius)
         if not in_gamma_plus(x)
-        and any(in_gamma_plus(apply(h.inverse(), x)) for h in elements)
+        and any(in_gamma_plus(oracle_apply(h.inverse(), x)) for h in elements)
     )
+
+
+def oracle_act(omega: OmegaSequence, g: GroupElement, rays: frozenset) -> frozenset:
+    """The delta, as rays, of the image of the cube vertex whose delta is
+    the given rays: the ray scan of δ(g) Δ the digit-scan images."""
+    return oracle_commensuration(omega, g) ^ {oracle_apply(g, x) for x in rays}

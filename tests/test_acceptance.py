@@ -20,15 +20,13 @@ from grigcube.checks import (
 from grigcube.cubes import act, base_vertex, orbit_growth
 from grigcube.elements import (
     GroupElement,
-    Ray,
-    ZERO_RAY,
     canonical_key,
     decompose,
     element_order,
     enumerate_ball,
     stabilizes_level1,
 )
-from grigcube.gamma import ball, ball_edges, line_coordinate
+from grigcube.gamma import Ray, ZERO_RAY, ball, ball_edges, line_coordinate
 from grigcube.omega import OmegaSequence, fixing_letter
 from grigcube.stabilizers import (
     StabilizerTarget,

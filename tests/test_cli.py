@@ -222,3 +222,48 @@ class TestSchreier:
             capsys, "schreier", "--omega", ":012", "--format", "svg"
         )
         assert code == 2
+
+
+ORBIT_012 = """\
+{"length": 0, "max_distance": 0, "witness_word": ""}
+{"length": 1, "max_distance": 4, "witness_word": "b"}
+{"length": 2, "max_distance": 4, "witness_word": "b"}
+{"length": 3, "max_distance": 6, "witness_word": "dad"}
+{"length": 4, "max_distance": 6, "witness_word": "dad"}
+{"length": 5, "max_distance": 6, "witness_word": "dad"}
+{"length": 6, "max_distance": 8, "witness_word": "adabad"}
+{"length": 7, "max_distance": 8, "witness_word": "adabad"}
+{"length": 8, "max_distance": 8, "witness_word": "adabad"}
+{"length": 9, "max_distance": 10, "witness_word": "adababada"}
+"""
+
+ORBIT_01 = """\
+{"length": 0, "max_distance": 0, "witness_word": ""}
+{"length": 1, "max_distance": 4, "witness_word": "b"}
+{"length": 2, "max_distance": 4, "witness_word": "b"}
+{"length": 3, "max_distance": 6, "witness_word": "dad"}
+{"length": 4, "max_distance": 6, "witness_word": "dad"}
+{"length": 5, "max_distance": 8, "witness_word": "dabad"}
+{"length": 6, "max_distance": 8, "witness_word": "dabad"}
+{"length": 7, "max_distance": 10, "witness_word": "dababad"}
+{"length": 8, "max_distance": 10, "witness_word": "dababad"}
+{"length": 9, "max_distance": 12, "witness_word": "dabababad"}
+"""
+
+
+class TestPinnedOutput:
+    """Exact stdout of act and orbit, which print vertices through their
+    text form; the values were recorded when vertices were stored as rays."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("act", "--omega", "2:01", "--word", "abacadab", "--vertex", "101,0inf,1101"),
+         '{"result": "001", "distance": 4}\n'),
+        (("act", "--omega", ":012", "--word", "dabacab"),
+         '{"result": "001,01,101,1011", "distance": 4}\n'),
+        (("orbit", "--omega", ":012", "--vertex", "1,01,0inf", "--max-len", "9"), ORBIT_012),
+        (("orbit", "--omega", ":01", "--vertex", "1,01,0inf", "--max-len", "9"), ORBIT_01),
+    ])
+    def test_stdout(self, capsys, argv, expected):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == expected

@@ -15,25 +15,47 @@ from grigcube.cubes import (
 )
 from grigcube.elements import (
     GroupElement,
-    Ray,
-    ZERO_RAY,
     apply,
     enumerate_ball,
     is_trivial,
     reduce_word,
 )
-from grigcube.gamma import ball, in_gamma_plus
+from grigcube.gamma import (
+    Ray,
+    ZERO_RAY,
+    ball,
+    in_gamma_plus,
+    line_apply,
+    line_coordinate,
+    ray_at,
+)
 from grigcube.omega import OmegaSequence
 
-from oracles import oracle_commensuration, oracle_commensuration_window
+from oracles import (
+    oracle_act,
+    oracle_apply,
+    oracle_commensuration,
+    oracle_commensuration_window,
+)
 
 OM = OmegaSequence.parse(":012")
 DEFAULT_OMEGAS = (":012", ":01", ":02", ":12", "2:01")
 # with and without repetition: the cocycle needs no hypothesis on ω
 LINE_OMEGAS = (":012", ":01", "2:01", ":0", "1:12", "00:12", "2:2201", ":0112")
 
+
+
+def vertex_of(rays):
+    """The cube vertex whose delta is the given rays, through its text form."""
+    return CubeVertex.parse(",".join(x.text() for x in rays))
+
+
+def rays_of(delta):
+    return frozenset(ray_at(t) for t in delta)
+
+
 rays = st.text(alphabet="01", max_size=5).map(Ray.from_digits)
-vertices = st.frozensets(rays, max_size=4).map(CubeVertex)
+vertices = st.frozensets(rays, max_size=4).map(vertex_of)
 alternating_words = st.lists(
     st.sampled_from(["a", "b", "c", "d"]), max_size=8
 ).map(lambda parts: reduce_word("".join(parts)))
@@ -68,17 +90,16 @@ class TestCubeVertex:
 
     def test_text(self):
         assert base_vertex().text() == "∅"
-        v = CubeVertex(frozenset({ZERO_RAY, Ray.parse("01")}))
+        # the delta holds line coordinates; the text lists their rays by digits
+        v = CubeVertex(frozenset({0, -1}))
         assert v.text() == "0inf,01"
-        w = CubeVertex(frozenset({Ray.parse("11"), Ray.parse("01")}))
+        w = CubeVertex(frozenset({-2, -1}))
         assert w.text() == "01,11"
 
     def test_parse(self):
         assert CubeVertex.parse("∅") == base_vertex()
         assert CubeVertex.parse("") == base_vertex()
-        assert CubeVertex.parse("0inf,01").delta == frozenset(
-            {ZERO_RAY, Ray.parse("01")}
-        )
+        assert CubeVertex.parse("0inf,01").delta == frozenset({0, -1})
         assert CubeVertex.parse(CubeVertex.parse("1,11,0inf").text()).text() == "0inf,1,11"
 
     @given(vertices)
@@ -98,7 +119,7 @@ class TestCommensuration:
     def test_generator_deltas(self):
         assert commensuration_delta(OM, element("a")) == frozenset()
         assert commensuration_delta(OM, element("d")) == frozenset()
-        expected = frozenset({ZERO_RAY, Ray.parse("01")})
+        expected = frozenset({-1, 0})  # the rays 01 and 0inf
         assert commensuration_delta(OM, element("b")) == expected
         assert commensuration_delta(OM, element("c")) == expected
 
@@ -111,7 +132,7 @@ class TestCommensuration:
         g = element(word)
         g_inv = g.inverse()
         wide = {
-            x
+            line_coordinate(OM, x)
             for x in ball(OM, ZERO_RAY, g.length + 4)
             if in_gamma_plus(x) != in_gamma_plus(apply(g_inv, x))
         }
@@ -123,7 +144,7 @@ class TestCommensuration:
         g, h = element(v), element(w)
         left = commensuration_delta(OM, g * h)
         right = commensuration_delta(OM, g) ^ frozenset(
-            apply(g, x) for x in commensuration_delta(OM, h)
+            line_apply(OM, g.word, t) for t in commensuration_delta(OM, h)
         )
         assert left == right
 
@@ -140,7 +161,20 @@ class TestCocycleAgainstScans:
     def test_against_ray_scan(self, text):
         om = OmegaSequence.parse(text)
         for g in random_elements(om, 300, seed=1):
-            assert commensuration_delta(om, g) == oracle_commensuration(om, g)
+            assert rays_of(commensuration_delta(om, g)) == oracle_commensuration(om, g)
+
+    def test_act_against_ray_oracle(self, text):
+        # the integer action on vertices against δ and the images of the
+        # rays, both found by scanning rays with the digit-scan action
+        om = OmegaSequence.parse(text)
+        rng = Random(2)
+        for g in random_elements(om, 300, max_len=16, seed=3):
+            delta = frozenset(
+                Ray.from_digits("".join(rng.choice("01") for _ in range(rng.randint(0, 6))))
+                for _ in range(rng.randint(0, 4))
+            )
+            v = vertex_of(delta)
+            assert act(om, g, v).text() == vertex_of(oracle_act(om, g, delta)).text()
 
 
 class TestDeltaParity:
@@ -189,7 +223,7 @@ class TestAction:
         g = element(word)
         image = act(OM, g, v)
         for x in ball(OM, ZERO_RAY, g.length + 2):
-            assert image.color(apply(g, x)) == v.color(x)
+            assert image.color(oracle_apply(g, x)) == v.color(x)
 
     @given(alternating_words, vertices)
     @settings(max_examples=40)
@@ -211,8 +245,8 @@ class TestAction:
 
 class TestDistance:
     def test_symmetric_difference(self):
-        v = CubeVertex(frozenset({ZERO_RAY}))
-        w = CubeVertex(frozenset({ZERO_RAY, Ray.parse("1")}))
+        v = CubeVertex.parse("0inf")
+        w = CubeVertex.parse("0inf,1")
         assert distance(v, w) == 1
         assert distance(v, v) == 0
         assert distance(base_vertex(), w) == 2

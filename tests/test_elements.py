@@ -5,9 +5,7 @@ from grigcube.elements import (
     _NOT_REDUCED,
     GroupElement,
     OmegaMismatchError,
-    Ray,
     UnsupportedOmegaError,
-    ZERO_RAY,
     apply,
     canonical_key,
     decompose,
@@ -19,6 +17,7 @@ from grigcube.elements import (
     restriction,
     stabilizes_level1,
 )
+from grigcube.gamma import Ray, ZERO_RAY
 from grigcube.omega import OmegaSequence
 
 from oracles import (

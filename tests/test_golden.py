@@ -4,8 +4,14 @@ The benchmark gates every run byte for byte against `bench/golden/`; this
 runs the same invocations in-process, so a change that alters the default
 output fails here before it reaches the benchmark.  `bench/workloads.py`
 is only read: it names the invocations and compares the records.
+
+The benchmark's tracer wraps package functions and reads memo tables by
+name, and silently drops the metrics of a name that is gone; the names
+are read here from `bench/tracer.py` and checked against the package.
 """
 
+import ast
+import importlib
 import importlib.util
 from pathlib import Path
 
@@ -13,14 +19,15 @@ import pytest
 
 from grigcube.cli import main
 
-_WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+_BENCH = Path(__file__).resolve().parent.parent / "bench"
+_WORKLOADS = _BENCH / "workloads.py"
 _spec = importlib.util.spec_from_file_location("bench_workloads", _WORKLOADS)
 workloads = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(workloads)
 
 INVOCATIONS = [
     inv
-    for name in ("check-default", "schreier-line")
+    for name in ("check-default", "schreier-line", "enum-cold")
     for inv in workloads.invocations(name, workloads.GOLDEN_SEED)
 ]
 
@@ -32,3 +39,27 @@ def test_default_output_matches_golden(capsys, inv):
     attempted, failed = workloads.failed_records(out, code, inv, workloads.GOLDEN_SEED)
     assert attempted > 0
     assert failed == 0
+
+
+def _tracer_table(name):
+    """A literal table of bench/tracer.py, parsed without importing it:
+    the tracer imports the benchmark's workloads module from its path."""
+    tree = ast.parse((_BENCH / "tracer.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == [name]:
+            return ast.literal_eval(node.value)
+    raise LookupError(name)
+
+
+SPANS = [(mod, fn) for mod, names in _tracer_table("SPANS").items() for fn in names]
+
+
+@pytest.mark.parametrize("mod, fn", SPANS, ids=lambda x: x)
+def test_traced_span_exists(mod, fn):
+    assert callable(getattr(importlib.import_module(f"grigcube.{mod}"), fn, None))
+
+
+@pytest.mark.parametrize("mod, attr", _tracer_table("CACHES").values(), ids=lambda x: x)
+def test_traced_cache_exists(mod, attr):
+    cached = getattr(importlib.import_module(f"grigcube.{mod}"), attr, None)
+    assert hasattr(cached, "cache_info")
