@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from itertools import product
 from random import Random
 
-from .cubes import CubeVertex, act, base_vertex, commensuration_delta
+from .cubes import CubeVertex, act, base_vertex, commensuration_delta, fixes
 from .elements import (
     GroupElement,
     decompose,
@@ -221,20 +221,32 @@ def check_commensuration(
     """Boundary crossings stay within the word-length ball, and acting is
     a group action.
 
-    The crossings are found by scanning the window |t| <= length + 4 of
-    the line for the coordinates t with t >= 0 unlike g^-1 t >= 0.
+    The crossings of g are the coordinates t of the window
+    |t| <= length + 4 with t >= 0 unlike g^-1 t >= 0.  The whole window
+    is pushed through g^-1 one letter at a time, through one image table
+    per letter built before the first word.
     """
     rng = Random(seed)
     started = time.monotonic()
     counterexample = None
+    # Every edge of Γ joins t to t ± 1, so n <= max_len letters keep a
+    # window point |t| <= n + 4 inside |t| <= 2 * max_len + 4.  A point
+    # that left the tables would raise KeyError, never be skipped.
+    reach = 2 * max_len + 4
+    tables = {
+        s: {t: line_apply(omega, s, t) for t in range(-reach, reach + 1)}
+        for s in "abcd"
+    }
     for _ in range(words):
         g = GroupElement(omega, _random_word(rng, max_len))
-        inverse, n = g.inverse().word, g.length
-        wide = {
-            t
-            for t in range(-n - 4, n + 5)
-            if (t >= 0) != (line_apply(omega, inverse, t) >= 0)
-        }
+        n = g.length
+        window = range(-n - 4, n + 5)
+        images = list(window)
+        # g^-1 is g.word reversed, and a word acts right to left
+        for letter in g.word:
+            table = tables[letter]
+            images = [table[t] for t in images]
+        wide = {t for t, image in zip(window, images) if (t >= 0) != (image >= 0)}
         escaped = [t for t in wide if abs(t) > n]
         if escaped:
             counterexample = {
@@ -257,7 +269,8 @@ def check_commensuration(
         g = GroupElement(omega, _random_word(rng, 8))
         h = GroupElement(omega, _random_word(rng, 8))
         v = _random_vertex(rng)
-        if act(omega, g * h, v) != act(omega, g, act(omega, h, v)):
+        product_image = act(omega, g * h, v)
+        if product_image != act(omega, g, act(omega, h, v)):
             counterexample = {"g": g.word, "h": h.word, "vertex": v.text()}
             break
     reports.append(
@@ -282,7 +295,7 @@ def check_faithful(omega: OmegaSequence, max_len: int = 8) -> list[CheckReport]:
     for g in enumerate_ball(omega, max_len):
         if is_trivial(g):
             continue
-        if all(act(omega, g, v) == v for v in witnesses):
+        if all(fixes(omega, g, v) for v in witnesses):
             counterexample = {"word": g.word}
             break
     return [

@@ -11,6 +11,11 @@ values on the generators: δ(a) = ∅, and for s ∈ {b, c, d}, δ(s) is the
 pair {−1, 0} of line coordinates that s swaps across the boundary when
 ω₁ is not its symbol, and ∅ when it is.  A vertex v goes to the vertex
 with delta δ(g) Δ g·v.delta.
+
+Whether g fixes v is asked far more often than where g sends it, so
+``fixes`` answers that without building the image: g permutes ℤ, and a
+size test on the cached δ(g) rejects most pairs before any point of the
+delta is moved.
 """
 
 from __future__ import annotations
@@ -94,6 +99,19 @@ def act(omega: OmegaSequence, g: GroupElement, v: CubeVertex) -> CubeVertex:
     """Image of a vertex: push the delta forward and add the boundary flips."""
     return CubeVertex(commensuration_delta(omega, g)
                       ^ {line_apply(omega, g.word, t) for t in v.delta})
+
+
+def fixes(omega: OmegaSequence, g: GroupElement, v: CubeVertex) -> bool:
+    """Whether g fixes v: the answer of comparing v with its image under act.
+
+    g·v has delta δ(g) Δ g·v.delta, so g fixes v exactly when
+    g·v.delta = δ(g) Δ v.delta; g permutes ℤ, so |g·v.delta| = |v.delta|,
+    and that needs |δ(g) Δ v.delta| = |v.delta| first.  Only then is
+    the delta pushed through g.
+    """
+    target = commensuration_delta(omega, g) ^ v.delta
+    return (len(target) == len(v.delta)
+            and {line_apply(omega, g.word, t) for t in v.delta} == target)
 
 
 def distance(v: CubeVertex, w: CubeVertex) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .gamma import Ray, _coordinate, line_apply, ray_at
-from .omega import OmegaSequence, passive_letter
+from .omega import LETTER_SYMBOL, OmegaSequence, passive_letter
 
 GENERATORS = "abcd"
 BCD = "bcd"
@@ -163,7 +163,8 @@ def restriction(g: GroupElement, vertex: str) -> GroupElement:
 @lru_cache(maxsize=None)
 def _is_trivial(omega: OmegaSequence, word: str) -> bool:
     if len(word) <= 1:
-        return not word
+        return not word or (word != "a" and not omega.preperiod
+                            and omega.period == LETTER_SYMBOL[word])
     if word.count("a") % 2:
         return False
     _, shifted, w0, w1 = _sections(omega, word)
@@ -171,11 +172,15 @@ def _is_trivial(omega: OmegaSequence, word: str) -> bool:
 
 
 def is_trivial(g: GroupElement) -> bool:
-    """Decide the word problem.
+    """Decide the word problem, over any sequence.
 
-    A reduced word of length >= 2 either moves the first level (odd
-    number of a's) or splits into two strictly shorter restrictions, so
-    the recursion terminates.  Results are memoised per (sequence, word).
+    A letter x of b, c, d decomposes as (1, x) over the shifted sequence
+    when ω₁ is the symbol of x and as (a, x) otherwise, so x is trivial
+    exactly when every symbol of the sequence is its symbol: the
+    sequence is ``:s`` for the symbol s of x.  A reduced word of length
+    >= 2 either moves the first level (odd number of a's) or splits into
+    two strictly shorter restrictions, so the recursion terminates.
+    Results are memoised per (sequence, word).
     """
     return _is_trivial(g.omega, g.word)
 

@@ -21,7 +21,7 @@ from .elements import (
     is_trivial,
     stabilizes_level1,
 )
-from .cubes import CubeVertex, act, commensuration_delta
+from .cubes import CubeVertex, commensuration_delta, fixes
 from .gamma import line_apply, ray_at
 from .omega import OmegaSequence
 
@@ -141,7 +141,7 @@ def stabilizer_in_ball(
     elif target is StabilizerTarget.GAMMA_PLUS_TILDE:
         keep = lambda g: stabilizes_gamma_plus_tilde(omega, g)
     elif isinstance(target, CubeVertex):
-        keep = lambda g: act(omega, g, target) == target
+        keep = lambda g: fixes(omega, g, target)
     else:
         raise TypeError(f"unsupported stabilizer target {target!r}")
     elements = tuple(g for g in enumerate_ball(omega, max_len) if keep(g))
@@ -199,7 +199,7 @@ def fixed_vertex_for_subgroup(
         t for h in elements for t in commensuration_delta(omega, h) if t < 0
     ))
     for h in elements:
-        if act(omega, h, vertex) != vertex:
+        if not fixes(omega, h, vertex):
             raise AssertionError(f"candidate vertex moved by {h.word!r}")
     return vertex
 
@@ -217,13 +217,15 @@ def stabilizer_bound_check(
     """Check the ball-restricted stabilizer of v against 8 * 4 * 4^n.
 
     n is the smallest even integer bounding the digit length of every
-    ray in the delta of v.
+    ray in the delta of v.  The order counts the ball elements g with
+    fixes(omega, g, v); most of them fail its size test on the cached
+    δ(g), so few deltas are pushed through a word.
     """
     depth = max((len(ray_at(t).digits) for t in v.delta), default=0)
     if depth % 2:
         depth += 1
     bound = 8 * 4 * 4**depth
-    order = sum(1 for g in enumerate_ball(omega, max_len) if act(omega, g, v) == v)
+    order = sum(1 for g in enumerate_ball(omega, max_len) if fixes(omega, g, v))
     return BoundCheck(order, depth, bound, order <= bound)
 
 

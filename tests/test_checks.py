@@ -1,15 +1,20 @@
 import json
 
+import pytest
+
+import grigcube.checks
 from grigcube.checks import (
     DEFAULT_OMEGAS,
     CheckReport,
     all_rays,
+    check_commensuration,
     check_faithful,
     check_prefix,
     check_reduction,
     check_stab,
     run_suite,
 )
+from grigcube.cli import main
 from grigcube.omega import OmegaSequence
 
 OM = OmegaSequence.parse(":012")
@@ -94,3 +99,26 @@ def test_projections_report_counts():
         "punctured": 4,
         "swapping": 0,
     }
+
+
+def test_locality_reports_a_wrong_delta(monkeypatch):
+    # the scan must be able to fail: a δ one point off is a mismatch
+    true_delta = grigcube.checks.commensuration_delta
+    monkeypatch.setattr(grigcube.checks, "commensuration_delta",
+                        lambda omega, g: true_delta(omega, g) ^ {5})
+    report = check_commensuration(OM, words=20, triples=0)[0]
+    assert report.check == "commensuration_locality"
+    assert report.status == "fail"
+    assert report.counterexample["mismatch"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["--max-len", "0"],
+    ["--max-len", "40", "--omega", ":012"],
+    ["--omega", ":0"],
+])
+def test_commensuration_suite_passes(capsys, argv):
+    # the ends of the image tables, and a sequence with repetition
+    assert main(["check", "--suite", "commensuration", *argv]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert records and all(r["status"] == "pass" for r in records)

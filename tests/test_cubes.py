@@ -11,8 +11,10 @@ from grigcube.cubes import (
     base_vertex,
     commensuration_delta,
     distance,
+    fixes,
     orbit_growth,
 )
+from grigcube.checks import _random_vertex
 from grigcube.elements import (
     GroupElement,
     apply,
@@ -241,6 +243,42 @@ class TestAction:
             v = act(OM, g, v)
             assert v.text() not in seen
             seen.add(v.text())
+
+
+class TestFixes:
+    """fixes(omega, g, v) against comparing v with act(omega, g, v)."""
+
+    @pytest.mark.parametrize("text", DEFAULT_OMEGAS)
+    def test_on_ball(self, text):
+        om = OmegaSequence.parse(text)
+        rng = Random(4)
+        draws = [_random_vertex(rng) for _ in range(50)]
+        fixed = 0
+        for g in enumerate_ball(om, 8):
+            for v in draws:
+                assert fixes(om, g, v) == (act(om, g, v) == v), (g.word, v.text())
+                fixed += fixes(om, g, v)
+        # the identity alone fixes all 50; more pairs must pass the size test
+        assert fixed > 50
+
+    @pytest.mark.parametrize("text", [":0", "00:12", "1:12"])
+    def test_on_long_words(self, text):
+        # random vertices far out, and for each involution u x u^-1 the
+        # vertex made of the t < 0 part of its δ, which it fixes
+        om = OmegaSequence.parse(text)
+        rng = Random(5)
+        fixed = 0
+        for g in random_elements(om, 500, max_len=16, seed=6):
+            u = "".join(rng.choice("abcd") for _ in range(rng.randint(0, 7)))
+            h = GroupElement.from_word(om, u + rng.choice("abcd") + u[::-1])
+            near = frozenset(rng.randint(-20, 20) for _ in range(rng.randint(0, 6)))
+            far = frozenset(rng.randint(-2**20, 2**20) for _ in range(rng.randint(0, 6)))
+            own = frozenset(t for t in commensuration_delta(om, h) if t < 0)
+            for k, delta in ((g, near), (g, far), (h, own), (h, near)):
+                v = CubeVertex(delta)
+                assert fixes(om, k, v) == (act(om, k, v) == v), (k.word, sorted(delta))
+                fixed += fixes(om, k, v)
+        assert fixed >= 500
 
 
 class TestDistance:

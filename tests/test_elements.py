@@ -1,3 +1,5 @@
+from random import Random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,7 +19,7 @@ from grigcube.elements import (
     restriction,
     stabilizes_level1,
 )
-from grigcube.gamma import Ray, ZERO_RAY
+from grigcube.gamma import Ray, ZERO_RAY, line_apply
 from grigcube.omega import OmegaSequence
 
 from oracles import (
@@ -327,6 +329,43 @@ class TestTriviality:
         assert element_order(GroupElement.from_word(OM, "a")) == 2
         assert element_order(GroupElement.from_word(OM, "ad")) == 4
         assert element_order(GroupElement.from_word(OM, "ab"), cap=40) in (8, 16, 32, None)
+
+
+class TestTrivialLetters:
+    """Over ``:s`` the letter whose symbol is s is the identity."""
+
+    def test_facts_over_constant_sequence(self):
+        om = OmegaSequence.parse(":0")
+        d, b, c = (GroupElement(om, x) for x in "dbc")
+        assert all(line_apply(om, "d", t) == t for t in range(-5000, 5001))
+        assert is_trivial(d)
+        assert all(line_apply(om, "b", t) == line_apply(om, "c", t)
+                   for t in range(-5000, 5001))
+        assert equal(b, c)
+        assert element_order(GroupElement(om, "ad")) == 2
+
+    def test_only_the_constant_letter(self):
+        for text, letter in ((":0", "d"), (":1", "c"), (":2", "b")):
+            om = OmegaSequence.parse(text)
+            assert [x for x in "abcd" if is_trivial(GroupElement(om, x))] == [letter]
+        for text in ("1:0", "0:1", ":01", ":012"):
+            om = OmegaSequence.parse(text)
+            assert not any(is_trivial(GroupElement(om, x)) for x in "abcd")
+
+    @pytest.mark.parametrize("text", [":0", "1:0", "0:1", ":001", "00:12", ":012"])
+    def test_trivial_exactly_when_action_is(self, text):
+        # trivial words fix the window and level 10; a word that fixes
+        # the window is trivial on these samples
+        om = OmegaSequence.parse(text)
+        rng = Random(0)
+        for _ in range(300):
+            word = "".join(rng.choice("abcd") for _ in range(rng.randint(0, 12)))
+            g = GroupElement.from_word(om, word)
+            on_window = all(line_apply(om, g.word, t) == t for t in range(-512, 513))
+            if is_trivial(g):
+                assert on_window and word_is_trivial_on_level(g.word, om, 10), g.word
+            else:
+                assert not on_window, g.word
 
 
 class TestCanonicalKey:
