@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from random import Random
 
@@ -95,9 +96,21 @@ def all_rays(max_digits: int):
 
 
 def check_prefix(omega: OmegaSequence, depth: int = 12) -> list[CheckReport]:
-    """Half-line membership of a ray against both one-digit extensions."""
+    """Half-line membership of a ray against both one-digit extensions.
+
+    The scan reads no sequence, so every sequence of a run shares the
+    scan of its depth; each still gets its own record.
+    """
     started = time.monotonic()
-    counterexample = None
+    found = _prefix_scan(depth)
+    counterexample = None if found is None else {"ray": found[0], "claims": list(found[1])}
+    return [_report("prefix", omega, {"depth": depth}, started, counterexample)]
+
+
+@lru_cache(maxsize=4)
+def _prefix_scan(depth: int) -> tuple[str, tuple[bool, ...]] | None:
+    """The first ray of at most depth digits that breaks a claim, with
+    the claims' values, or None."""
     for x in all_rays(depth):
         zero, one = prepend("0", x), prepend("1", x)
         claims = (
@@ -110,9 +123,8 @@ def check_prefix(omega: OmegaSequence, depth: int = 12) -> list[CheckReport]:
             (not in_gamma_plus_tilde(x)) == in_gamma_plus_tilde(one),
         )
         if not all(claims):
-            counterexample = {"ray": x.text(), "claims": list(claims)}
-            break
-    return [_report("prefix", omega, {"depth": depth}, started, counterexample)]
+            return x.text(), claims
+    return None
 
 
 def check_reduction(omega: OmegaSequence, max_len: int = 12) -> list[CheckReport]:

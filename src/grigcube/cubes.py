@@ -10,7 +10,9 @@ every g.  It is a cocycle, δ(gh) = δ(g) Δ g·δ(h), so it is fixed by its
 values on the generators: δ(a) = ∅, and for s ∈ {b, c, d}, δ(s) is the
 pair {−1, 0} of line coordinates that s swaps across the boundary when
 ω₁ is not its symbol, and ∅ when it is.  A vertex v goes to the vertex
-with delta δ(g) Δ g·v.delta.
+with delta δ(g) Δ g·v.delta, which is the same cocycle push through the
+word started from v.delta in place of ∅: ``act`` is that push, and δ(g)
+is the push started from ∅.
 
 Whether g fixes v is asked far more often than where g sends it, so
 ``fixes`` answers that without building the image: g permutes ℤ, and a
@@ -26,8 +28,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .elements import GroupElement, OmegaMismatchError, enumerate_ball
-from .gamma import Ray, _coordinate, in_gamma_plus, line_apply, ray_at
-from .omega import LETTER_SYMBOL, OmegaSequence
+from .gamma import Ray, _coordinate, _push, in_gamma_plus, ray_at
+from .omega import OmegaSequence
 
 
 @dataclass(frozen=True)
@@ -72,19 +74,14 @@ def base_vertex() -> CubeVertex:
 
 @lru_cache(maxsize=None)
 def _commensuration(omega: OmegaSequence, word: str) -> frozenset:
-    """δ(word) as line coordinates, by the cocycle, letters right to left.
+    """δ(word) as line coordinates: the cocycle push started from ∅.
 
     The suffix after each letter s has defect D, and the suffix from s
     on has δ(s) Δ s·D.  Only b, c and d move a coordinate across the
     boundary between −1 and 0, the pair at level 1, and they do so
     unless ω₁ is their symbol.  No window and no hypothesis on ω.
     """
-    delta = frozenset()
-    for letter in reversed(word):
-        delta = frozenset(line_apply(omega, letter, t) for t in delta)
-        if letter != "a" and omega.at(1) != LETTER_SYMBOL[letter]:
-            delta ^= {-1, 0}
-    return delta
+    return frozenset(_push(omega, word, (), cocycle=True))
 
 
 def commensuration_delta(omega: OmegaSequence, g: GroupElement) -> frozenset:
@@ -96,9 +93,14 @@ def commensuration_delta(omega: OmegaSequence, g: GroupElement) -> frozenset:
 
 
 def act(omega: OmegaSequence, g: GroupElement, v: CubeVertex) -> CubeVertex:
-    """Image of a vertex: push the delta forward and add the boundary flips."""
-    return CubeVertex(commensuration_delta(omega, g)
-                      ^ {line_apply(omega, g.word, t) for t in v.delta})
+    """Image of a vertex: the cocycle push started from v.delta.
+
+    Started from ∅ the push builds δ(g); started from v.delta it builds
+    δ(g) Δ g·v.delta, because δ(gh) = δ(g) Δ g·δ(h) letter by letter.
+    """
+    if omega != g.omega:
+        raise OmegaMismatchError(f"{omega} vs {g.omega}")
+    return CubeVertex(frozenset(_push(omega, g.word, v.delta, cocycle=True)))
 
 
 def fixes(omega: OmegaSequence, g: GroupElement, v: CubeVertex) -> bool:
@@ -110,8 +112,7 @@ def fixes(omega: OmegaSequence, g: GroupElement, v: CubeVertex) -> bool:
     the delta pushed through g.
     """
     target = commensuration_delta(omega, g) ^ v.delta
-    return (len(target) == len(v.delta)
-            and {line_apply(omega, g.word, t) for t in v.delta} == target)
+    return len(target) == len(v.delta) and _push(omega, g.word, v.delta) == target
 
 
 def distance(v: CubeVertex, w: CubeVertex) -> int:

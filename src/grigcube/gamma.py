@@ -25,9 +25,14 @@ on the sequence, only the labels do.  The right half-line (gamma plus)
 is t ≥ 0: the all-zero ray and the rays whose last 1 sits at an odd
 position.  The punctured right half-line is t ≥ 1.
 
-Inside the package a vertex is its coordinate and ``line_apply`` is the
-only generator action.  Rays appear at the edges: parsing and printing
-cube vertices, the digit-prefix suite, ``apply`` and ``neighbors`` (thin
+Inside the package a vertex is its coordinate, and one private loop,
+``_push``, is the only generator action: it moves a set of coordinates
+through a word letter by letter, reading the sequence's two strings once
+per call.  Started from ∅ with the boundary flips of the cocycle it
+builds the defect δ(g) of the cube complex, and started from a vertex's
+delta it acts on that vertex (see cubes).  ``line_apply`` pushes one
+coordinate.  Rays appear at the edges: parsing and printing cube
+vertices, the digit-prefix suite, ``apply`` and ``neighbors`` (thin
 wrappers that take and return rays), and the DOT and JSON output, which
 is sorted by coordinate.
 """
@@ -115,7 +120,7 @@ def line_coordinate(omega: OmegaSequence, x: Ray) -> int:
     reflects it to J(n) − c.  The rays whose last 1 sits at position n
     get the block J(n) − I_{n−1}, just above I_{n−1} for odd n and just
     below it for even n, so c maps the rays onto ℤ with gamma plus on
-    t ≥ 0.  Every edge joins t to t ± 1 (see line_apply), so |c(x)| is
+    t ≥ 0.  Every edge joins t to t ± 1 (see _push), so |c(x)| is
     the edge distance from the all-zero ray.  The formula reads digits
     only, so it holds for every sequence; ω decides the edge labels, not
     the positions.  Memoised per (sequence, ray), because a traced run
@@ -160,8 +165,13 @@ def ray_at(t: int) -> Ray:
     return Ray("".join(reversed(digits)))
 
 
-def line_apply(omega: OmegaSequence, word: str, t: int) -> int:
-    """Image of the coordinate t under a word, letters applied right to left.
+# the pair at level 1, which b, c or d swaps across the half-line boundary
+# unless ω₁ is its symbol
+_BOUNDARY = frozenset({-1, 0})
+
+
+def _push(omega: OmegaSequence, word: str, points, cocycle: bool = False) -> set:
+    """Images of a set of coordinates under a word, letters right to left.
 
     ``a`` flips the first digit, so it swaps two rays that agree after
     it.  Their coordinates start as {0, 1}, and each later 1 at position
@@ -176,17 +186,42 @@ def line_apply(omega: OmegaSequence, word: str, t: int) -> int:
     ν₂(3u + 1) = L.  So the pair {u, u + 1}, u odd, lies at level
     L = ν₂(3u + 1), and the two letters whose symbol is not ω_L swap it.
     The sequence only picks the fixing letter, so the rule holds for
-    every ω.
+    every ω; its two strings are read once per call and indexed by L.
+
+    With ``cocycle`` set, {−1, 0} is toggled after each letter of b, c, d
+    whose symbol is not ω₁: that is δ(s) Δ s·D for the defect D of the
+    suffix, so started from ∅ the loop builds δ(word) and started from a
+    vertex delta it builds the delta of the image vertex (see cubes).
     """
+    pre, period = omega.preperiod, omega.period
+    n_pre, n_period = len(pre), len(period)
+    first = pre[0] if pre else period[0]
+    points = set(points)
     for letter in reversed(word):
         if letter == "a":
-            t ^= 1
-        else:
+            points = {t ^ 1 for t in points}
+            continue
+        symbol = LETTER_SYMBOL[letter]
+        moved = set()
+        for t in points:
             u = t if t & 1 else t - 1
             v = 3 * u + 1
-            if omega.at((v & -v).bit_length() - 1) != LETTER_SYMBOL[letter]:
-                t = 2 * u + 1 - t
-    return t
+            level = (v & -v).bit_length() - 1
+            if level <= n_pre:
+                fixing = pre[level - 1]
+            else:
+                fixing = period[(level - n_pre - 1) % n_period]
+            moved.add(t if fixing == symbol else 2 * u + 1 - t)
+        points = moved
+        if cocycle and first != symbol:
+            points ^= _BOUNDARY
+    return points
+
+
+def line_apply(omega: OmegaSequence, word: str, t: int) -> int:
+    """Image of the coordinate t under a word: the push of {t}."""
+    (image,) = _push(omega, word, (t,))
+    return image
 
 
 def ball(omega: OmegaSequence, center: Ray, radius: int) -> set[Ray]:

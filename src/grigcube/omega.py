@@ -34,7 +34,8 @@ class OmegaSequence:
     Instances normalise themselves on construction: the period is made
     primitive and any preperiod tail that already matches the period is
     absorbed into a rotation, so two descriptions of the same sequence
-    compare equal (``0:120`` becomes ``:012``).
+    compare equal (``0:120`` becomes ``:012``).  Sequences key every memo
+    table of the package, so the hash is computed once, on construction.
     """
 
     preperiod: str
@@ -53,6 +54,14 @@ class OmegaSequence:
             period = period[-1] + period[:-1]
         object.__setattr__(self, "preperiod", preperiod)
         object.__setattr__(self, "period", period)
+        object.__setattr__(self, "_hash", hash((preperiod, period)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes, so a copy rehashes
+        return OmegaSequence, (self.preperiod, self.period)
 
     @classmethod
     def parse(cls, text: str) -> "OmegaSequence":

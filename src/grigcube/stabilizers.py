@@ -8,8 +8,10 @@ and its punctured variant the ball already exhibits the full stabilizer
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from random import Random
 from typing import Iterable, NamedTuple
 
@@ -22,7 +24,7 @@ from .elements import (
     stabilizes_level1,
 )
 from .cubes import CubeVertex, commensuration_delta, fixes
-from .gamma import line_apply, ray_at
+from .gamma import _push, ray_at
 from .omega import OmegaSequence
 
 
@@ -39,11 +41,13 @@ def stabilizes_gamma_plus(omega: OmegaSequence, g: GroupElement) -> bool:
 def stabilizes_gamma_plus_tilde(omega: OmegaSequence, g: GroupElement) -> bool:
     """Whether g preserves the punctured right half-line setwise.
 
-    The punctured half-line is Γ₊ Δ {0}, so its image is
-    Γ₊ Δ δ(g) Δ {g·0}, and g stabilizes it exactly when
-    δ(g) = {0} Δ {g·0}.
+    The punctured half-line Γ₊ Δ {0} is the cube vertex with delta {0},
+    so g stabilizes it exactly when g fixes that vertex.
     """
-    return commensuration_delta(omega, g) == {0} ^ {line_apply(omega, g.word, 0)}
+    return fixes(omega, g, _PUNCTURED)
+
+
+_PUNCTURED = CubeVertex(frozenset({0}))
 
 
 @dataclass
@@ -211,21 +215,40 @@ class BoundCheck(NamedTuple):
     ok: bool
 
 
+@lru_cache(maxsize=16)
+def _delta_classes(omega: OmegaSequence, max_len: int) -> tuple:
+    """The words of the ball grouped by their defect: (δ, words) pairs.
+
+    Whether g fixes v first asks |δ(g) Δ v.delta| = |v.delta|, which
+    depends on δ(g) only, so the test runs once per class.  Kept for the
+    few (sequence, length) pairs that one check visits.
+    """
+    classes = defaultdict(list)
+    for g in enumerate_ball(omega, max_len):
+        classes[commensuration_delta(omega, g)].append(g.word)
+    return tuple((delta, tuple(words)) for delta, words in classes.items())
+
+
 def stabilizer_bound_check(
     omega: OmegaSequence, v: CubeVertex, max_len: int
 ) -> BoundCheck:
     """Check the ball-restricted stabilizer of v against 8 * 4 * 4^n.
 
     n is the smallest even integer bounding the digit length of every
-    ray in the delta of v.  The order counts the ball elements g with
-    fixes(omega, g, v); most of them fail its size test on the cached
-    δ(g), so few deltas are pushed through a word.
+    ray in the delta of v.  The order counts the ball elements g that
+    fix v, as fixes(omega, g, v) would: the size test runs once per
+    class of equal δ(g), and v.delta is pushed only through the words of
+    the classes that pass it.
     """
     depth = max((len(ray_at(t).digits) for t in v.delta), default=0)
     if depth % 2:
         depth += 1
     bound = 8 * 4 * 4**depth
-    order = sum(1 for g in enumerate_ball(omega, max_len) if fixes(omega, g, v))
+    order = 0
+    for delta, words in _delta_classes(omega, max_len):
+        target = delta ^ v.delta
+        if len(target) == len(v.delta):
+            order += sum(1 for word in words if _push(omega, word, v.delta) == target)
     return BoundCheck(order, depth, bound, order <= bound)
 
 

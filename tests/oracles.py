@@ -16,13 +16,17 @@ digit-scan action, and the half-line scans, the fixed vertex and the
 action on cube vertices apply words to rays with it; the production code
 gives each ray its integer coordinate in closed form and acts on that.
 The defect δ(g) = Γ₊ Δ gΓ₊ is found here by scanning a window of the
-line, on rays or on integers; the production code builds it letter by
-letter from its cocycle and reads every half-line predicate off it.
+line, on rays or on integers, and by its cocycle moved point by point,
+one ``line_apply`` call per point and letter; the production code pushes
+the whole set through each letter at once and reads every half-line
+predicate off it.  The stabilizer order of a vertex is counted here one
+element at a time; the production code tests the classes of equal δ.
 """
 
 from functools import lru_cache
 
-from grigcube.elements import GroupElement, decompose, is_trivial
+from grigcube.cubes import CubeVertex, fixes
+from grigcube.elements import GroupElement, decompose, enumerate_ball, is_trivial
 from grigcube.gamma import Ray, ZERO_RAY, in_gamma_plus, in_gamma_plus_tilde, line_apply
 from grigcube.omega import LETTER_SYMBOL, OmegaSequence
 
@@ -217,3 +221,20 @@ def oracle_act(omega: OmegaSequence, g: GroupElement, rays: frozenset) -> frozen
     """The delta, as rays, of the image of the cube vertex whose delta is
     the given rays: the ray scan of δ(g) Δ the digit-scan images."""
     return oracle_commensuration(omega, g) ^ {oracle_apply(g, x) for x in rays}
+
+
+def oracle_cocycle(omega: OmegaSequence, word: str) -> frozenset:
+    """δ(word) by its cocycle, letters right to left, each point of the
+    defect moved by its own one-letter line_apply call: the suffix after
+    a letter s has defect D, the suffix from s on has δ(s) Δ s·D."""
+    delta = frozenset()
+    for letter in reversed(word):
+        delta = frozenset(line_apply(omega, letter, t) for t in delta)
+        if letter != "a" and omega.at(1) != LETTER_SYMBOL[letter]:
+            delta ^= {-1, 0}
+    return delta
+
+
+def oracle_stabilizer_order(omega: OmegaSequence, v: CubeVertex, max_len: int) -> int:
+    """How many elements of the ball fix v, one fixes call per element."""
+    return sum(fixes(omega, g, v) for g in enumerate_ball(omega, max_len))

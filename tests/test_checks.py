@@ -55,6 +55,26 @@ def test_single_suite_runs_per_omega():
     assert all(r.status == "pass" for r in reports)
 
 
+@pytest.fixture
+def fresh_prefix_scan():
+    """The prefix scan is shared across sequences and runs; start and
+    leave the table empty, so no earlier scan answers for this test and
+    this test's answer reaches no later one."""
+    grigcube.checks._prefix_scan.cache_clear()
+    yield
+    grigcube.checks._prefix_scan.cache_clear()
+
+
+def test_shared_prefix_scan_fails_every_record(monkeypatch, fresh_prefix_scan):
+    # a broken claim shows on each sequence's record, not only the first
+    monkeypatch.setattr(grigcube.checks, "in_gamma_plus_tilde", lambda x: False)
+    reports = run_suite("prefix", [OM, OmegaSequence.parse(":01")])
+    assert [r.omega for r in reports] == [":012", ":01"]
+    assert [r.status for r in reports] == ["fail", "fail"]
+    assert reports[0].counterexample == reports[1].counterexample
+    assert reports[0].counterexample is not reports[1].counterexample
+
+
 def test_all_suites_cover_every_name():
     reports = run_suite("all", [OM], max_len=5, depth=5)
     names = {r.check for r in reports}

@@ -17,6 +17,7 @@ from grigcube.cubes import (
 from grigcube.checks import _random_vertex
 from grigcube.elements import (
     GroupElement,
+    OmegaMismatchError,
     apply,
     enumerate_ball,
     is_trivial,
@@ -36,6 +37,7 @@ from grigcube.omega import OmegaSequence
 from oracles import (
     oracle_act,
     oracle_apply,
+    oracle_cocycle,
     oracle_commensuration,
     oracle_commensuration_window,
 )
@@ -160,6 +162,22 @@ class TestCocycleAgainstScans:
         for g in random_elements(om, 1000):
             assert _commensuration(om, g.word) == oracle_commensuration_window(om, g)
 
+    def test_against_point_by_point_cocycle(self, text):
+        om = OmegaSequence.parse(text)
+        for g in random_elements(om, 1000, max_len=24, seed=2):
+            assert _commensuration(om, g.word) == oracle_cocycle(om, g.word)
+
+    def test_act_is_the_cocycle_from_the_vertex(self, text):
+        # δ(g) Δ g·v.delta, with g·v.delta from the digit scan on rays
+        om = OmegaSequence.parse(text)
+        rng = Random(7)
+        for g in random_elements(om, 300, seed=3):
+            v = _random_vertex(rng)
+            image = oracle_cocycle(om, g.word) ^ {
+                line_coordinate(om, oracle_apply(g, ray_at(t))) for t in v.delta
+            }
+            assert act(om, g, v).delta == image
+
     def test_against_ray_scan(self, text):
         om = OmegaSequence.parse(text)
         for g in random_elements(om, 300, seed=1):
@@ -260,6 +278,11 @@ class TestFixes:
                 fixed += fixes(om, g, v)
         # the identity alone fixes all 50; more pairs must pass the size test
         assert fixed > 50
+
+    @pytest.mark.parametrize("fn", [act, fixes])
+    def test_sequence_mismatch(self, fn):
+        with pytest.raises(OmegaMismatchError):
+            fn(OmegaSequence.parse(":01"), element("b"), CubeVertex(frozenset({0})))
 
     @pytest.mark.parametrize("text", [":0", "00:12", "1:12"])
     def test_on_long_words(self, text):

@@ -5,6 +5,7 @@ from grigcube.elements import GroupElement, apply
 from grigcube.gamma import (
     Ray,
     ZERO_RAY,
+    _push,
     ball,
     ball_edges,
     edge_records,
@@ -300,3 +301,26 @@ class TestEdgeRecordsAndDot:
 
     def test_dot_differs_between_sequences(self):
         assert to_dot(OM, 3) != to_dot(OM01, 3)
+
+
+coordinates = st.integers(min_value=-(2**41), max_value=2**41)
+
+
+@pytest.mark.parametrize("om", ORACLE_OMEGAS, ids=str)
+class TestPushAgainstRayOracle:
+    """The push moves a whole set of coordinates through a word; the
+    digit scan moves each ray alone.  Preperiods of 0, 1 and 2 symbols
+    send levels to both strings of the sequence."""
+
+    @given(st.text(alphabet="abcd", max_size=14), st.frozensets(coordinates, max_size=6))
+    @settings(max_examples=60)
+    def test_set_images(self, om, word, points):
+        g = GroupElement.from_word(om, word)
+        expected = {line_coordinate(om, oracle_apply(g, ray_at(t))) for t in points}
+        assert _push(om, word, points) == expected
+
+    @given(st.text(alphabet="abcd", max_size=14), coordinates)
+    @settings(max_examples=60)
+    def test_line_apply_is_the_push_of_one_point(self, om, word, t):
+        g = GroupElement.from_word(om, word)
+        assert line_apply(om, word, t) == line_coordinate(om, oracle_apply(g, ray_at(t)))

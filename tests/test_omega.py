@@ -1,6 +1,9 @@
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
+from grigcube.cubes import _commensuration
 from grigcube.omega import (
     OmegaParseError,
     OmegaSequence,
@@ -42,6 +45,20 @@ def test_preperiod_absorbed_into_period():
     assert str(OmegaSequence.parse("01:201")) == ":012"
     assert str(OmegaSequence.parse("2:012")) == ":201"
     assert str(OmegaSequence.parse("2:01")) == "2:01"
+
+
+def test_equal_descriptions_hash_equal_and_share_cache_entries():
+    first, second = OmegaSequence.parse("0:120"), OmegaSequence.parse(":012")
+    assert first == second and hash(first) == hash(second)
+    copied = pickle.loads(pickle.dumps(first))
+    assert copied == second and hash(copied) == hash(second)
+    # a table keyed by a sequence answers a freshly parsed equal one
+    word = "abacabadab"
+    _commensuration(first, word)
+    before = _commensuration.cache_info()
+    _commensuration(OmegaSequence.parse(":012"), word)
+    after = _commensuration.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 def test_at_is_one_based():

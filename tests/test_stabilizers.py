@@ -1,5 +1,8 @@
+from random import Random
+
 import pytest
 
+from grigcube.checks import _random_vertex
 from grigcube.cubes import CubeVertex, act, base_vertex, commensuration_delta
 from grigcube.elements import (
     GroupElement,
@@ -36,6 +39,7 @@ from grigcube.stabilizers import (
 from oracles import (
     oracle_commensuration,
     oracle_fixed_delta,
+    oracle_stabilizer_order,
     oracle_stabilizes_gamma_plus_tilde,
 )
 
@@ -216,6 +220,23 @@ class TestBound:
         for digits in ("", "1", "01", "11"):
             v = CubeVertex.parse(Ray.from_digits(digits).text())
             assert stabilizer_bound_check(OM, v, 8).ok
+
+    @pytest.mark.parametrize(
+        "text", [":012", ":01", ":02", ":12", "2:01", "0:12", "21:0102"]
+    )
+    def test_grouped_order_against_one_test_per_element(self, text):
+        # the order counted per class of equal δ against one fixes call
+        # per element, on the vertices the bound suite draws
+        om = OmegaSequence.parse(text)
+        rng = Random(0)
+        total = 0
+        for _ in range(50):
+            v = _random_vertex(rng, max_rays=4, max_depth=4)
+            order = stabilizer_bound_check(om, v, 8).order
+            assert order == oracle_stabilizer_order(om, v, 8), v.text()
+            total += order
+        # the identity alone fixes all 50; more pairs must pass
+        assert total > 50
 
 
 class TestRestrictionCases:
