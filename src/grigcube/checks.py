@@ -23,9 +23,9 @@ from .gamma import (
     Ray,
     ZERO_RAY,
     _coordinate,
+    _push,
     in_gamma_plus,
     in_gamma_plus_tilde,
-    line_apply,
     prepend,
     ray_at,
 )
@@ -244,11 +244,8 @@ def check_commensuration(
     # Every edge of Γ joins t to t ± 1, so n <= max_len letters keep a
     # window point |t| <= n + 4 inside |t| <= 2 * max_len + 4.  A point
     # that left the tables would raise KeyError, never be skipped.
-    reach = 2 * max_len + 4
-    tables = {
-        s: {t: line_apply(omega, s, t) for t in range(-reach, reach + 1)}
-        for s in "abcd"
-    }
+    reach = range(-2 * max_len - 4, 2 * max_len + 5)
+    tables = {s: dict(zip(reach, _push(omega, s, reach))) for s in "abcd"}
     for _ in range(words):
         g = GroupElement(omega, _random_word(rng, max_len))
         n = g.length

@@ -109,10 +109,11 @@ def fixes(omega: OmegaSequence, g: GroupElement, v: CubeVertex) -> bool:
     g·v has delta δ(g) Δ g·v.delta, so g fixes v exactly when
     g·v.delta = δ(g) Δ v.delta; g permutes ℤ, so |g·v.delta| = |v.delta|,
     and that needs |δ(g) Δ v.delta| = |v.delta| first.  Only then is
-    the delta pushed through g.
+    the delta pushed through g; its |v.delta| images are distinct, so
+    they make up the target exactly when they all lie in it.
     """
     target = commensuration_delta(omega, g) ^ v.delta
-    return len(target) == len(v.delta) and _push(omega, g.word, v.delta) == target
+    return len(target) == len(v.delta) and target.issuperset(_push(omega, g.word, v.delta))
 
 
 def distance(v: CubeVertex, w: CubeVertex) -> int:

@@ -26,13 +26,14 @@ is t ≥ 0: the all-zero ray and the rays whose last 1 sits at an odd
 position.  The punctured right half-line is t ≥ 1.
 
 Inside the package a vertex is its coordinate, and one private loop,
-``_push``, is the only generator action: it moves a set of coordinates
+``_push``, is the only generator action: it moves many coordinates
 through a word letter by letter, reading the sequence's two strings once
 per call.  Started from ∅ with the boundary flips of the cocycle it
 builds the defect δ(g) of the cube complex, and started from a vertex's
 delta it acts on that vertex (see cubes).  ``line_apply`` pushes one
-coordinate.  Rays appear at the edges: parsing and printing cube
-vertices, the digit-prefix suite, ``apply`` and ``neighbors`` (thin
+coordinate, and ``ball_edges`` pushes the whole interval of a ball
+through each letter.  Rays appear at the edges: parsing and printing
+cube vertices, the digit-prefix suite, ``apply`` and ``neighbors`` (thin
 wrappers that take and return rays), and the DOT and JSON output, which
 is sorted by coordinate.
 """
@@ -170,8 +171,9 @@ def ray_at(t: int) -> Ray:
 _BOUNDARY = frozenset({-1, 0})
 
 
-def _push(omega: OmegaSequence, word: str, points, cocycle: bool = False) -> set:
-    """Images of a set of coordinates under a word, letters right to left.
+def _push(omega: OmegaSequence, word: str, points, cocycle: bool = False) -> list:
+    """Images of coordinates under a word, letters right to left, in the
+    order the points are given.
 
     ``a`` flips the first digit, so it swaps two rays that agree after
     it.  Their coordinates start as {0, 1}, and each later 1 at position
@@ -188,21 +190,23 @@ def _push(omega: OmegaSequence, word: str, points, cocycle: bool = False) -> set
     The sequence only picks the fixing letter, so the rule holds for
     every ω; its two strings are read once per call and indexed by L.
 
-    With ``cocycle`` set, {−1, 0} is toggled after each letter of b, c, d
-    whose symbol is not ω₁: that is δ(s) Δ s·D for the defect D of the
-    suffix, so started from ∅ the loop builds δ(word) and started from a
-    vertex delta it builds the delta of the image vertex (see cubes).
+    With ``cocycle`` set, the points are a set and {−1, 0} is toggled
+    after each letter of b, c, d whose symbol is not ω₁: that is
+    δ(s) Δ s·D for the defect D of the suffix, so started from ∅ the
+    loop builds δ(word) and started from a vertex delta it builds the
+    delta of the image vertex (see cubes).  The result then lists that
+    set in no particular order.
     """
     pre, period = omega.preperiod, omega.period
     n_pre, n_period = len(pre), len(period)
     first = pre[0] if pre else period[0]
-    points = set(points)
+    points = list(points)
     for letter in reversed(word):
         if letter == "a":
-            points = {t ^ 1 for t in points}
+            points = [t ^ 1 for t in points]
             continue
         symbol = LETTER_SYMBOL[letter]
-        moved = set()
+        moved = []
         for t in points:
             u = t if t & 1 else t - 1
             v = 3 * u + 1
@@ -211,17 +215,16 @@ def _push(omega: OmegaSequence, word: str, points, cocycle: bool = False) -> set
                 fixing = pre[level - 1]
             else:
                 fixing = period[(level - n_pre - 1) % n_period]
-            moved.add(t if fixing == symbol else 2 * u + 1 - t)
+            moved.append(t if fixing == symbol else 2 * u + 1 - t)
         points = moved
         if cocycle and first != symbol:
-            points ^= _BOUNDARY
+            points = list(_BOUNDARY.symmetric_difference(points))
     return points
 
 
 def line_apply(omega: OmegaSequence, word: str, t: int) -> int:
-    """Image of the coordinate t under a word: the push of {t}."""
-    (image,) = _push(omega, word, (t,))
-    return image
+    """Image of the coordinate t under a word: the push of [t]."""
+    return _push(omega, word, (t,))[0]
 
 
 def ball(omega: OmegaSequence, center: Ray, radius: int) -> set[Ray]:
@@ -242,17 +245,18 @@ def _sort_key(omega: OmegaSequence):
 def ball_edges(omega: OmegaSequence, center: Ray, radius: int) -> list[LabelledEdge]:
     """Edges with both endpoints in the ball, one per unordered pair and label.
 
-    Sorted by endpoint line coordinates and label, so output is diffable.
+    The ball is an interval, so each letter pushes the whole of it at
+    once.  Sorted by endpoint line coordinates and label, so output is
+    diffable.
     """
-    vertices = ball(omega, center, radius)
-    key = _sort_key(omega)
+    c = _coordinate(center.digits)
+    interval = range(c - radius, c + radius + 1)
     edges = set()
-    for x in vertices:
-        for _, y, label in neighbors(omega, x):
-            if y in vertices:
-                s, t = sorted((x, y), key=key)
-                edges.add(LabelledEdge(s, t, label))
-    return sorted(edges, key=lambda e: (key(e.source), key(e.target), e.label))
+    for label in "abcd":
+        for t, image in zip(interval, _push(omega, label, interval)):
+            if abs(image - c) <= radius:
+                edges.add((min(t, image), max(t, image), label))
+    return [LabelledEdge(ray_at(s), ray_at(t), label) for s, t, label in sorted(edges)]
 
 
 def edge_records(omega: OmegaSequence, radius: int, center: Ray = ZERO_RAY) -> list[dict]:

@@ -248,7 +248,8 @@ def stabilizer_bound_check(
     for delta, words in _delta_classes(omega, max_len):
         target = delta ^ v.delta
         if len(target) == len(v.delta):
-            order += sum(1 for word in words if _push(omega, word, v.delta) == target)
+            order += sum(1 for word in words
+                         if target.issuperset(_push(omega, word, v.delta)))
     return BoundCheck(order, depth, bound, order <= bound)
 
 

@@ -11,8 +11,8 @@ with semantic leaf tests through the word problem; the production code
 grows each sphere from the last one's representatives and reads its
 leaves off the syntax.
 
-The Schreier line here is found by breadth-first search over the
-digit-scan action, and the half-line scans, the fixed vertex and the
+The Schreier line and its ball edges here are found by breadth-first
+search over the digit-scan action, and the half-line scans, the fixed vertex and the
 action on cube vertices apply words to rays with it; the production code
 gives each ray its integer coordinate in closed form and acts on that.
 The defect δ(g) = Γ₊ Δ gΓ₊ is found here by scanning a window of the
@@ -152,6 +152,18 @@ def oracle_ball(omega: OmegaSequence, center: Ray, radius: int) -> set[Ray]:
                     new.append(y)
         frontier = new
     return seen
+
+
+def oracle_ball_edges(omega: OmegaSequence, center: Ray, radius: int) -> set:
+    """Labelled edges of the search ball, each as (its endpoint rays, label),
+    from the four digit-scan neighbours of every vertex."""
+    vertices = oracle_ball(omega, center, radius)
+    return {
+        (frozenset((x, y)), s)
+        for x in vertices
+        for s, y in zip("abcd", _neighbor_rays(omega, x))
+        if y in vertices
+    }
 
 
 def oracle_line_coordinates(omega: OmegaSequence, radius: int) -> dict[Ray, int]:

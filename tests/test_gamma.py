@@ -24,6 +24,7 @@ from oracles import (
     _apply_letter,
     oracle_apply,
     oracle_ball,
+    oracle_ball_edges,
     oracle_letter,
     oracle_line_coordinates,
 )
@@ -169,6 +170,18 @@ class TestClosedFormAgainstOracle:
             center = Ray.parse(text)
             assert ball(om, center, 7) == oracle_ball(om, center, 7)
 
+    def test_ball_edges(self, searched):
+        # every interval pushed through each letter at once against the
+        # digit-scan neighbours of each ray, off centre and at the origin
+        om, coordinates = searched
+        for text, radius in (("0inf", 60), ("1", 7), ("11", 7), ("1101", 7), ("0001", 7)):
+            center = Ray.parse(text)
+            edges = ball_edges(om, center, radius)
+            assert {(frozenset((e.source, e.target)), e.label) for e in edges} == (
+                oracle_ball_edges(om, center, radius))
+            keys = [(coordinates[e.source], coordinates[e.target], e.label) for e in edges]
+            assert keys == sorted(set(keys)) and all(s <= t for s, t, _ in keys)
+
     def test_letters_per_coordinate(self, searched):
         om, coordinates = searched
         rays = {t: x for x, t in coordinates.items()}
@@ -308,15 +321,15 @@ coordinates = st.integers(min_value=-(2**41), max_value=2**41)
 
 @pytest.mark.parametrize("om", ORACLE_OMEGAS, ids=str)
 class TestPushAgainstRayOracle:
-    """The push moves a whole set of coordinates through a word; the
-    digit scan moves each ray alone.  Preperiods of 0, 1 and 2 symbols
-    send levels to both strings of the sequence."""
+    """The push moves many coordinates through a word at once, keeping
+    their order; the digit scan moves each ray alone.  Preperiods of 0,
+    1 and 2 symbols send levels to both strings of the sequence."""
 
-    @given(st.text(alphabet="abcd", max_size=14), st.frozensets(coordinates, max_size=6))
+    @given(st.text(alphabet="abcd", max_size=14), st.lists(coordinates, max_size=6))
     @settings(max_examples=60)
-    def test_set_images(self, om, word, points):
+    def test_images_in_order(self, om, word, points):
         g = GroupElement.from_word(om, word)
-        expected = {line_coordinate(om, oracle_apply(g, ray_at(t))) for t in points}
+        expected = [line_coordinate(om, oracle_apply(g, ray_at(t))) for t in points]
         assert _push(om, word, points) == expected
 
     @given(st.text(alphabet="abcd", max_size=14), coordinates)
