@@ -19,7 +19,9 @@ from .omega import LETTER_SYMBOL, OmegaSequence, passive_letter
 GENERATORS = "abcd"
 BCD = "bcd"
 
-_MERGE = {frozenset("bc"): "d", frozenset("cd"): "b", frozenset("bd"): "c"}
+# each adjacent pair of distinct letters of b, c, d and the third letter it
+# merges into
+_MERGE = {"bc": "d", "cb": "d", "cd": "b", "dc": "b", "bd": "c", "db": "c"}
 
 # a foreign letter, or an adjacent pair that reduce_word would rewrite
 _NOT_REDUCED = re.compile("[^abcd]|aa|[bcd][bcd]")
@@ -39,27 +41,35 @@ def reduce_word(word: str) -> str:
 
     Equal adjacent letters cancel and an adjacent pair from {b, c, d}
     merges into the third letter; the result is the unique normal form
-    with no such pair left.
+    with no such pair left.  The stack alternates, so after a merge its
+    new top is "a" or nothing and one pass suffices.
     """
     stack: list[str] = []
     for letter in word:
         if letter not in GENERATORS:
             raise ValueError(f"invalid generator {letter!r}")
-        while True:
-            if not stack:
-                stack.append(letter)
-                break
+        if stack:
             top = stack[-1]
             if top == letter:
                 stack.pop()
-                break
-            if top in BCD and letter in BCD:
-                stack.pop()
-                letter = _MERGE[frozenset((top, letter))]
                 continue
-            stack.append(letter)
-            break
+            if top != "a" and letter != "a":
+                stack[-1] = _MERGE[top + letter]
+                continue
+        stack.append(letter)
     return "".join(stack)
+
+
+def _append(word: str, letter: str) -> str:
+    """The reduced form of word + letter, for a reduced word: only the
+    last letter of word can cancel or merge with it."""
+    if word:
+        top = word[-1]
+        if top == letter:
+            return word[:-1]
+        if top != "a" and letter != "a":
+            return word[:-1] + _MERGE[top + letter]
+    return word + letter
 
 
 @dataclass(frozen=True)
@@ -137,6 +147,18 @@ def _sections(omega: OmegaSequence, word: str) -> tuple[bool, OmegaSequence, str
     return swap, shifted, reduce_word("".join(left)), reduce_word("".join(right))
 
 
+def _extend(active: frozenset[str], swap: bool, left: str, right: str,
+            letter: str) -> tuple[bool, str, str]:
+    """The swap flag and reduced restriction words of word + letter, from
+    those of word: the next step of the loop in _sections, for the
+    letters active as "a" on the left subtree."""
+    if letter == "a":
+        return not swap, right, left
+    if letter in active:
+        left = _append(left, "a")
+    return swap, left, _append(right, letter)
+
+
 def decompose(g: GroupElement) -> tuple[bool, GroupElement, GroupElement]:
     """Split g into a level-1 swap flag and the two subtree restrictions.
 
@@ -194,13 +216,9 @@ def equal(g: GroupElement, h: GroupElement) -> bool:
 _A_KEY = (True, "1", "1")
 
 
-@lru_cache(maxsize=None)
-def _canonical_key(omega: OmegaSequence, word: str):
-    if len(word) <= 1:
-        return _A_KEY if word == "a" else word or "1"
-    swap, shifted, w0, w1 = _sections(omega, word)
-    k0 = _canonical_key(shifted, w0)
-    k1 = _canonical_key(shifted, w1)
+def _combine(omega: OmegaSequence, swap: bool, k0, k1):
+    """The key of an element from its swap flag and the keys of its two
+    restrictions: the triple, or the leaf it collapses to."""
     if not swap and k1.__class__ is str:
         if k1 == "1":
             if k0 == "1":
@@ -208,6 +226,14 @@ def _canonical_key(omega: OmegaSequence, word: str):
         elif k0 == (_A_KEY if passive_letter(omega, k1) == "a" else "1"):
             return k1
     return swap, k0, k1
+
+
+@lru_cache(maxsize=None)
+def _canonical_key(omega: OmegaSequence, word: str):
+    if len(word) <= 1:
+        return _A_KEY if word == "a" else word or "1"
+    swap, shifted, w0, w1 = _sections(omega, word)
+    return _combine(omega, swap, _canonical_key(shifted, w0), _canonical_key(shifted, w1))
 
 
 def canonical_key(g: GroupElement):
@@ -281,23 +307,44 @@ def enumerate_ball(omega: OmegaSequence, max_len: int) -> ElementBall:
     is either shorter than n, so the element was found before, or an
     alternating word that comes before u + s.  Either way u + s would not
     be first, so u is a representative.
+
+    Each representative of the current sphere is kept with its swap flag
+    and the reduced words of its two restrictions, so a candidate's key
+    costs one letter, not a pass over its word.  _sections reads a word
+    left to right, so on r + s it runs its loop over r and then one step
+    for s; _extend takes that step from r's state.  Reduction is
+    confluent, so reducing r's restriction words first and then the
+    letters that s appends gives the normal form of the longer words,
+    and a reduced word with one more letter can only cancel or merge at
+    the join.  The candidate's key combines the keys of its restrictions
+    by the rule of _canonical_key, which for the empty word and single
+    letters gives their leaves as well.  The top-level keys are not
+    memoised: each is looked up once, and only the shorter restriction
+    words are shared.
     """
     if not omega.is_repetition_free():
         raise UnsupportedOmegaError(
             f"ball enumeration needs a repetition-free sequence, got {omega}"
         )
+    shifted, active = _level(omega)
     seen = set()
     elements: list[GroupElement] = []
-    sphere = [""]
+    sphere = [("", False, "", "")]
     for length in range(max_len + 1):
-        candidates = [r + s for r in sphere for s in _extensions(r)] if length else sphere
-        sphere = []
-        for word in candidates:
-            key = _canonical_key(omega, word)
+        parents, sphere = sphere, []
+        candidates = (
+            ((r + s, *_extend(active, swap, left, right, s))
+             for r, swap, left, right in parents for s in _extensions(r))
+            if length else parents
+        )
+        for state in candidates:
+            word, swap, left, right = state
+            key = _combine(omega, swap, _canonical_key(shifted, left),
+                           _canonical_key(shifted, right))
             if key not in seen:
                 seen.add(key)
                 elements.append(GroupElement(omega, word))
-                sphere.append(word)
+                sphere.append(state)
     return ElementBall(omega, max_len, tuple(elements))
 
 

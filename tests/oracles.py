@@ -9,7 +9,10 @@ strings, so agreement among the three is meaningful.
 The ball enumeration here extends every alternating word and keys it
 with semantic leaf tests through the word problem; the production code
 grows each sphere from the last one's representatives and reads its
-leaves off the syntax.
+leaves off the syntax.  A second reference grows the spheres the same
+way but keys each candidate by a pass over its whole word; the
+production code carries each representative's restriction words and
+extends them by the candidate's last letter.
 
 The Schreier line and its ball edges here are found by breadth-first
 search over the digit-scan action, and the half-line scans, the fixed vertex and the
@@ -26,7 +29,13 @@ element at a time; the production code tests the classes of equal δ.
 from functools import lru_cache
 
 from grigcube.cubes import CubeVertex, fixes
-from grigcube.elements import GroupElement, decompose, enumerate_ball, is_trivial
+from grigcube.elements import (
+    GroupElement,
+    canonical_key,
+    decompose,
+    enumerate_ball,
+    is_trivial,
+)
 from grigcube.gamma import Ray, ZERO_RAY, in_gamma_plus, in_gamma_plus_tilde, line_apply
 from grigcube.omega import LETTER_SYMBOL, OmegaSequence
 
@@ -135,6 +144,27 @@ def oracle_ball_words(omega: OmegaSequence, max_len: int) -> tuple[str, ...]:
             if key not in seen:
                 seen.add(key)
                 found.append(word)
+    return tuple(found)
+
+
+def oracle_sphere_ball(omega: OmegaSequence, max_len: int) -> tuple[str, ...]:
+    """Representative words of the ball, grown sphere by sphere from the
+    last sphere's representatives, each candidate keyed by canonical_key
+    on its whole word."""
+    seen = set()
+    found = []
+    sphere = [""]
+    for length in range(max_len + 1):
+        if length:
+            sphere = [w + s for w in sphere
+                      for s in ("abcd" if not w else "bcd" if w[-1] == "a" else "a")]
+        candidates, sphere = sphere, []
+        for word in candidates:
+            key = canonical_key(GroupElement(omega, word))
+            if key not in seen:
+                seen.add(key)
+                found.append(word)
+                sphere.append(word)
     return tuple(found)
 
 

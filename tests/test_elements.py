@@ -5,6 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from grigcube.elements import (
     _NOT_REDUCED,
+    _canonical_key,
+    _extend,
+    _level,
+    _sections,
     GroupElement,
     OmegaMismatchError,
     UnsupportedOmegaError,
@@ -25,6 +29,7 @@ from grigcube.omega import OmegaSequence
 from oracles import (
     oracle_ball_words,
     oracle_key,
+    oracle_sphere_ball,
     oracle_word,
     word_is_trivial_on_level,
     words_agree_on_level,
@@ -117,8 +122,10 @@ class TestReduce:
         assert reduce_word("ababaa") == "abab"
 
     def test_invalid_letter(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="invalid generator 'e'"):
             reduce_word("abe")
+        with pytest.raises(ValueError, match="invalid generator 'x'"):
+            reduce_word("bbxe")
 
     @given(raw_words)
     def test_result_alternates(self, word):
@@ -438,6 +445,12 @@ class TestAgainstOracle:
         om = OmegaSequence.parse(text)
         assert tuple(g.word for g in enumerate_ball(om, n)) == oracle_ball_words(om, n)
 
+    @pytest.mark.parametrize("text", ORACLE_OMEGAS)
+    @pytest.mark.parametrize("n", (0, 1, 2, 5, 9, 13, 15))
+    def test_ball_words_match_sphere_oracle(self, text, n):
+        om = OmegaSequence.parse(text)
+        assert tuple(g.word for g in enumerate_ball(om, n)) == oracle_sphere_ball(om, n)
+
     @pytest.mark.parametrize("text", (":012", "2:01"))
     def test_product_keys_match_oracle_and_equality(self, text):
         om = OmegaSequence.parse(text)
@@ -459,3 +472,38 @@ class TestAgainstOracle:
                 same_key = canonical_key(p) == canonical_key(q)
                 assert same_key == (oracle_key(om, p.word) == oracle_key(om, q.word))
                 assert same_key == equal(p, q)
+
+
+class TestSectionsStep:
+    """The state that enumerate_ball carries for a word, extended by one
+    letter, against the wreath recursion on the longer word, over
+    sequences with and without repetition."""
+
+    @pytest.mark.parametrize("text", ORACLE_OMEGAS + (":0", "1:0"))
+    @given(
+        word=st.lists(st.sampled_from("abcd"), max_size=20).map(_alternating),
+        letter=st.sampled_from("abcd"),
+    )
+    @settings(max_examples=60)
+    def test_extend_matches_sections(self, text, word, letter):
+        om = OmegaSequence.parse(text)
+        swap, _, left, right = _sections(om, word)
+        longer_swap, _, longer_left, longer_right = _sections(om, word + letter)
+        extended = _extend(_level(om)[1], swap, left, right, letter)
+        assert extended == (longer_swap, longer_left, longer_right)
+
+
+@pytest.fixture
+def cold_key_table():
+    enumerate_ball.cache_clear()
+    _canonical_key.cache_clear()
+    yield
+    enumerate_ball.cache_clear()
+    _canonical_key.cache_clear()
+
+
+def test_candidate_keys_not_memoised(cold_key_table):
+    # only restriction words enter the key table, not one entry per
+    # candidate: 165 entries for 1,487 elements when this was written
+    ball = enumerate_ball(OM, 12)
+    assert _canonical_key.cache_info().currsize < len(ball)
