@@ -126,6 +126,19 @@ def _level(omega: OmegaSequence) -> tuple[OmegaSequence, frozenset[str]]:
     return omega.shift(), frozenset(x for x in BCD if passive_letter(omega, x) == "a")
 
 
+def _extend(active: frozenset[str], swap: bool, left: str, right: str,
+            letter: str) -> tuple[bool, str, str]:
+    """The swap flag and reduced restriction words of word + letter, from
+    those of word, for the letters active as "a" on the left subtree:
+    "a" swaps the two subtrees, and a letter of b, c, d acts on the right
+    subtree as itself and on the left one as "a" if active, else not."""
+    if letter == "a":
+        return not swap, right, left
+    if letter in active:
+        left = _append(left, "a")
+    return swap, left, _append(right, letter)
+
+
 def _sections(omega: OmegaSequence, word: str) -> tuple[bool, OmegaSequence, str, str]:
     """One step of the wreath recursion on a word.
 
@@ -133,30 +146,10 @@ def _sections(omega: OmegaSequence, word: str) -> tuple[bool, OmegaSequence, str
     words of the left and right restrictions, which live over it.
     """
     shifted, active = _level(omega)
-    swap = False
-    left: list[str] = []
-    right: list[str] = []
+    swap, left, right = False, "", ""
     for letter in word:
-        if letter == "a":
-            swap = not swap
-            left, right = right, left
-        else:
-            if letter in active:
-                left.append("a")
-            right.append(letter)
-    return swap, shifted, reduce_word("".join(left)), reduce_word("".join(right))
-
-
-def _extend(active: frozenset[str], swap: bool, left: str, right: str,
-            letter: str) -> tuple[bool, str, str]:
-    """The swap flag and reduced restriction words of word + letter, from
-    those of word: the next step of the loop in _sections, for the
-    letters active as "a" on the left subtree."""
-    if letter == "a":
-        return not swap, right, left
-    if letter in active:
-        left = _append(left, "a")
-    return swap, left, _append(right, letter)
+        swap, left, right = _extend(active, swap, left, right, letter)
+    return swap, shifted, left, right
 
 
 def decompose(g: GroupElement) -> tuple[bool, GroupElement, GroupElement]:
@@ -310,11 +303,10 @@ def enumerate_ball(omega: OmegaSequence, max_len: int) -> ElementBall:
 
     Each representative of the current sphere is kept with its swap flag
     and the reduced words of its two restrictions, so a candidate's key
-    costs one letter, not a pass over its word.  _sections reads a word
-    left to right, so on r + s it runs its loop over r and then one step
-    for s; _extend takes that step from r's state.  Reduction is
-    confluent, so reducing r's restriction words first and then the
-    letters that s appends gives the normal form of the longer words,
+    costs one letter, not a pass over its word.  _sections folds _extend
+    over a word left to right, so the state of r + s is _extend of r's
+    state by s.  Reduction is confluent, so reducing the restriction
+    words at each letter gives the normal form of all their letters,
     and a reduced word with one more letter can only cancel or merge at
     the join.  The candidate's key combines the keys of its restrictions
     by the rule of _canonical_key, which for the empty word and single

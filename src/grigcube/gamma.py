@@ -238,6 +238,10 @@ def ball(omega: OmegaSequence, center: Ray, radius: int) -> set[Ray]:
     return {ray_at(t) for t in range(c - radius, c + radius + 1)}
 
 
+def _sort_key(omega: OmegaSequence):
+    return lambda v: (line_coordinate(omega, v), v.digits)
+
+
 def ball_edges(omega: OmegaSequence, center: Ray, radius: int) -> list[LabelledEdge]:
     """Edges with both endpoints in the ball, one per unordered pair and label.
 
@@ -264,11 +268,10 @@ def edge_records(omega: OmegaSequence, radius: int, center: Ray = ZERO_RAY) -> l
 
 
 def to_dot(omega: OmegaSequence, radius: int, center: Ray = ZERO_RAY) -> str:
-    """Graphviz source for the ball graph, vertices and edges sorted by
-    line coordinate."""
-    c = _coordinate(center.digits)
+    """Graphviz source for the ball graph, stable-sorted."""
+    vertices = sorted(ball(omega, center, radius), key=_sort_key(omega))
     lines = ["graph schreier {", "  node [shape=circle];"]
-    lines += [f'  "{ray_at(t).text()}";' for t in range(c - radius, c + radius + 1)]
+    lines += [f'  "{v.text()}";' for v in vertices]
     lines += [
         f'  "{s.text()}" -- "{t.text()}" [label="{label}", color="{GENERATOR_COLORS[label]}"];'
         for s, t, label in ball_edges(omega, center, radius)

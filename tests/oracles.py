@@ -12,7 +12,9 @@ grows each sphere from the last one's representatives and reads its
 leaves off the syntax.  A second reference grows the spheres the same
 way but keys each candidate by a pass over its whole word; the
 production code carries each representative's restriction words and
-extends them by the candidate's last letter.
+extends them by the candidate's last letter.  The wreath recursion here
+collects the restriction letters of a whole word and reduces them once;
+the production code reduces at each letter.
 
 The Schreier line and its ball edges here are found by breadth-first
 search over the digit-scan action, and the half-line scans, the fixed vertex and the
@@ -35,9 +37,10 @@ from grigcube.elements import (
     decompose,
     enumerate_ball,
     is_trivial,
+    reduce_word,
 )
 from grigcube.gamma import Ray, ZERO_RAY, in_gamma_plus, in_gamma_plus_tilde, line_apply
-from grigcube.omega import LETTER_SYMBOL, OmegaSequence
+from grigcube.omega import LETTER_SYMBOL, OmegaSequence, passive_letter
 
 
 def _apply_letter(letter: str, omega: OmegaSequence, digits: str) -> str:
@@ -166,6 +169,23 @@ def oracle_sphere_ball(omega: OmegaSequence, max_len: int) -> tuple[str, ...]:
                 found.append(word)
                 sphere.append(word)
     return tuple(found)
+
+
+def oracle_sections(omega: OmegaSequence, word: str) -> tuple[bool, str, str]:
+    """The level-1 swap flag and the reduced left and right restriction
+    words, each restriction word reduced once from all of its letters."""
+    swap = False
+    left: list[str] = []
+    right: list[str] = []
+    for letter in word:
+        if letter == "a":
+            swap = not swap
+            left, right = right, left
+        else:
+            if passive_letter(omega, letter) == "a":
+                left.append("a")
+            right.append(letter)
+    return swap, reduce_word("".join(left)), reduce_word("".join(right))
 
 
 def oracle_ball(omega: OmegaSequence, center: Ray, radius: int) -> set[Ray]:
