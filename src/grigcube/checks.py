@@ -40,16 +40,6 @@ from .stabilizers import (
 
 DEFAULT_OMEGAS = (":012", ":01", ":02", ":12", "2:01")
 
-SUITE_NAMES = (
-    "prefix",
-    "reduction",
-    "projections",
-    "stab",
-    "commensuration",
-    "faithful",
-    "bound",
-)
-
 # suites that enumerate and deduplicate group elements
 NEEDS_REPETITION_FREE = {"reduction", "projections", "stab", "faithful", "bound"}
 
@@ -347,6 +337,8 @@ _SUITES = {
     "faithful": check_faithful,
     "bound": check_bound,
 }
+
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(

@@ -3,8 +3,9 @@
 Elements are stored as reduced words over the four involutive generators.
 Reduction rewrites modulo the relations x^2 = 1 and bc = cb = d (with its
 cyclic renamings), so a reduced word alternates between "a" and a single
-letter of {b, c, d}.  The word problem is decided by recursion on subtree
-restrictions, which contracts word length.
+letter of {b, c, d}.  One recursion on subtree restrictions, which
+contracts word length, gives each word its portrait key; the word problem
+reads that key.
 """
 
 from __future__ import annotations
@@ -175,37 +176,6 @@ def restriction(g: GroupElement, vertex: str) -> GroupElement:
     return current
 
 
-@lru_cache(maxsize=None)
-def _is_trivial(omega: OmegaSequence, word: str) -> bool:
-    if len(word) <= 1:
-        return not word or (word != "a" and not omega.preperiod
-                            and omega.period == LETTER_SYMBOL[word])
-    if word.count("a") % 2:
-        return False
-    _, shifted, w0, w1 = _sections(omega, word)
-    return _is_trivial(shifted, w0) and _is_trivial(shifted, w1)
-
-
-def is_trivial(g: GroupElement) -> bool:
-    """Decide the word problem, over any sequence.
-
-    A letter x of b, c, d decomposes as (1, x) over the shifted sequence
-    when ω₁ is the symbol of x and as (a, x) otherwise, so x is trivial
-    exactly when every symbol of the sequence is its symbol: the
-    sequence is ``:s`` for the symbol s of x.  A reduced word of length
-    >= 2 either moves the first level (odd number of a's) or splits into
-    two strictly shorter restrictions, so the recursion terminates.
-    Results are memoised per (sequence, word).
-    """
-    return _is_trivial(g.omega, g.word)
-
-
-def equal(g: GroupElement, h: GroupElement) -> bool:
-    if g.omega != h.omega:
-        raise OmegaMismatchError(f"{g.omega} vs {h.omega}")
-    return is_trivial(g * h.inverse())
-
-
 _A_KEY = (True, "1", "1")
 
 
@@ -223,10 +193,47 @@ def _combine(omega: OmegaSequence, swap: bool, k0, k1):
 
 @lru_cache(maxsize=None)
 def _canonical_key(omega: OmegaSequence, word: str):
+    """The portrait key of a reduced word, over any sequence.
+
+    A letter x of b, c, d decomposes as (1, x) over the shifted sequence
+    when ω₁ is the symbol of x and as (a, x) otherwise, so x is trivial
+    exactly when every symbol of the sequence is its symbol: over ``:s``
+    the leaf of the letter whose symbol is s is "1".  A reduced word of
+    length >= 2 splits into two strictly shorter restrictions, so the
+    recursion terminates.  _combine gives "1" exactly when the swap flag
+    is off and both restriction keys are "1", so by induction on word
+    length the key is "1" exactly on the trivial words, over every
+    sequence.  That its other leaves tell automorphisms apart needs the
+    gate of canonical_key.
+    """
     if len(word) <= 1:
-        return _A_KEY if word == "a" else word or "1"
+        if word == "a":
+            return _A_KEY
+        if not word or (not omega.preperiod and omega.period == LETTER_SYMBOL[word]):
+            return "1"
+        return word
     swap, shifted, w0, w1 = _sections(omega, word)
     return _combine(omega, swap, _canonical_key(shifted, w0), _canonical_key(shifted, w1))
+
+
+@lru_cache(maxsize=None)
+def _is_trivial(omega: OmegaSequence, word: str) -> bool:
+    return _canonical_key(omega, word) == "1"
+
+
+def is_trivial(g: GroupElement) -> bool:
+    """Decide the word problem, over any sequence: g is trivial exactly
+    when the portrait key of its word is "1", which needs no gate.
+
+    Results are memoised per (sequence, word).
+    """
+    return _is_trivial(g.omega, g.word)
+
+
+def equal(g: GroupElement, h: GroupElement) -> bool:
+    if g.omega != h.omega:
+        raise OmegaMismatchError(f"{g.omega} vs {h.omega}")
+    return is_trivial(g * h.inverse())
 
 
 def canonical_key(g: GroupElement):
@@ -234,19 +241,21 @@ def canonical_key(g: GroupElement):
 
     The key is read off the words by the wreath recursion: the empty word
     is the leaf "1", the word "a" is (True, "1", "1"), a letter b, c, d
-    is its own leaf, and any longer word yields the triple (swap flag,
-    key of left restriction, key of right restriction).  Two triples
-    collapse to the leaf of the element they portray: (False, "1", "1")
-    to "1", and (False, key of passive_letter(omega, x), x) to x, since
-    that is how x itself decomposes.
+    is its own leaf (or "1" over ``:s`` for the letter whose symbol is
+    s), and any longer word yields the triple (swap flag, key of left
+    restriction, key of right restriction).  Two triples collapse to the
+    leaf of the element they portray: (False, "1", "1") to "1", and
+    (False, key of passive_letter(omega, x), x) to x, since that is how
+    x itself decomposes.
 
-    By induction on word length the key equals the semantic portrait in
-    which "1" marks exactly the trivial element and x exactly the
-    elements equal to the letter x, so it depends on the automorphism
-    only and tells automorphisms apart.  The induction needs b, c and d
-    to be nontrivial and pairwise distinct over every shift of the
-    sequence.  A repetition-free sequence guarantees that; for any other
-    sequence UnsupportedOmegaError is raised.
+    The key is "1" exactly on the trivial words over every sequence;
+    is_trivial reads it so.  By induction on word length the key equals
+    the semantic portrait in which x marks exactly the elements equal to
+    the letter x, so it depends on the automorphism only and tells
+    automorphisms apart.  That induction needs b, c and d to be
+    nontrivial and pairwise distinct over every shift of the sequence.
+    A repetition-free sequence guarantees that; for any other sequence
+    UnsupportedOmegaError is raised.
     """
     if not g.omega.is_repetition_free():
         raise UnsupportedOmegaError(
@@ -261,33 +270,14 @@ def _extensions(word: str) -> str:
     return BCD if word[-1] == "a" else "a"
 
 
-class ElementBall:
-    """Distinct group elements of length at most max_len.
+@lru_cache(maxsize=None)
+def enumerate_ball(omega: OmegaSequence, max_len: int) -> tuple[GroupElement, ...]:
+    """The distinct elements of length at most max_len, grown sphere by
+    sphere.
 
     Each element is represented by the first of its shortest reduced
     words in breadth-first order, deduplicated by canonical key.  The
-    sphere of length n is grown from the representatives of the sphere
-    of length n - 1 only: every prefix of a shortest word is itself a
-    shortest word, so no element of the sphere is missed.  Contains the
-    identity and is closed under inverses.
-    """
-
-    def __init__(self, omega: OmegaSequence, max_len: int,
-                 elements: tuple[GroupElement, ...]):
-        self.omega = omega
-        self.max_len = max_len
-        self.elements = elements
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-
-@lru_cache(maxsize=None)
-def enumerate_ball(omega: OmegaSequence, max_len: int) -> ElementBall:
-    """The ball of radius max_len, grown sphere by sphere.
+    ball contains the identity and is closed under inverses.
 
     The candidates of length n are r + s for each representative r of
     the sphere of length n - 1 and each letter s that keeps r + s
@@ -337,7 +327,7 @@ def enumerate_ball(omega: OmegaSequence, max_len: int) -> ElementBall:
                 seen.add(key)
                 elements.append(GroupElement(omega, word))
                 sphere.append(state)
-    return ElementBall(omega, max_len, tuple(elements))
+    return tuple(elements)
 
 
 def element_order(g: GroupElement, cap: int = 64) -> int | None:

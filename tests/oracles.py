@@ -6,10 +6,14 @@ iterative digit scan the production code used to run, and
 ``oracle_letter`` follows the recursive definition on finite binary
 strings, so agreement among the three is meaningful.
 
-The ball enumeration here extends every alternating word and keys it
-with semantic leaf tests through the word problem; the production code
-grows each sphere from the last one's representatives and reads its
-leaves off the syntax.  A second reference grows the spheres the same
+The word problem here is its own recursion: a word is trivial when it
+fixes the first level and both of its restrictions are trivial.  The
+production code reads it off the portrait key instead, which is "1"
+exactly on the trivial words.  The ball enumeration here extends every
+alternating word and keys it with semantic leaf tests through that
+word problem, so it shares no recursion with the key; the production
+code grows each sphere from the last one's representatives and reads
+its leaves off the syntax.  A second reference grows the spheres the same
 way but keys each candidate by a pass over its whole word; the
 production code carries each representative's restriction words and
 extends them by the candidate's last letter.  The wreath recursion here
@@ -31,14 +35,7 @@ element at a time; the production code tests the classes of equal δ.
 from functools import lru_cache
 
 from grigcube.cubes import CubeVertex, fixes
-from grigcube.elements import (
-    GroupElement,
-    canonical_key,
-    decompose,
-    enumerate_ball,
-    is_trivial,
-    reduce_word,
-)
+from grigcube.elements import GroupElement, canonical_key, enumerate_ball, reduce_word
 from grigcube.gamma import Ray, ZERO_RAY, in_gamma_plus, in_gamma_plus_tilde, line_apply
 from grigcube.omega import LETTER_SYMBOL, OmegaSequence, passive_letter
 
@@ -116,20 +113,38 @@ def word_is_trivial_on_level(word: str, omega: OmegaSequence, level: int) -> boo
 
 
 @lru_cache(maxsize=None)
+def oracle_is_trivial(omega: OmegaSequence, word: str) -> bool:
+    """The word problem for a reduced word, by contraction: a letter x of
+    b, c, d is trivial exactly over ``:s`` for the symbol s of x, and a
+    longer word exactly when it fixes the first level and both of its
+    restrictions are trivial."""
+    if len(word) <= 1:
+        return not word or (word != "a" and not omega.preperiod
+                            and omega.period == LETTER_SYMBOL[word])
+    if word.count("a") % 2:
+        return False
+    _, left, right = oracle_sections(omega, word)
+    shifted = omega.shift()
+    return oracle_is_trivial(shifted, left) and oracle_is_trivial(shifted, right)
+
+
+@lru_cache(maxsize=None)
 def oracle_key(omega: OmegaSequence, word: str):
-    """Portrait key whose leaves are decided by the word problem: "1" for
-    the trivial element, x for anything equal to the letter x."""
-    g = GroupElement.from_word(omega, word)
-    if is_trivial(g):
+    """Portrait key whose leaves are decided by the word problem of
+    oracle_is_trivial: "1" for the trivial element, x for anything equal
+    to the letter x."""
+    word = reduce_word(word)
+    if oracle_is_trivial(omega, word):
         return "1"
-    if len(g.word) == 1 and g.word in "bcd":
-        return g.word
-    if len(g.word) > 1:
+    if len(word) == 1 and word in "bcd":
+        return word
+    if len(word) > 1:
         for letter in "bcd":
-            if is_trivial(GroupElement.from_word(omega, g.word + letter)):
+            if oracle_is_trivial(omega, reduce_word(word + letter)):
                 return letter
-    swap, g0, g1 = decompose(g)
-    return swap, oracle_key(g0.omega, g0.word), oracle_key(g1.omega, g1.word)
+    swap, left, right = oracle_sections(omega, word)
+    shifted = omega.shift()
+    return swap, oracle_key(shifted, left), oracle_key(shifted, right)
 
 
 def oracle_ball_words(omega: OmegaSequence, max_len: int) -> tuple[str, ...]:

@@ -28,6 +28,7 @@ from grigcube.omega import OmegaSequence
 
 from oracles import (
     oracle_ball_words,
+    oracle_is_trivial,
     oracle_key,
     oracle_sections,
     oracle_sphere_ball,
@@ -38,6 +39,8 @@ from oracles import (
 
 OM = OmegaSequence.parse(":012")
 OM01 = OmegaSequence.parse(":01")
+
+ORACLE_OMEGAS = (":012", ":01", ":02", ":12", "2:01", "0:12", "21:0102")
 
 
 # strategy for arbitrary (unreduced) generator words
@@ -356,11 +359,15 @@ class TestTrivialLetters:
         for text, letter in ((":0", "d"), (":1", "c"), (":2", "b")):
             om = OmegaSequence.parse(text)
             assert [x for x in "abcd" if is_trivial(GroupElement(om, x))] == [letter]
+            assert [x for x in "abcd" if _canonical_key(om, x) == "1"] == [letter]
         for text in ("1:0", "0:1", ":01", ":012"):
             om = OmegaSequence.parse(text)
             assert not any(is_trivial(GroupElement(om, x)) for x in "abcd")
+            assert not any(_canonical_key(om, x) == "1" for x in "abcd")
 
-    @pytest.mark.parametrize("text", [":0", "1:0", "0:1", ":001", "00:12", ":012"])
+    @pytest.mark.parametrize(
+        "text", (":0", ":1", ":2", "1:0", "0:1", ":001", ":0011", "00:12") + ORACLE_OMEGAS
+    )
     def test_trivial_exactly_when_action_is(self, text):
         # trivial words fix the window and level 10; a word that fixes
         # the window is trivial on these samples
@@ -374,6 +381,16 @@ class TestTrivialLetters:
                 assert on_window and word_is_trivial_on_level(g.word, om, 10), g.word
             else:
                 assert not on_window, g.word
+            assert is_trivial(g) == oracle_is_trivial(om, g.word), g.word
+        # reduced words of up to 40 letters and their powers, about a
+        # quarter of them trivial, against the oracle's own recursion
+        for _ in range(300):
+            root = _alternating(rng.choice("abcd") for _ in range(rng.randint(1, 80)))
+            for k in (1, 2, 4, 8):
+                word = reduce_word(root[:40] * k)
+                if len(word) > 40:
+                    break
+                assert is_trivial(GroupElement(om, word)) == oracle_is_trivial(om, word), word
 
 
 class TestCanonicalKey:
@@ -395,7 +412,8 @@ class TestCanonicalKey:
     def test_key_collision_is_equality(self, v, w):
         g = GroupElement.from_word(OM, v)
         h = GroupElement.from_word(OM, w)
-        assert (canonical_key(g) == canonical_key(h)) == equal(g, h)
+        same = oracle_is_trivial(OM, (g * h.inverse()).word)
+        assert (canonical_key(g) == canonical_key(h)) == same
 
     def test_requires_repetition_free(self):
         om = OmegaSequence.parse(":0")
@@ -433,9 +451,6 @@ class TestBall:
         assert small <= big
 
 
-ORACLE_OMEGAS = (":012", ":01", ":02", ":12", "2:01", "0:12", "21:0102")
-
-
 class TestAgainstOracle:
     """Sphere growth with syntactic keys against the word-BFS ball and the
     semantic keys of tests/oracles.py."""
@@ -459,8 +474,8 @@ class TestAgainstOracle:
             by_key.setdefault(canonical_key(p), []).append(i)
             by_oracle.setdefault(oracle_key(om, p.word), []).append(i)
         assert sorted(by_key.values()) == sorted(by_oracle.values())
-        # equal() against the first product of the same class and of
-        # another class picked by a fixed stride
+        # the oracle word problem against the first product of the same
+        # class and of another class picked by a fixed stride
         first = {i: members[0] for members in by_key.values() for i in members}
         heads = [members[0] for members in by_key.values()]
         for i, p in enumerate(products):
@@ -468,7 +483,7 @@ class TestAgainstOracle:
                 q = products[j]
                 same_key = canonical_key(p) == canonical_key(q)
                 assert same_key == (oracle_key(om, p.word) == oracle_key(om, q.word))
-                assert same_key == equal(p, q)
+                assert same_key == oracle_is_trivial(om, (p * q.inverse()).word)
 
 
 class TestSectionsStep:
