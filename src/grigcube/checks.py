@@ -31,8 +31,9 @@ from .gamma import (
 )
 from .omega import OmegaSequence, fixing_letter
 from .stabilizers import (
-    StabilizerTarget,
     stabilizer_in_ball,
+    stabilizes_gamma_plus,
+    stabilizes_gamma_plus_tilde,
     stabilizer_bound_check,
     subgroup_closure,
     verify_restriction_lemma,
@@ -147,14 +148,15 @@ def check_stab(omega: OmegaSequence, max_len: int = 10) -> list[CheckReport]:
     a = GroupElement(omega, "a")
 
     started = time.monotonic()
-    plus = stabilizer_in_ball(omega, StabilizerTarget.GAMMA_PLUS, max_len)
+    plus = stabilizer_in_ball(omega, stabilizes_gamma_plus, max_len)
+    plus_keys = {canonical_key(g) for g in plus.elements}
     generated = {canonical_key(g) for g in subgroup_closure([a, u])}
     problems = []
     if plus.order != 8:
         problems.append(f"order {plus.order}")
     if plus.recognized_type != "D8":
         problems.append(f"type {plus.recognized_type}")
-    if {canonical_key(g) for g in plus.elements} != generated:
+    if plus_keys != generated:
         problems.append("not generated by a and the fixing letter")
     if element_order(a * u) != 4:
         problems.append(f"a*{u.word} has order {element_order(a * u)}")
@@ -164,7 +166,7 @@ def check_stab(omega: OmegaSequence, max_len: int = 10) -> list[CheckReport]:
     )
 
     started = time.monotonic()
-    tilde = stabilizer_in_ball(omega, StabilizerTarget.GAMMA_PLUS_TILDE, max_len)
+    tilde = stabilizer_in_ball(omega, stabilizes_gamma_plus_tilde, max_len)
     problems = []
     if {g.word for g in tilde.elements} != {"", "b", "c", "d"}:
         problems.append(f"elements {[g.word for g in tilde.elements]}")
@@ -178,7 +180,6 @@ def check_stab(omega: OmegaSequence, max_len: int = 10) -> list[CheckReport]:
     )
 
     started = time.monotonic()
-    plus_keys = {canonical_key(g) for g in plus.elements}
     both = [g for g in tilde.elements if canonical_key(g) in plus_keys]
     expected = {"", u.word}
     counterexample = None
@@ -253,7 +254,7 @@ def check_commensuration(
                 "escaped": sorted(ray_at(t).text() for t in escaped),
             }
             break
-        if wide != commensuration_delta(omega, g):
+        if wide != commensuration_delta(g):
             counterexample = {"word": g.word, "mismatch": True}
             break
     reports = [
@@ -268,8 +269,7 @@ def check_commensuration(
         g = GroupElement(omega, _random_word(rng, 8))
         h = GroupElement(omega, _random_word(rng, 8))
         v = _random_vertex(rng)
-        product_image = act(omega, g * h, v)
-        if product_image != act(omega, g, act(omega, h, v)):
+        if act(g * h, v) != act(g, act(h, v)):
             counterexample = {"g": g.word, "h": h.word, "vertex": v.text()}
             break
     reports.append(
@@ -279,7 +279,7 @@ def check_commensuration(
     return reports
 
 
-def faithfulness_witnesses(omega: OmegaSequence) -> tuple[CubeVertex, ...]:
+def faithfulness_witnesses() -> tuple[CubeVertex, ...]:
     v0 = base_vertex()
     v1 = v0.flip(ZERO_RAY)
     v2 = v1.flip(Ray("101"))
@@ -289,12 +289,12 @@ def faithfulness_witnesses(omega: OmegaSequence) -> tuple[CubeVertex, ...]:
 def check_faithful(omega: OmegaSequence, max_len: int = 8) -> list[CheckReport]:
     """Every nontrivial ball element moves one of three witness vertices."""
     started = time.monotonic()
-    witnesses = faithfulness_witnesses(omega)
+    witnesses = faithfulness_witnesses()
     counterexample = None
     for g in enumerate_ball(omega, max_len):
         if is_trivial(g):
             continue
-        if all(fixes(omega, g, v) for v in witnesses):
+        if all(fixes(g, v) for v in witnesses):
             counterexample = {"word": g.word}
             break
     return [

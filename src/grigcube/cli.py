@@ -92,7 +92,7 @@ def _cmd_act(args) -> int:
     omega = OmegaSequence.parse(args.omega)
     g = GroupElement.from_word(omega, args.word)
     vertex = CubeVertex.parse(args.vertex)
-    image = act(omega, g, vertex)
+    image = act(g, vertex)
     print(json.dumps({
         "result": image.text(),
         "distance": distance(vertex, image),

@@ -18,6 +18,10 @@ Whether g fixes v is asked far more often than where g sends it, so
 ``fixes`` answers that without building the image: g permutes ℤ, and a
 size test on the cached δ(g) rejects most pairs before any point of the
 delta is moved.
+
+An element carries its sequence, so ``commensuration_delta``, ``act``
+and ``fixes`` read it off g; only ``orbit_growth``, which enumerates a
+ball, is given one.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
-from .elements import GroupElement, OmegaMismatchError, enumerate_ball
+from .elements import GroupElement, enumerate_ball
 from .gamma import Ray, _coordinate, _push, in_gamma_plus, ray_at
 from .omega import OmegaSequence
 
@@ -84,26 +88,22 @@ def _commensuration(omega: OmegaSequence, word: str) -> frozenset:
     return frozenset(_push(omega, word, (), cocycle=True))
 
 
-def commensuration_delta(omega: OmegaSequence, g: GroupElement) -> frozenset:
+def commensuration_delta(g: GroupElement) -> frozenset:
     """δ(g) = Γ₊ Δ gΓ₊, the line coordinates g moves across the half-line
-    boundary; g must be over omega."""
-    if omega != g.omega:
-        raise OmegaMismatchError(f"{omega} vs {g.omega}")
-    return _commensuration(omega, g.word)
+    boundary."""
+    return _commensuration(g.omega, g.word)
 
 
-def act(omega: OmegaSequence, g: GroupElement, v: CubeVertex) -> CubeVertex:
+def act(g: GroupElement, v: CubeVertex) -> CubeVertex:
     """Image of a vertex: the cocycle push started from v.delta.
 
     Started from ∅ the push builds δ(g); started from v.delta it builds
     δ(g) Δ g·v.delta, because δ(gh) = δ(g) Δ g·δ(h) letter by letter.
     """
-    if omega != g.omega:
-        raise OmegaMismatchError(f"{omega} vs {g.omega}")
-    return CubeVertex(frozenset(_push(omega, g.word, v.delta, cocycle=True)))
+    return CubeVertex(frozenset(_push(g.omega, g.word, v.delta, cocycle=True)))
 
 
-def fixes(omega: OmegaSequence, g: GroupElement, v: CubeVertex) -> bool:
+def fixes(g: GroupElement, v: CubeVertex) -> bool:
     """Whether g fixes v: the answer of comparing v with its image under act.
 
     g·v has delta δ(g) Δ g·v.delta, so g fixes v exactly when
@@ -112,8 +112,8 @@ def fixes(omega: OmegaSequence, g: GroupElement, v: CubeVertex) -> bool:
     the delta pushed through g; its |v.delta| images are distinct, so
     they make up the target exactly when they all lie in it.
     """
-    target = commensuration_delta(omega, g) ^ v.delta
-    return len(target) == len(v.delta) and target.issuperset(_push(omega, g.word, v.delta))
+    target = commensuration_delta(g) ^ v.delta
+    return len(target) == len(v.delta) and target.issuperset(_push(g.omega, g.word, v.delta))
 
 
 def distance(v: CubeVertex, w: CubeVertex) -> int:
@@ -139,7 +139,7 @@ def orbit_growth(omega: OmegaSequence, v: CubeVertex, max_len: int) -> list[Orbi
     rows = []
     for length in range(max_len + 1):
         for g in by_length.get(length, ()):
-            d = distance(v, act(omega, g, v))
+            d = distance(v, act(g, v))
             if d > best:
                 best, witness = d, g.word
         rows.append(OrbitRow(length, best, witness))

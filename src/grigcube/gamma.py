@@ -114,7 +114,7 @@ def _jump(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def line_coordinate(omega: OmegaSequence, x: Ray) -> int:
+def line_coordinate(x: Ray) -> int:
     """Signed distance from the all-zero ray, positive on the gamma plus side.
 
     The digit formula: c(ε) = 0, a 0 at position n keeps c and a 1
@@ -124,8 +124,8 @@ def line_coordinate(omega: OmegaSequence, x: Ray) -> int:
     t ≥ 0.  Every edge joins t to t ± 1 (see _push), so |c(x)| is
     the edge distance from the all-zero ray.  The formula reads digits
     only, so it holds for every sequence; ω decides the edge labels, not
-    the positions.  Memoised per (sequence, ray), because a traced run
-    reports the counters of this table.
+    the positions.  Memoised per ray, because a traced run reports the
+    counters of this table.
     """
     return _coordinate(x.digits)
 
@@ -227,7 +227,7 @@ def line_apply(omega: OmegaSequence, word: str, t: int) -> int:
     return _push(omega, word, (t,))[0]
 
 
-def ball(omega: OmegaSequence, center: Ray, radius: int) -> set[Ray]:
+def ball(center: Ray, radius: int) -> set[Ray]:
     """Vertices within the given edge distance of the center.
 
     The line is ℤ for every sequence, so the ball is the interval of
@@ -236,10 +236,6 @@ def ball(omega: OmegaSequence, center: Ray, radius: int) -> set[Ray]:
     """
     c = _coordinate(center.digits)
     return {ray_at(t) for t in range(c - radius, c + radius + 1)}
-
-
-def _sort_key(omega: OmegaSequence):
-    return lambda v: (line_coordinate(omega, v), v.digits)
 
 
 def ball_edges(omega: OmegaSequence, center: Ray, radius: int) -> list[LabelledEdge]:
@@ -269,7 +265,7 @@ def edge_records(omega: OmegaSequence, radius: int, center: Ray = ZERO_RAY) -> l
 
 def to_dot(omega: OmegaSequence, radius: int, center: Ray = ZERO_RAY) -> str:
     """Graphviz source for the ball graph, stable-sorted."""
-    vertices = sorted(ball(omega, center, radius), key=_sort_key(omega))
+    vertices = sorted(ball(center, radius), key=line_coordinate)
     lines = ["graph schreier {", "  node [shape=circle];"]
     lines += [f'  "{v.text()}";' for v in vertices]
     lines += [

@@ -4,16 +4,18 @@ All computations here are restricted to an enumerated ball of elements;
 nothing is claimed about elements beyond that ball.  For the half-line
 and its punctured variant the ball already exhibits the full stabilizer
 (a dihedral group of order 8 and a Klein four group).
+
+The membership tests read the sequence off their elements; only the
+functions that enumerate a ball are given one.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from random import Random
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .elements import (
     GroupElement,
@@ -28,23 +30,18 @@ from .gamma import _push, ray_at
 from .omega import OmegaSequence
 
 
-class StabilizerTarget(Enum):
-    GAMMA_PLUS = "gamma_plus"
-    GAMMA_PLUS_TILDE = "gamma_plus_tilde"
-
-
-def stabilizes_gamma_plus(omega: OmegaSequence, g: GroupElement) -> bool:
+def stabilizes_gamma_plus(g: GroupElement) -> bool:
     """Whether g preserves the right half-line setwise: δ(g) = ∅."""
-    return not commensuration_delta(omega, g)
+    return not commensuration_delta(g)
 
 
-def stabilizes_gamma_plus_tilde(omega: OmegaSequence, g: GroupElement) -> bool:
+def stabilizes_gamma_plus_tilde(g: GroupElement) -> bool:
     """Whether g preserves the punctured right half-line setwise.
 
     The punctured half-line Γ₊ Δ {0} is the cube vertex with delta {0},
     so g stabilizes it exactly when g fixes that vertex.
     """
-    return fixes(omega, g, _PUNCTURED)
+    return fixes(g, _PUNCTURED)
 
 
 _PUNCTURED = CubeVertex(frozenset({0}))
@@ -130,25 +127,18 @@ def _recognize(elements: tuple, table: tuple | None) -> str:
 
 def stabilizer_in_ball(
     omega: OmegaSequence,
-    target,
+    stabilizes: Callable[[GroupElement], bool],
     max_len: int,
 ) -> SmallGroupTable:
-    """Elements of the length ball that stabilize the target.
+    """Elements of the length ball that pass a membership test.
 
-    The target is one of the StabilizerTarget sets or a CubeVertex.  The
-    multiplication table is built when the subset is closed within
-    itself, and small isomorphism types are recognized from element
-    orders and commutativity.
+    The test is stabilizes_gamma_plus, stabilizes_gamma_plus_tilde or,
+    for a cube vertex v, ``lambda g: fixes(g, v)``.  The multiplication
+    table is built when the subset is closed within itself, and small
+    isomorphism types are recognized from element orders and
+    commutativity.
     """
-    if target is StabilizerTarget.GAMMA_PLUS:
-        keep = lambda g: stabilizes_gamma_plus(omega, g)
-    elif target is StabilizerTarget.GAMMA_PLUS_TILDE:
-        keep = lambda g: stabilizes_gamma_plus_tilde(omega, g)
-    elif isinstance(target, CubeVertex):
-        keep = lambda g: fixes(omega, g, target)
-    else:
-        raise TypeError(f"unsupported stabilizer target {target!r}")
-    elements = tuple(g for g in enumerate_ball(omega, max_len) if keep(g))
+    elements = tuple(g for g in enumerate_ball(omega, max_len) if stabilizes(g))
     table = _build_table(elements)
     if table is not None:
         _validate_table(table, Random(0))
@@ -179,9 +169,7 @@ def subgroup_closure(generators: Iterable[GroupElement], max_order: int = 64) ->
     return tuple(found.values())
 
 
-def fixed_vertex_for_subgroup(
-    omega: OmegaSequence, subgroup: Iterable[GroupElement]
-) -> CubeVertex:
+def fixed_vertex_for_subgroup(subgroup: Iterable[GroupElement]) -> CubeVertex:
     """A cube vertex fixed by every element of a finite subgroup.
 
     The vertex colours the union of the subgroup translates of the right
@@ -200,10 +188,10 @@ def fixed_vertex_for_subgroup(
             if canonical_key(g * h) not in keys:
                 raise ValueError(f"not closed under product: {g.word!r} * {h.word!r}")
     vertex = CubeVertex(frozenset(
-        t for h in elements for t in commensuration_delta(omega, h) if t < 0
+        t for h in elements for t in commensuration_delta(h) if t < 0
     ))
     for h in elements:
-        if not fixes(omega, h, vertex):
+        if not fixes(h, vertex):
             raise AssertionError(f"candidate vertex moved by {h.word!r}")
     return vertex
 
@@ -225,7 +213,7 @@ def _delta_classes(omega: OmegaSequence, max_len: int) -> tuple:
     """
     classes = defaultdict(list)
     for g in enumerate_ball(omega, max_len):
-        classes[commensuration_delta(omega, g)].append(g.word)
+        classes[commensuration_delta(g)].append(g.word)
     return tuple((delta, tuple(words)) for delta, words in classes.items())
 
 
@@ -236,7 +224,7 @@ def stabilizer_bound_check(
 
     n is the smallest even integer bounding the digit length of every
     ray in the delta of v.  The order counts the ball elements g that
-    fix v, as fixes(omega, g, v) would: the size test runs once per
+    fix v, as fixes(g, v) would: the size test runs once per
     class of equal δ(g), and v.delta is pushed only through the words of
     the classes that pass it.
     """
@@ -285,29 +273,28 @@ def verify_restriction_lemma(omega: OmegaSequence, max_len: int) -> RestrictionR
     always even, while g0 carrying the half-line onto the punctured
     half-line means δ(g0) = {0}, which is odd.
     """
-    shifted = omega.shift()
     counts = {"half_line": 0, "punctured": 0, "swapping": 0}
     violations = []
     ball_elements = enumerate_ball(omega, max_len)
     for g in ball_elements:
         level1 = stabilizes_level1(g)
-        stab_plus = stabilizes_gamma_plus(omega, g)
-        stab_tilde = stabilizes_gamma_plus_tilde(omega, g)
+        stab_plus = stabilizes_gamma_plus(g)
+        stab_tilde = stabilizes_gamma_plus_tilde(g)
         if not (stab_plus or stab_tilde):
             continue
         _, g0, g1 = decompose(g)
         if level1 and stab_plus:
             counts["half_line"] += 1
             if not (
-                stabilizes_gamma_plus_tilde(shifted, g0)
-                and stabilizes_gamma_plus_tilde(shifted, g1)
+                stabilizes_gamma_plus_tilde(g0)
+                and stabilizes_gamma_plus_tilde(g1)
             ):
                 violations.append(f"{g.word or '1'}: half_line")
         if level1 and stab_tilde:
             counts["punctured"] += 1
             if not (
-                stabilizes_gamma_plus(shifted, g0)
-                and stabilizes_gamma_plus_tilde(shifted, g1)
+                stabilizes_gamma_plus(g0)
+                and stabilizes_gamma_plus_tilde(g1)
             ):
                 violations.append(f"{g.word or '1'}: punctured")
         if not level1 and stab_tilde:

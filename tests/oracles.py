@@ -314,4 +314,4 @@ def oracle_cocycle(omega: OmegaSequence, word: str) -> frozenset:
 
 def oracle_stabilizer_order(omega: OmegaSequence, v: CubeVertex, max_len: int) -> int:
     """How many elements of the ball fix v, one fixes call per element."""
-    return sum(fixes(omega, g, v) for g in enumerate_ball(omega, max_len))
+    return sum(fixes(g, v) for g in enumerate_ball(omega, max_len))

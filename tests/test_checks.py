@@ -125,7 +125,7 @@ def test_locality_reports_a_wrong_delta(monkeypatch):
     # the scan must be able to fail: a δ one point off is a mismatch
     true_delta = grigcube.checks.commensuration_delta
     monkeypatch.setattr(grigcube.checks, "commensuration_delta",
-                        lambda omega, g: true_delta(omega, g) ^ {5})
+                        lambda g: true_delta(g) ^ {5})
     report = check_commensuration(OM, words=20, triples=0)[0]
     assert report.check == "commensuration_locality"
     assert report.status == "fail"

@@ -70,14 +70,14 @@ class TestHalfLines:
 class TestNeighbors:
     def test_degree_four_with_labels(self):
         for om in ALL_OMEGAS:
-            for x in ball(om, ZERO_RAY, 6):
+            for x in ball(ZERO_RAY, 6):
                 edges = neighbors(om, x)
                 assert sorted(e.label for e in edges) == ["a", "b", "c", "d"]
                 assert all(e.source == x for e in edges)
 
     def test_neighbor_targets_match_action(self):
         for om in ALL_OMEGAS:
-            for x in ball(om, ZERO_RAY, 5):
+            for x in ball(ZERO_RAY, 5):
                 for e in neighbors(om, x):
                     g = GroupElement.from_word(om, e.label)
                     assert oracle_apply(g, x) == e.target
@@ -86,7 +86,7 @@ class TestNeighbors:
         # one fixed letter, one letter matching the a-edge, and a
         # double edge from the remaining two letters
         for om in ALL_OMEGAS:
-            for x in ball(om, ZERO_RAY, 8):
+            for x in ball(ZERO_RAY, 8):
                 targets = {}
                 for e in neighbors(om, x):
                     targets.setdefault(e.target, []).append(e.label)
@@ -98,48 +98,46 @@ class TestNeighbors:
 
 class TestBall:
     def test_two_ended_line_sizes(self):
-        for om in ALL_OMEGAS:
-            for radius in (0, 1, 2, 3, 10, 40):
-                assert len(ball(om, ZERO_RAY, radius)) == 2 * radius + 1
+        for radius in (0, 1, 2, 3, 10, 40):
+            assert len(ball(ZERO_RAY, radius)) == 2 * radius + 1
 
     def test_ball_membership(self):
-        b2 = {x.text() for x in ball(OM, ZERO_RAY, 2)}
+        b2 = {x.text() for x in ball(ZERO_RAY, 2)}
         assert b2 == {"0inf", "1", "01", "101", "11"}
 
     def test_off_center(self):
-        b1 = {x.text() for x in ball(OM, Ray.parse("1"), 1)}
+        b1 = {x.text() for x in ball(Ray.parse("1"), 1)}
         assert b1 == {"0inf", "1", "101"}
 
 
 class TestLineCoordinate:
     def test_examples(self):
-        assert line_coordinate(OM, ZERO_RAY) == 0
-        assert line_coordinate(OM, Ray.parse("1")) == 1
-        assert line_coordinate(OM, Ray.parse("101")) == 2
-        assert line_coordinate(OM, Ray.parse("01")) == -1
-        assert line_coordinate(OM, Ray.parse("11")) == -2
+        assert line_coordinate(ZERO_RAY) == 0
+        assert line_coordinate(Ray.parse("1")) == 1
+        assert line_coordinate(Ray.parse("101")) == 2
+        assert line_coordinate(Ray.parse("01")) == -1
+        assert line_coordinate(Ray.parse("11")) == -2
 
     def test_sign_tracks_half_line(self):
-        for x in ball(OM, ZERO_RAY, 12):
-            coordinate = line_coordinate(OM, x)
+        for x in ball(ZERO_RAY, 12):
+            coordinate = line_coordinate(x)
             assert (coordinate >= 0) == in_gamma_plus(x)
             assert (coordinate > 0) == in_gamma_plus_tilde(x)
 
     def test_bijective_onto_interval(self):
-        for om in ALL_OMEGAS:
-            coords = sorted(line_coordinate(om, x) for x in ball(om, ZERO_RAY, 9))
-            assert coords == list(range(-9, 10))
+        coords = sorted(line_coordinate(x) for x in ball(ZERO_RAY, 9))
+        assert coords == list(range(-9, 10))
 
     def test_a_edge_crosses_origin(self):
         a = GroupElement.from_word(OM, "a")
-        assert line_coordinate(OM, apply(a, ZERO_RAY)) == 1
+        assert line_coordinate(apply(a, ZERO_RAY)) == 1
 
     def test_neighbors_are_adjacent_coordinates(self):
         for om in ALL_OMEGAS:
-            for x in ball(om, ZERO_RAY, 10):
-                c = line_coordinate(om, x)
+            for x in ball(ZERO_RAY, 10):
+                c = line_coordinate(x)
                 for e in neighbors(om, x):
-                    assert abs(line_coordinate(om, e.target) - c) <= 1
+                    assert abs(line_coordinate(e.target) - c) <= 1
 
 
 # sequences with and without repetition: the line model needs neither
@@ -159,16 +157,16 @@ class TestClosedFormAgainstOracle:
     def test_coordinates_and_ball_at_radius_200(self, searched):
         om, coordinates = searched
         near = {x for x, t in coordinates.items() if abs(t) <= 200}
-        assert ball(om, ZERO_RAY, 200) == near == oracle_ball(om, ZERO_RAY, 200)
+        assert ball(ZERO_RAY, 200) == near == oracle_ball(om, ZERO_RAY, 200)
         for x in near:
-            assert line_coordinate(om, x) == coordinates[x]
+            assert line_coordinate(x) == coordinates[x]
             assert ray_at(coordinates[x]) == x
 
     def test_off_center_ball(self, searched):
         om, coordinates = searched
         for text in ("1", "11", "1101", "0001"):
             center = Ray.parse(text)
-            assert ball(om, center, 7) == oracle_ball(om, center, 7)
+            assert ball(center, 7) == oracle_ball(om, center, 7)
 
     def test_ball_edges(self, searched):
         # every interval pushed through each letter at once against the
@@ -195,11 +193,11 @@ class TestClosedFormAgainstOracle:
 
     @given(st.integers(min_value=-(2**41), max_value=2**41))
     def test_ray_at_inverts_the_coordinate(self, t):
-        assert line_coordinate(OM, ray_at(t)) == t
+        assert line_coordinate(ray_at(t)) == t
 
     @given(st.text(alphabet="01", max_size=40).map(Ray.from_digits))
     def test_coordinate_inverts_ray_at(self, x):
-        assert ray_at(line_coordinate(OM, x)) == x
+        assert ray_at(line_coordinate(x)) == x
 
     def test_half_lines_are_signs(self):
         for t in range(-300, 301):
@@ -210,10 +208,10 @@ class TestClosedFormAgainstOracle:
     def test_words_act_letter_by_letter(self, word, t):
         g = GroupElement.from_word(OM, word)
         assert line_apply(OM, word, t) == line_apply(OM, g.word, t)
-        assert line_coordinate(OM, oracle_apply(g, ray_at(t))) == line_apply(OM, g.word, t)
+        assert line_coordinate(oracle_apply(g, ray_at(t))) == line_apply(OM, g.word, t)
 
     def test_negative_radius_is_empty(self):
-        assert ball(OM, ZERO_RAY, -1) == set()
+        assert ball(ZERO_RAY, -1) == set()
 
 
 class TestUnlabelledShape:
@@ -223,8 +221,8 @@ class TestUnlabelledShape:
         def shape(om, radius):
             return sorted(
                 (
-                    min(line_coordinate(om, e.source), line_coordinate(om, e.target)),
-                    max(line_coordinate(om, e.source), line_coordinate(om, e.target)),
+                    min(line_coordinate(e.source), line_coordinate(e.target)),
+                    max(line_coordinate(e.source), line_coordinate(e.target)),
                 )
                 for e in ball_edges(om, ZERO_RAY, radius)
             )
@@ -236,7 +234,7 @@ class TestUnlabelledShape:
     def test_labels_do_differ(self):
         def labelled(om):
             return sorted(
-                (line_coordinate(om, e.source), line_coordinate(om, e.target), e.label)
+                (line_coordinate(e.source), line_coordinate(e.target), e.label)
                 for e in ball_edges(om, ZERO_RAY, 4)
             )
 
@@ -295,7 +293,7 @@ class TestFigureFixtures:
 
 class TestEdgeRecordsAndDot:
     def test_records_have_both_endpoints_inside(self):
-        inside = {x.text() for x in ball(OM, ZERO_RAY, 3)}
+        inside = {x.text() for x in ball(ZERO_RAY, 3)}
         for record in edge_records(OM, 3):
             assert record["source"] in inside
             assert record["target"] in inside
@@ -315,6 +313,20 @@ class TestEdgeRecordsAndDot:
     def test_dot_differs_between_sequences(self):
         assert to_dot(OM, 3) != to_dot(OM01, 3)
 
+    def test_sequences_share_the_coordinate_table(self, cold_coordinate_table):
+        # the coordinate of a ray reads no sequence, so two sequences'
+        # balls of radius 20 fill one table of 41 rays
+        to_dot(OM, 20)
+        to_dot(OM01, 20)
+        assert line_coordinate.cache_info().currsize == 41
+
+
+@pytest.fixture
+def cold_coordinate_table():
+    line_coordinate.cache_clear()
+    yield
+    line_coordinate.cache_clear()
+
 
 coordinates = st.integers(min_value=-(2**41), max_value=2**41)
 
@@ -329,11 +341,11 @@ class TestPushAgainstRayOracle:
     @settings(max_examples=60)
     def test_images_in_order(self, om, word, points):
         g = GroupElement.from_word(om, word)
-        expected = [line_coordinate(om, oracle_apply(g, ray_at(t))) for t in points]
+        expected = [line_coordinate(oracle_apply(g, ray_at(t))) for t in points]
         assert _push(om, word, points) == expected
 
     @given(st.text(alphabet="abcd", max_size=14), coordinates)
     @settings(max_examples=60)
     def test_line_apply_is_the_push_of_one_point(self, om, word, t):
         g = GroupElement.from_word(om, word)
-        assert line_apply(om, word, t) == line_coordinate(om, oracle_apply(g, ray_at(t)))
+        assert line_apply(om, word, t) == line_coordinate(oracle_apply(g, ray_at(t)))

@@ -3,7 +3,7 @@ from random import Random
 import pytest
 
 from grigcube.checks import _random_vertex
-from grigcube.cubes import CubeVertex, act, base_vertex, commensuration_delta
+from grigcube.cubes import CubeVertex, act, base_vertex, commensuration_delta, fixes
 from grigcube.elements import (
     GroupElement,
     OmegaMismatchError,
@@ -26,7 +26,6 @@ from grigcube.gamma import (
 )
 from grigcube.omega import OmegaSequence, fixing_letter
 from grigcube.stabilizers import (
-    StabilizerTarget,
     fixed_vertex_for_subgroup,
     stabilizer_bound_check,
     stabilizer_in_ball,
@@ -53,19 +52,19 @@ def element(word, om=OM):
 
 class TestPointwisePredicates:
     def test_generators(self):
-        assert stabilizes_gamma_plus(OM, element("a"))
-        assert stabilizes_gamma_plus(OM, element("d"))
-        assert not stabilizes_gamma_plus(OM, element("b"))
-        assert not stabilizes_gamma_plus(OM, element("c"))
+        assert stabilizes_gamma_plus(element("a"))
+        assert stabilizes_gamma_plus(element("d"))
+        assert not stabilizes_gamma_plus(element("b"))
+        assert not stabilizes_gamma_plus(element("c"))
 
-        assert stabilizes_gamma_plus_tilde(OM, element("b"))
-        assert stabilizes_gamma_plus_tilde(OM, element("c"))
-        assert stabilizes_gamma_plus_tilde(OM, element("d"))
-        assert not stabilizes_gamma_plus_tilde(OM, element("a"))
+        assert stabilizes_gamma_plus_tilde(element("b"))
+        assert stabilizes_gamma_plus_tilde(element("c"))
+        assert stabilizes_gamma_plus_tilde(element("d"))
+        assert not stabilizes_gamma_plus_tilde(element("a"))
 
     def test_predicates_match_direct_scan(self):
         for g in enumerate_ball(OM, 6):
-            scan = ball(OM, ZERO_RAY, g.length + 3)
+            scan = ball(ZERO_RAY, g.length + 3)
             plus = all(
                 in_gamma_plus(apply(g, x)) == in_gamma_plus(x) for x in scan
             )
@@ -73,23 +72,19 @@ class TestPointwisePredicates:
                 in_gamma_plus_tilde(apply(g, x)) == in_gamma_plus_tilde(x)
                 for x in scan
             )
-            assert stabilizes_gamma_plus(OM, g) == plus
-            assert stabilizes_gamma_plus_tilde(OM, g) == tilde
-
-    def test_sequence_mismatch(self):
-        with pytest.raises(OmegaMismatchError):
-            stabilizes_gamma_plus_tilde(OmegaSequence.parse(":01"), element("b"))
+            assert stabilizes_gamma_plus(g) == plus
+            assert stabilizes_gamma_plus_tilde(g) == tilde
 
     def test_plus_stabilizer_fixes_base_vertex(self):
         v0 = base_vertex()
         for g in enumerate_ball(OM, 6):
-            assert stabilizes_gamma_plus(OM, g) == (act(OM, g, v0) == v0)
+            assert stabilizes_gamma_plus(g) == (act(g, v0) == v0)
 
 
 class TestHalfLineStabilizer:
     def test_dihedral_of_order_eight(self):
         for om in ALL_OMEGAS:
-            table = stabilizer_in_ball(om, StabilizerTarget.GAMMA_PLUS, 10)
+            table = stabilizer_in_ball(om, stabilizes_gamma_plus, 10)
             assert table.order == 8
             assert table.recognized_type == "D8"
             words = {g.word for g in table.elements}
@@ -102,7 +97,7 @@ class TestHalfLineStabilizer:
             a = element("a", om)
             generated = subgroup_closure([a, u])
             assert len(generated) == 8
-            table = stabilizer_in_ball(om, StabilizerTarget.GAMMA_PLUS, 10)
+            table = stabilizer_in_ball(om, stabilizes_gamma_plus, 10)
             assert {canonical_key(g) for g in generated} == {
                 canonical_key(g) for g in table.elements
             }
@@ -113,22 +108,22 @@ class TestHalfLineStabilizer:
             assert element_order(element("a", om) * u) == 4
 
     def test_all_elements_short(self):
-        table = stabilizer_in_ball(OM, StabilizerTarget.GAMMA_PLUS, 10)
+        table = stabilizer_in_ball(OM, stabilizes_gamma_plus, 10)
         assert max(g.length for g in table.elements) <= 4
 
 
 class TestPuncturedStabilizer:
     def test_klein_four(self):
         for om in ALL_OMEGAS:
-            table = stabilizer_in_ball(om, StabilizerTarget.GAMMA_PLUS_TILDE, 10)
+            table = stabilizer_in_ball(om, stabilizes_gamma_plus_tilde, 10)
             assert table.order == 4
             assert table.recognized_type == "Z2xZ2"
             assert {g.word for g in table.elements} == {"", "b", "c", "d"}
 
     def test_intersection_with_half_line(self):
         for om in ALL_OMEGAS:
-            plus = stabilizer_in_ball(om, StabilizerTarget.GAMMA_PLUS, 10)
-            tilde = stabilizer_in_ball(om, StabilizerTarget.GAMMA_PLUS_TILDE, 10)
+            plus = stabilizer_in_ball(om, stabilizes_gamma_plus, 10)
+            tilde = stabilizer_in_ball(om, stabilizes_gamma_plus_tilde, 10)
             plus_keys = {canonical_key(g) for g in plus.elements}
             both = {
                 g.word for g in tilde.elements if canonical_key(g) in plus_keys
@@ -138,19 +133,16 @@ class TestPuncturedStabilizer:
 
 class TestVertexStabilizer:
     def test_base_vertex_table_is_half_line_table(self):
-        direct = stabilizer_in_ball(OM, base_vertex(), 8)
-        plus = stabilizer_in_ball(OM, StabilizerTarget.GAMMA_PLUS, 8)
+        # the half-line is the base vertex, so no separate target is needed
+        direct = stabilizer_in_ball(OM, lambda g: fixes(g, base_vertex()), 8)
+        plus = stabilizer_in_ball(OM, stabilizes_gamma_plus, 8)
         assert {g.word for g in direct.elements} == {g.word for g in plus.elements}
         assert direct.recognized_type == "D8"
 
     def test_moved_vertex_has_smaller_ball_stabilizer(self):
         v = base_vertex().flip(ZERO_RAY)
-        table = stabilizer_in_ball(OM, v, 6)
-        assert all(act(OM, g, v) == v for g in table.elements)
-
-    def test_rejects_unknown_target(self):
-        with pytest.raises(TypeError):
-            stabilizer_in_ball(OM, "half-line", 6)
+        table = stabilizer_in_ball(OM, lambda g: fixes(g, v), 6)
+        assert all(act(g, v) == v for g in table.elements)
 
 
 class TestSubgroupClosure:
@@ -172,32 +164,35 @@ class TestFixedVertex:
         # b and c move the base vertex but fix a vertex two flips away
         for letter in ("b", "c"):
             subgroup = subgroup_closure([element(letter)])
-            v = fixed_vertex_for_subgroup(OM, subgroup)
-            assert all(act(OM, g, v) == v for g in subgroup)
+            v = fixed_vertex_for_subgroup(subgroup)
+            assert all(act(g, v) == v for g in subgroup)
             assert v == CubeVertex.parse("01")
 
     def test_letters_fixing_base(self):
         for letter in ("a", "d"):
             subgroup = subgroup_closure([element(letter)])
-            v = fixed_vertex_for_subgroup(OM, subgroup)
+            v = fixed_vertex_for_subgroup(subgroup)
             assert v == base_vertex()
 
     def test_klein_four(self):
         subgroup = subgroup_closure([element("b"), element("c")])
-        v = fixed_vertex_for_subgroup(OM, subgroup)
-        assert all(act(OM, g, v) == v for g in subgroup)
+        v = fixed_vertex_for_subgroup(subgroup)
+        assert all(act(g, v) == v for g in subgroup)
 
     def test_sequence_mismatch(self):
-        subgroup = subgroup_closure([element("b")])
+        # the closure check multiplies elements over the two sequences
+        subgroup = subgroup_closure([element("b")]) + subgroup_closure(
+            [element("b", OmegaSequence.parse(":01"))]
+        )
         with pytest.raises(OmegaMismatchError):
-            fixed_vertex_for_subgroup(OmegaSequence.parse(":01"), subgroup)
+            fixed_vertex_for_subgroup(subgroup)
 
     def test_not_a_subgroup(self):
         with pytest.raises(ValueError):
-            fixed_vertex_for_subgroup(OM, [element("b")])  # identity missing
+            fixed_vertex_for_subgroup([element("b")])  # identity missing
         with pytest.raises(ValueError):
             fixed_vertex_for_subgroup(
-                OM, [GroupElement.identity(OM), element("b"), element("c")]
+                [GroupElement.identity(OM), element("b"), element("c")]
             )
 
 
@@ -258,7 +253,7 @@ class TestRestrictionCases:
         for om in ALL_OMEGAS:
             for g in enumerate_ball(om, 10):
                 if not stabilizes_level1(g):
-                    assert not stabilizes_gamma_plus_tilde(om, g)
+                    assert not stabilizes_gamma_plus_tilde(g)
 
     def test_right_restriction_can_leave_half_line_stabilizer(self):
         # the letter fixing level one of (012)^inf stabilizes both
@@ -266,16 +261,16 @@ class TestRestrictionCases:
         # membership of both restrictions in the plain stabilizer over
         # the shifted sequence would be too strong a conclusion
         d = element("d")
-        assert stabilizes_gamma_plus(OM, d)
-        assert stabilizes_gamma_plus_tilde(OM, d)
+        assert stabilizes_gamma_plus(d)
+        assert stabilizes_gamma_plus_tilde(d)
         from grigcube.elements import decompose
 
         _, _, d1 = decompose(d)
-        shifted = OM.shift()
+        assert d1.omega == OM.shift()
         assert d1.word == "d"
         assert apply(d1, ZERO_RAY) != ZERO_RAY
-        assert not stabilizes_gamma_plus(shifted, d1)
-        assert stabilizes_gamma_plus_tilde(shifted, d1)
+        assert not stabilizes_gamma_plus(d1)
+        assert stabilizes_gamma_plus_tilde(d1)
 
 
 @pytest.mark.parametrize("text", [":012", "2:01"])
@@ -285,7 +280,7 @@ class TestIntegerScansAgainstRays:
     def test_commensuration(self, text):
         om = OmegaSequence.parse(text)
         for g in enumerate_ball(om, 8):
-            delta = commensuration_delta(om, g)
+            delta = commensuration_delta(g)
             assert frozenset(ray_at(t) for t in delta) == oracle_commensuration(om, g)
 
     def test_punctured(self, text):
@@ -295,7 +290,7 @@ class TestIntegerScansAgainstRays:
             _, g0, g1 = decompose(g)
             for h in (g, g0, g1):
                 o = h.omega
-                assert stabilizes_gamma_plus_tilde(o, h) == oracle_stabilizes_gamma_plus_tilde(o, h)
+                assert stabilizes_gamma_plus_tilde(h) == oracle_stabilizes_gamma_plus_tilde(o, h)
 
     def test_fixed_vertex(self, text):
         om = OmegaSequence.parse(text)
@@ -307,6 +302,6 @@ class TestIntegerScansAgainstRays:
         subgroups.append(subgroup_closure([element("b", om), element("c", om)]))
         assert len(subgroups) > 50
         for subgroup in subgroups:
-            vertex = fixed_vertex_for_subgroup(om, subgroup)
-            expected = {line_coordinate(om, x) for x in oracle_fixed_delta(om, subgroup)}
+            vertex = fixed_vertex_for_subgroup(subgroup)
+            expected = {line_coordinate(x) for x in oracle_fixed_delta(om, subgroup)}
             assert vertex.delta == expected
