@@ -12,11 +12,10 @@ from random import Random
 from .cubes import CubeVertex, act, base_vertex, commensuration_delta, fixes
 from .elements import (
     GroupElement,
-    decompose,
+    ball_sections,
     element_order,
     enumerate_ball,
     is_trivial,
-    stabilizes_level1,
     canonical_key,
 )
 from .gamma import (
@@ -119,15 +118,16 @@ def _prefix_scan(depth: int) -> tuple[str, tuple[bool, ...]] | None:
 
 
 def check_reduction(omega: OmegaSequence, max_len: int = 12) -> list[CheckReport]:
-    """Restrictions of level-fixing ball elements contract in length."""
+    """Restrictions of level-fixing ball elements contract in length.
+
+    The restriction words come from ball_sections, which grows them with
+    the ball, so no element is decomposed again.
+    """
     started = time.monotonic()
     counterexample = None
-    for g in enumerate_ball(omega, max_len):
-        if g.length < 2 or not stabilizes_level1(g):
-            continue
-        _, g0, g1 = decompose(g)
-        if 2 * g0.length > g.length + 1 or 2 * g1.length > g.length + 1:
-            counterexample = {"word": g.word, "left": g0.word, "right": g1.word}
+    for g, swap, left, right in ball_sections(omega, max_len):
+        if not swap and max(len(left), len(right)) * 2 > g.length + 1:
+            counterexample = {"word": g.word, "left": left, "right": right}
             break
     return [_report("reduction", omega, {"max_len": max_len}, started, counterexample)]
 

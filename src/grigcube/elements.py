@@ -11,6 +11,7 @@ reads that key.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -73,9 +74,13 @@ def _append(word: str, letter: str) -> str:
     return word + letter
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupElement:
-    """A group element over a fixed sequence, stored as a reduced word."""
+    """A group element over a fixed sequence, stored as a reduced word.
+
+    Balls hold tens of thousands of elements, so an element keeps its two
+    fields in slots and carries no instance dictionary.
+    """
 
     omega: OmegaSequence
     word: str = ""
@@ -328,6 +333,29 @@ def enumerate_ball(omega: OmegaSequence, max_len: int) -> tuple[GroupElement, ..
                 elements.append(GroupElement(omega, word))
                 sphere.append(state)
     return tuple(elements)
+
+
+def ball_sections(omega: OmegaSequence,
+                  max_len: int) -> Iterator[tuple[GroupElement, bool, str, str]]:
+    """Each element g of enumerate_ball(omega, max_len), in order, with
+    the swap flag and reduced left and right restriction words of
+    decompose(g), as (g, swap, left, right).
+
+    A representative of length n > 0 is r + s for a representative r of
+    length n - 1 (see enumerate_ball), so its state is _extend of r's by
+    s, and only the states of the previous sphere are kept.
+    """
+    _, active = _level(omega)
+    parents: dict[str, tuple[bool, str, str]] = {}
+    sphere: dict[str, tuple[bool, str, str]] = {}
+    length = 0
+    for g in enumerate_ball(omega, max_len):
+        word = g.word
+        if len(word) > length:
+            parents, sphere, length = sphere, {}, len(word)
+        state = _extend(active, *parents[word[:-1]], word[-1]) if word else (False, "", "")
+        sphere[word] = state
+        yield g, *state
 
 
 def element_order(g: GroupElement, cap: int = 64) -> int | None:

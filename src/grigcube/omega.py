@@ -35,7 +35,9 @@ class OmegaSequence:
     primitive and any preperiod tail that already matches the period is
     absorbed into a rotation, so two descriptions of the same sequence
     compare equal (``0:120`` becomes ``:012``).  Sequences key every memo
-    table of the package, so the hash is computed once, on construction.
+    table of the package, so the hash is computed once, on construction,
+    and so is whether the sequence is repetition-free, which gates every
+    canonical key.
     """
 
     preperiod: str
@@ -55,6 +57,10 @@ class OmegaSequence:
         object.__setattr__(self, "preperiod", preperiod)
         object.__setattr__(self, "period", period)
         object.__setattr__(self, "_hash", hash((preperiod, period)))
+        # every adjacent pair of the sequence occurs in this prefix
+        shown = preperiod + period + period[0]
+        object.__setattr__(self, "_repetition_free",
+                           all(x != y for x, y in zip(shown, shown[1:])))
 
     def __hash__(self) -> int:
         return self._hash
@@ -89,8 +95,7 @@ class OmegaSequence:
 
     def is_repetition_free(self) -> bool:
         """True when no symbol appears twice in a row."""
-        horizon = len(self.preperiod) + 2 * len(self.period)
-        return all(self.at(i) != self.at(i + 1) for i in range(1, horizon + 1))
+        return self._repetition_free
 
 
 def passive_letter(omega: OmegaSequence, letter: str) -> str:

@@ -15,6 +15,7 @@ from grigcube.checks import (
     run_suite,
 )
 from grigcube.cli import main
+from grigcube.elements import GroupElement
 from grigcube.omega import OmegaSequence
 
 OM = OmegaSequence.parse(":012")
@@ -130,6 +131,21 @@ def test_locality_reports_a_wrong_delta(monkeypatch):
     assert report.check == "commensuration_locality"
     assert report.status == "fail"
     assert report.counterexample["mismatch"] is True
+
+
+def test_reduction_reports_a_long_restriction(monkeypatch, capsys):
+    # a level-fixing state of length 4 whose left restriction has 3
+    # letters, more than (4 + 1) / 2
+    g = GroupElement.from_word(OM, "abab")
+    monkeypatch.setattr(grigcube.checks, "ball_sections",
+                        lambda omega, max_len: iter([(g, False, "aba", "b")]))
+    report = check_reduction(OM, 4)[0]
+    assert report.status == "fail"
+    assert report.counterexample == {"word": "abab", "left": "aba", "right": "b"}
+    assert main(["check", "--suite", "reduction", "--omega", ":012"]) == 1
+    record = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert record["status"] == "fail"
+    assert record["counterexample"] == {"word": "abab", "left": "aba", "right": "b"}
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 from random import Random
 
 import pytest
@@ -13,6 +15,7 @@ from grigcube.elements import (
     OmegaMismatchError,
     UnsupportedOmegaError,
     apply,
+    ball_sections,
     canonical_key,
     decompose,
     element_order,
@@ -148,6 +151,33 @@ class TestReduce:
     def test_reduction_preserves_action(self, word):
         reduced = reduce_word(word)
         assert words_agree_on_level(word, reduced, OM, 8)
+
+
+class TestSlots:
+    """Elements keep their fields in slots and stay frozen, hashable and
+    picklable."""
+
+    def test_no_instance_dict(self):
+        g = GroupElement.from_word(OM, "abac")
+        assert not hasattr(g, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.word = "a"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.omega = OM01
+
+    def test_pickle_round_trip(self):
+        g = GroupElement.from_word(OM, "abacad")
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == g and hash(copy) == hash(g)
+        assert copy.omega == OM and copy.word == "abacad"
+
+    def test_equality_and_hash_by_reduced_word(self):
+        g = GroupElement.from_word(OM, "abbacd")
+        h = GroupElement.from_word(OM, "b")
+        assert g == h and hash(g) == hash(h)
+        assert len({g, h, GroupElement(OM, "b")}) == 1
+        assert GroupElement(OM, "b") != GroupElement(OM01, "b")
+        assert GroupElement(OM, "b") != GroupElement(OM, "c")
 
 
 class TestElementValidation:
@@ -503,6 +533,39 @@ class TestSectionsStep:
         assert (swap, left, right) == oracle_sections(om, word)
         extended = _extend(_level(om)[1], swap, left, right, letter)
         assert extended == oracle_sections(om, word + letter)
+
+
+class TestBallSections:
+    """The states read off the ball against the wreath recursion that
+    reduces each restriction word once."""
+
+    @pytest.mark.parametrize("text", ORACLE_OMEGAS)
+    @pytest.mark.parametrize("n", (0, 1, 5, 9, 13))
+    def test_matches_ball_and_oracle_sections(self, text, n):
+        om = OmegaSequence.parse(text)
+        rows = list(ball_sections(om, n))
+        assert tuple(g for g, *_ in rows) == enumerate_ball(om, n)
+        for g, swap, left, right in rows:
+            assert (swap, left, right) == oracle_sections(om, g.word), g.word
+            assert swap == (not stabilizes_level1(g))
+
+    def test_requires_repetition_free(self):
+        with pytest.raises(UnsupportedOmegaError):
+            next(ball_sections(OmegaSequence.parse(":0"), 3))
+
+
+def test_warm_keys_read_no_symbol(monkeypatch):
+    # the repetition-free gate is decided on construction, so a key that
+    # the table already holds reads no symbol of the sequence
+    ball = enumerate_ball(OM, 8)
+    for g in ball:
+        canonical_key(g)
+    calls = []
+    at = OmegaSequence.at
+    monkeypatch.setattr(OmegaSequence, "at", lambda self, i: calls.append(i) or at(self, i))
+    keys = {canonical_key(g) for g in ball}
+    assert len(keys) == len(ball)
+    assert calls == []
 
 
 @pytest.fixture
