@@ -9,10 +9,8 @@ from .elements import (
     reduce_word,
     apply,
     decompose,
-    restriction,
     stabilizes_level1,
     is_trivial,
-    equal,
     canonical_key,
     enumerate_ball,
     element_order,
@@ -61,10 +59,8 @@ __all__ = [
     "reduce_word",
     "apply",
     "decompose",
-    "restriction",
     "stabilizes_level1",
     "is_trivial",
-    "equal",
     "canonical_key",
     "enumerate_ball",
     "element_order",

@@ -17,6 +17,7 @@ from .elements import (
     enumerate_ball,
     is_trivial,
     canonical_key,
+    UnsupportedOmegaError,
 )
 from .gamma import (
     Ray,
@@ -39,9 +40,6 @@ from .stabilizers import (
 )
 
 DEFAULT_OMEGAS = (":012", ":01", ":02", ":12", "2:01")
-
-# suites that enumerate and deduplicate group elements
-NEEDS_REPETITION_FREE = {"reduction", "projections", "stab", "faithful", "bound"}
 
 
 @dataclass
@@ -350,14 +348,26 @@ def run_suite(
 ) -> list[CheckReport]:
     """Run one named suite (or all of them) over the given sequences.
 
-    Suites that enumerate elements report an unsupported status for
-    sequences that are not repetition-free.
+    A suite that reaches the gate of the element layer on a sequence
+    gives one unsupported record for it instead of its own.  Each such
+    suite enumerates its ball before it reports anything, so no record
+    of it is lost.
     """
     names = SUITE_NAMES if suite == "all" else (suite,)
     reports = []
     for name in names:
         for omega in omegas:
-            if name in NEEDS_REPETITION_FREE and not omega.is_repetition_free():
+            kwargs = {}
+            if name == "prefix":
+                if depth is not None:
+                    kwargs["depth"] = depth
+            elif max_len is not None:
+                kwargs["max_len"] = max_len
+            if name in ("commensuration", "bound"):
+                kwargs["seed"] = seed
+            try:
+                reports.extend(_SUITES[name](omega, **kwargs))
+            except UnsupportedOmegaError:
                 reports.append(
                     CheckReport(
                         check=name,
@@ -368,14 +378,4 @@ def run_suite(
                         "ball deduplication is unavailable",
                     )
                 )
-                continue
-            kwargs = {}
-            if name == "prefix":
-                if depth is not None:
-                    kwargs["depth"] = depth
-            elif max_len is not None:
-                kwargs["max_len"] = max_len
-            if name in ("commensuration", "bound"):
-                kwargs["seed"] = seed
-            reports.extend(_SUITES[name](omega, **kwargs))
     return reports

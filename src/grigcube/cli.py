@@ -60,12 +60,7 @@ def _cmd_check(args) -> int:
 def _cmd_orbit(args) -> int:
     omega = OmegaSequence.parse(args.omega)
     vertex = CubeVertex.parse(args.vertex)
-    try:
-        rows = orbit_growth(omega, vertex, args.max_len)
-    except UnsupportedOmegaError as err:
-        print(str(err), file=sys.stderr)
-        return 3
-    for row in rows:
+    for row in orbit_growth(omega, vertex, args.max_len):
         print(json.dumps({
             "length": row.length,
             "max_distance": row.max_distance,
@@ -148,6 +143,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if err.code else 0
     try:
         return args.func(args)
+    except UnsupportedOmegaError as err:
+        print(str(err), file=sys.stderr)
+        return 3
     except (OmegaParseError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -35,7 +35,21 @@ class OmegaMismatchError(ValueError):
 
 class UnsupportedOmegaError(ValueError):
     """Raised where distinct letters must be distinct automorphisms, which
-    needs a repetition-free sequence."""
+    needs a repetition-free sequence; _require_distinct_letters is the one
+    place that raises it."""
+
+
+def _require_distinct_letters(omega: OmegaSequence) -> None:
+    """The gate of canonical_key and enumerate_ball, which need b, c and
+    d to be nontrivial and pairwise distinct automorphisms over every
+    shift of the sequence.  A repetition-free sequence guarantees that,
+    so any other sequence raises UnsupportedOmegaError.
+    """
+    if not omega.is_repetition_free():
+        raise UnsupportedOmegaError(
+            f"sequence {omega} is not repetition-free; letters may coincide "
+            "as automorphisms, so its elements cannot be told apart"
+        )
 
 
 def reduce_word(word: str) -> str:
@@ -170,17 +184,6 @@ def decompose(g: GroupElement) -> tuple[bool, GroupElement, GroupElement]:
     return swap, GroupElement(shifted, w0), GroupElement(shifted, w1)
 
 
-def restriction(g: GroupElement, vertex: str) -> GroupElement:
-    """Restriction of g to the subtree rooted at a finite 0/1 address."""
-    current = g
-    for bit in vertex:
-        if bit not in "01":
-            raise ValueError(f"invalid tree vertex {vertex!r}")
-        _, g0, g1 = decompose(current)
-        current = g0 if bit == "0" else g1
-    return current
-
-
 _A_KEY = (True, "1", "1")
 
 
@@ -235,12 +238,6 @@ def is_trivial(g: GroupElement) -> bool:
     return _is_trivial(g.omega, g.word)
 
 
-def equal(g: GroupElement, h: GroupElement) -> bool:
-    if g.omega != h.omega:
-        raise OmegaMismatchError(f"{g.omega} vs {h.omega}")
-    return is_trivial(g * h.inverse())
-
-
 def canonical_key(g: GroupElement):
     """A finite token equal across exactly the words of one automorphism.
 
@@ -258,14 +255,10 @@ def canonical_key(g: GroupElement):
     the semantic portrait in which x marks exactly the elements equal to
     the letter x, so it depends on the automorphism only and tells
     automorphisms apart.  That induction needs b, c and d to be
-    nontrivial and pairwise distinct over every shift of the sequence.
-    A repetition-free sequence guarantees that; for any other sequence
-    UnsupportedOmegaError is raised.
+    nontrivial and pairwise distinct over every shift of the sequence,
+    which _require_distinct_letters asks of it.
     """
-    if not g.omega.is_repetition_free():
-        raise UnsupportedOmegaError(
-            f"sequence {g.omega} repeats a symbol; letters may coincide as automorphisms"
-        )
+    _require_distinct_letters(g.omega)
     return _canonical_key(g.omega, g.word)
 
 
@@ -281,8 +274,9 @@ def enumerate_ball(omega: OmegaSequence, max_len: int) -> tuple[GroupElement, ..
     sphere.
 
     Each element is represented by the first of its shortest reduced
-    words in breadth-first order, deduplicated by canonical key.  The
-    ball contains the identity and is closed under inverses.
+    words in breadth-first order, deduplicated by canonical key, so the
+    sequence passes the key's gate first.  The ball contains the
+    identity and is closed under inverses.
 
     The candidates of length n are r + s for each representative r of
     the sphere of length n - 1 and each letter s that keeps r + s
@@ -309,10 +303,7 @@ def enumerate_ball(omega: OmegaSequence, max_len: int) -> tuple[GroupElement, ..
     memoised: each is looked up once, and only the shorter restriction
     words are shared.
     """
-    if not omega.is_repetition_free():
-        raise UnsupportedOmegaError(
-            f"ball enumeration needs a repetition-free sequence, got {omega}"
-        )
+    _require_distinct_letters(omega)
     shifted, active = _level(omega)
     seen = set()
     elements: list[GroupElement] = []

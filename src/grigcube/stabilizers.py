@@ -174,19 +174,19 @@ def fixed_vertex_for_subgroup(subgroup: Iterable[GroupElement]) -> CubeVertex:
 
     The vertex colours the union of the subgroup translates of the right
     half-line; its delta is the part of that union off the half-line,
-    the coordinates t < 0 of the δ(h).  Raises if the input is not a
-    subgroup or if the candidate is not fixed.
+    the coordinates t < 0 of the δ(h).  Raises ValueError if the input
+    is empty or not closed under products, and AssertionError if the
+    candidate is not fixed.
+
+    Closure under products is the whole subgroup test.  The powers of an
+    element g of a finite set closed under products lie in the set, so
+    two of them agree, g^i = g^j with i < j.  Then g^(j-i) is the
+    identity, and the inverse of g is g^(j-i-1), the identity again when
+    j = i + 1; both are in the set.
     """
     elements = tuple(subgroup)
-    keys = {canonical_key(h) for h in elements}
-    if "1" not in keys:
-        raise ValueError("subgroup must contain the identity")
-    for g in elements:
-        if canonical_key(g.inverse()) not in keys:
-            raise ValueError(f"not closed under inverse: {g.word!r}")
-        for h in elements:
-            if canonical_key(g * h) not in keys:
-                raise ValueError(f"not closed under product: {g.word!r} * {h.word!r}")
+    if not elements or _build_table(elements) is None:
+        raise ValueError("not a subgroup: empty or not closed under products")
     vertex = CubeVertex(frozenset(
         t for h in elements for t in commensuration_delta(h) if t < 0
     ))

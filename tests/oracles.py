@@ -147,20 +147,56 @@ def oracle_key(omega: OmegaSequence, word: str):
     return swap, oracle_key(shifted, left), oracle_key(shifted, right)
 
 
-def oracle_ball_words(omega: OmegaSequence, max_len: int) -> tuple[str, ...]:
+def _extensions(word: str) -> str:
+    """The letters that keep an alternating word alternating."""
+    return "abcd" if not word else "bcd" if word[-1] == "a" else "a"
+
+
+def oracle_ball_words(omega: OmegaSequence, max_len: int,
+                      key=oracle_key) -> tuple[str, ...]:
     """Representative words of the ball, by breadth-first search over every
-    alternating word, the first word of each oracle key kept."""
+    alternating word, the first word of each key(omega, word) kept."""
     seen = set()
     found = []
     words = [""]
     for length in range(max_len + 1):
         if length:
-            words = [w + s for w in words
-                     for s in ("abcd" if not w else "bcd" if w[-1] == "a" else "a")]
+            words = [w + s for w in words for s in _extensions(w)]
         for word in words:
-            key = oracle_key(omega, word)
-            if key not in seen:
-                seen.add(key)
+            k = key(omega, word)
+            if k not in seen:
+                seen.add(k)
+                found.append(word)
+    return tuple(found)
+
+
+def oracle_action_ball(omega: OmegaSequence, max_len: int,
+                       level: int = 10) -> tuple[str, ...]:
+    """Representative words of the ball, by breadth-first search over every
+    alternating word, the first word of each action on the 2^level
+    strings of that level kept.
+
+    Each letter's permutation of the level comes from oracle_letter, and
+    a word's permutation is its parent's composed with that of its last
+    letter, so no portrait, key or word problem is involved.  Two
+    elements that agree on the level are merged, so this is a lower
+    bound on the ball that is exact once the level tells the ball apart.
+    """
+    strings = list(all_strings(level))
+    index = {x: i for i, x in enumerate(strings)}
+    letters = {s: tuple(index[oracle_letter(s, omega, x)] for x in strings)
+               for s in "abcd"}
+    seen = set()
+    found = []
+    layer = [("", tuple(range(len(strings))))]
+    for length in range(max_len + 1):
+        if length:
+            # w + s acts as s first, then w
+            layer = [(w + s, tuple(perm[i] for i in letters[s]))
+                     for w, perm in layer for s in _extensions(w)]
+        for word, perm in layer:
+            if perm not in seen:
+                seen.add(perm)
                 found.append(word)
     return tuple(found)
 
@@ -174,8 +210,7 @@ def oracle_sphere_ball(omega: OmegaSequence, max_len: int) -> tuple[str, ...]:
     sphere = [""]
     for length in range(max_len + 1):
         if length:
-            sphere = [w + s for w in sphere
-                      for s in ("abcd" if not w else "bcd" if w[-1] == "a" else "a")]
+            sphere = [w + s for w in sphere for s in _extensions(w)]
         candidates, sphere = sphere, []
         for word in candidates:
             key = canonical_key(GroupElement(omega, word))

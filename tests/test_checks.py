@@ -94,15 +94,30 @@ def test_all_suites_cover_every_name():
     assert all(r.status == "pass" for r in reports)
 
 
-def test_unsupported_marks_enumerating_suites_only():
-    bad = OmegaSequence.parse(":0")
-    reports = run_suite("all", [bad], max_len=4, depth=4)
-    by_name = {r.check: r.status for r in reports}
-    assert by_name["prefix"] == "pass"
-    assert by_name["commensuration_locality"] == "pass"
-    assert by_name["reduction"] == "unsupported"
-    assert by_name["faithful"] == "unsupported"
-    assert by_name["stab"] == "unsupported"
+def test_unsupported_marks_enumerating_suites_only(capsys):
+    # the suites that reach the element layer's gate give one exact
+    # record each; the pointwise ones run
+    for text in (":0", "00:12", ":0112", "1:0"):
+        reports = run_suite("all", [OmegaSequence.parse(text)], max_len=4, depth=4)
+        records = [json.loads(r.to_json()) for r in reports]
+        for record in records:
+            record["elapsed_ms"] = 0.0
+        assert [r for r in records if r["status"] == "unsupported"] == [
+            {
+                "check": name,
+                "omega": text,
+                "params": {},
+                "status": "unsupported",
+                "elapsed_ms": 0.0,
+                "counterexample": "sequence is not repetition-free; "
+                "ball deduplication is unavailable",
+            }
+            for name in ("reduction", "projections", "stab", "faithful", "bound")
+        ]
+        assert {r["check"]: r["status"] for r in records if r["status"] != "unsupported"} == {
+            "prefix": "pass", "commensuration_locality": "pass", "action_law": "pass"}
+        assert main(["check", "--omega", text, "--max-len", "4", "--depth", "4"]) == 3
+        capsys.readouterr()
 
 
 def test_individual_checks_pass():

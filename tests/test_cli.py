@@ -44,6 +44,13 @@ class TestExitCodes:
         assert records[0]["status"] == "unsupported"
         assert "unsupported" in err
 
+    def test_pointwise_commands_run_on_a_constant_sequence(self, capsys):
+        # act and schreier never reach the gate of the element layer
+        code, out, _ = run_cli(capsys, "act", "--omega", ":0", "--word", "ab")
+        assert code == 0 and json_lines(out)
+        code, out, _ = run_cli(capsys, "schreier", "--omega", ":0")
+        assert code == 0 and out.startswith("graph")
+
     @pytest.mark.parametrize("argv", [
         ("check", "--suite", "faithful", "--omega", ":012", "--max-len", "-1"),
         ("check", "--suite", "prefix", "--omega", ":012", "--depth", "-1"),
@@ -155,6 +162,12 @@ class TestOrbit:
         )
         assert code == 3
         assert out == ""
+        code, out, err = run_cli(capsys, "orbit", "--omega", ":0")
+        assert (code, out) == (3, "")
+        assert err == (
+            "sequence :0 is not repetition-free; letters may coincide as "
+            "automorphisms, so its elements cannot be told apart\n"
+        )
 
     def test_max_len_zero(self, capsys):
         code, out, _ = run_cli(capsys, "orbit", "--omega", ":012", "--max-len", "0")

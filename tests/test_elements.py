@@ -20,16 +20,16 @@ from grigcube.elements import (
     decompose,
     element_order,
     enumerate_ball,
-    equal,
     is_trivial,
     reduce_word,
-    restriction,
     stabilizes_level1,
 )
 from grigcube.gamma import Ray, ZERO_RAY, line_apply
 from grigcube.omega import OmegaSequence
 
 from oracles import (
+    all_strings,
+    oracle_action_ball,
     oracle_ball_words,
     oracle_is_trivial,
     oracle_key,
@@ -261,7 +261,7 @@ class TestApply:
         with pytest.raises(OmegaMismatchError):
             g * h
         with pytest.raises(OmegaMismatchError):
-            equal(g, h)
+            h * g
 
 
 class TestDecompose:
@@ -295,14 +295,17 @@ class TestDecompose:
         assert image == Ray.from_digits(flipped + piece.digits.ljust(max(len(digits) - 1, len(piece.digits)), "0"))
 
     def test_restriction_addresses(self):
-        g = GroupElement.from_word(OM, "abab")
-        assert restriction(g, "") == g
-        r0 = restriction(g, "0")
-        r00 = restriction(g, "00")
-        assert r0 == decompose(g)[1 + 0]
-        assert r00 == decompose(r0)[1]
-        with pytest.raises(ValueError):
-            restriction(g, "2")
+        # the restriction at a vertex u, by repeated decompose along u,
+        # acts below u as g does: g(u + x) = g(u) + g_u(x)
+        for word in ("abab", "adacab", "bacada"):
+            for u in ("", "0", "1", "00", "01", "10", "11"):
+                g_u = GroupElement.from_word(OM, word)
+                for bit in u:
+                    g_u = decompose(g_u)[1 + int(bit)]
+                image = oracle_word(word, OM, u)
+                for x in all_strings(5):
+                    assert oracle_word(word, OM, u + x) == (
+                        image + oracle_word(g_u.word, g_u.omega, x))
 
     def test_swap_matches_a_parity(self):
         for g in enumerate_ball(OM, 7):
@@ -346,7 +349,7 @@ class TestTriviality:
         assert not words_agree_on_level("ad", "da", OM, 12)
         g = GroupElement.from_word(OM, "ad")
         h = GroupElement.from_word(OM, "da")
-        assert not equal(g, h)
+        assert not is_trivial(g * h.inverse())
 
     def test_identity(self):
         assert is_trivial(GroupElement.identity(OM))
@@ -382,7 +385,7 @@ class TestTrivialLetters:
         assert is_trivial(d)
         assert all(line_apply(om, "b", t) == line_apply(om, "c", t)
                    for t in range(-5000, 5001))
-        assert equal(b, c)
+        assert is_trivial(b * c.inverse())
         assert element_order(GroupElement(om, "ad")) == 2
 
     def test_only_the_constant_letter(self):
@@ -492,6 +495,33 @@ class TestAgainstOracle:
         words = tuple(g.word for g in enumerate_ball(om, n))
         for oracle in (oracle_ball_words, oracle_sphere_ball):
             assert words == oracle(om, n), oracle.__name__
+
+    @pytest.mark.parametrize("text", ORACLE_OMEGAS)
+    @pytest.mark.parametrize("n", (0, 1, 5, 9, 12))
+    def test_ball_words_match_action(self, text, n):
+        # dedupe by the action on level 10 shares no code with the key
+        om = OmegaSequence.parse(text)
+        words = tuple(g.word for g in enumerate_ball(om, n))
+        assert words == oracle_action_ball(om, n)
+
+    @pytest.mark.parametrize("text", (":001", ":0112", "1:12", ":0011", "00:12"))
+    def test_ungated_key_matches_action_on_two_symbol_periods(self, text):
+        # where the gate could be relaxed: each period holds two symbols
+        om = OmegaSequence.parse(text)
+        assert oracle_ball_words(om, 9, key=_canonical_key) == oracle_action_ball(om, 9)
+
+    @pytest.mark.parametrize("text, action, key", [
+        (":0", 19, 154),
+        ("1:0", 179, 342),
+        ("0:1", 179, 342),
+    ])
+    def test_ungated_key_splits_elements_on_constant_tails(self, text, action, key):
+        # on an eventually constant sequence b and c coincide deep down,
+        # and the key, which reads its leaves off the syntax, tells apart
+        # words of one automorphism
+        om = OmegaSequence.parse(text)
+        assert len(oracle_action_ball(om, 9)) == action
+        assert len(oracle_ball_words(om, 9, key=_canonical_key)) == key
 
     @pytest.mark.parametrize("text", (":012", "2:01"))
     def test_product_keys_match_oracle_and_equality(self, text):

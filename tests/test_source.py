@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import grigcube
 
 SOURCES = sorted(Path(grigcube.__file__).parent.glob("*.py"))
@@ -38,3 +40,60 @@ def test_every_parameter_is_read():
     assert {p.stem for p in SOURCES} >= {"cubes", "gamma", "stabilizers", "checks"}
     unread = [item for path in SOURCES for item in _unread_parameters(path)]
     assert unread == []
+
+
+def _calls_by_function(path, attr):
+    """The functions of a module that call a method or function named
+    attr, as module.function; a call at module level is under the
+    module's name alone."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{path.stem}.{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == attr:
+                    found.add(owner)
+            visit(child, owner)
+
+    visit(tree, path.stem)
+    return found
+
+
+@pytest.mark.parametrize("name", ["is_repetition_free", "UnsupportedOmegaError"])
+def test_one_gate_decides_repetition_freeness(name):
+    # only the gate of the element layer asks whether a sequence is
+    # repetition-free and raises on it, so the one place to change which
+    # sequences a computation accepts is that function
+    callers = set().union(*(_calls_by_function(p, name) for p in SOURCES))
+    assert callers == {"elements._require_distinct_letters"}
+
+
+# names exported for a reason other than a caller inside the package
+UNCALLED_EXPORTS = {
+    "apply": "a span of bench/tracer.py",
+    "neighbors": "a span of bench/tracer.py",
+    "fixed_vertex_for_subgroup": "the E_FIN claim, checked by pytest only",
+}
+
+
+def _loaded_names(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_export_has_a_caller():
+    # a public name that no module of the package loads is surface that
+    # no command, suite or claim runs
+    loaded = set().union(*(_loaded_names(p) for p in SOURCES if p.stem != "__init__"))
+    uncalled = set(grigcube.__all__) - loaded
+    assert uncalled == set(UNCALLED_EXPORTS)

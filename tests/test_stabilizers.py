@@ -195,6 +195,11 @@ class TestFixedVertex:
                 [GroupElement.identity(OM), element("b"), element("c")]
             )
 
+    def test_empty_is_not_a_subgroup(self):
+        # the empty set is closed under products, yet holds no identity
+        with pytest.raises(ValueError):
+            fixed_vertex_for_subgroup([])
+
 
 class TestBound:
     def test_base_vertex(self):
