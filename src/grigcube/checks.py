@@ -15,7 +15,6 @@ from .elements import (
     ball_sections,
     element_order,
     enumerate_ball,
-    is_trivial,
     canonical_key,
     UnsupportedOmegaError,
 )
@@ -40,6 +39,11 @@ from .stabilizers import (
 )
 
 DEFAULT_OMEGAS = (":012", ":01", ":02", ":12", "2:01")
+
+# sample sizes of the random suites, printed in their params
+LOCALITY_WORDS = 1000
+ACTION_TRIPLES = 200
+BOUND_VERTICES = 50
 
 
 @dataclass
@@ -203,24 +207,21 @@ def _random_word(rng: Random, max_len: int) -> str:
     return "".join(word)
 
 
-def _random_vertex(rng: Random, max_rays: int = 4, max_depth: int = 6) -> CubeVertex:
-    """Up to max_rays random rays of up to max_depth digits, as coordinates."""
+def _random_vertex(rng: Random, max_depth: int = 6) -> CubeVertex:
+    """Up to 4 random rays of up to max_depth digits, as coordinates."""
     delta = set()
-    for _ in range(rng.randint(0, max_rays)):
+    for _ in range(rng.randint(0, 4)):
         digits = "".join(rng.choice("01") for _ in range(rng.randint(0, max_depth)))
         delta.add(_coordinate(digits))
     return CubeVertex(frozenset(delta))
 
 
 def check_commensuration(
-    omega: OmegaSequence,
-    max_len: int = 16,
-    words: int = 1000,
-    triples: int = 200,
-    seed: int = 0,
+    omega: OmegaSequence, max_len: int = 16, seed: int = 0
 ) -> list[CheckReport]:
     """Boundary crossings stay within the word-length ball, and acting is
-    a group action.
+    a group action, on LOCALITY_WORDS random words and ACTION_TRIPLES
+    random triples.
 
     The crossings of g are the coordinates t of the window
     |t| <= length + 4 with t >= 0 unlike g^-1 t >= 0.  The whole window
@@ -235,7 +236,7 @@ def check_commensuration(
     # that left the tables would raise KeyError, never be skipped.
     reach = range(-2 * max_len - 4, 2 * max_len + 5)
     tables = {s: dict(zip(reach, _push(omega, s, reach))) for s in "abcd"}
-    for _ in range(words):
+    for _ in range(LOCALITY_WORDS):
         g = GroupElement(omega, _random_word(rng, max_len))
         n = g.length
         window = range(-n - 4, n + 5)
@@ -257,13 +258,13 @@ def check_commensuration(
             break
     reports = [
         _report("commensuration_locality", omega,
-                {"max_len": max_len, "words": words, "seed": seed},
+                {"max_len": max_len, "words": LOCALITY_WORDS, "seed": seed},
                 started, counterexample)
     ]
 
     started = time.monotonic()
     counterexample = None
-    for _ in range(triples):
+    for _ in range(ACTION_TRIPLES):
         g = GroupElement(omega, _random_word(rng, 8))
         h = GroupElement(omega, _random_word(rng, 8))
         v = _random_vertex(rng)
@@ -271,7 +272,7 @@ def check_commensuration(
             counterexample = {"g": g.word, "h": h.word, "vertex": v.text()}
             break
     reports.append(
-        _report("action_law", omega, {"triples": triples, "seed": seed},
+        _report("action_law", omega, {"triples": ACTION_TRIPLES, "seed": seed},
                 started, counterexample)
     )
     return reports
@@ -289,9 +290,8 @@ def check_faithful(omega: OmegaSequence, max_len: int = 8) -> list[CheckReport]:
     started = time.monotonic()
     witnesses = faithfulness_witnesses()
     counterexample = None
-    for g in enumerate_ball(omega, max_len):
-        if is_trivial(g):
-            continue
+    # the first element of the ball is the identity
+    for g in enumerate_ball(omega, max_len)[1:]:
         if all(fixes(g, v) for v in witnesses):
             counterexample = {"word": g.word}
             break
@@ -302,15 +302,14 @@ def check_faithful(omega: OmegaSequence, max_len: int = 8) -> list[CheckReport]:
     ]
 
 
-def check_bound(
-    omega: OmegaSequence, max_len: int = 8, vertices: int = 50, seed: int = 0
-) -> list[CheckReport]:
-    """Random shallow vertices against the stabilizer order bound."""
+def check_bound(omega: OmegaSequence, max_len: int = 8, seed: int = 0) -> list[CheckReport]:
+    """BOUND_VERTICES random shallow vertices against the stabilizer order
+    bound."""
     rng = Random(seed)
     started = time.monotonic()
     counterexample = None
-    for _ in range(vertices):
-        v = _random_vertex(rng, max_rays=4, max_depth=4)
+    for _ in range(BOUND_VERTICES):
+        v = _random_vertex(rng, max_depth=4)
         result = stabilizer_bound_check(omega, v, max_len)
         if not result.ok:
             counterexample = {
@@ -321,7 +320,7 @@ def check_bound(
             break
     return [
         _report("stabilizer_bound", omega,
-                {"max_len": max_len, "vertices": vertices, "seed": seed},
+                {"max_len": max_len, "vertices": BOUND_VERTICES, "seed": seed},
                 started, counterexample)
     ]
 

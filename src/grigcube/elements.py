@@ -52,30 +52,6 @@ def _require_distinct_letters(omega: OmegaSequence) -> None:
         )
 
 
-def reduce_word(word: str) -> str:
-    """Rewrite a word to the alternating normal form.
-
-    Equal adjacent letters cancel and an adjacent pair from {b, c, d}
-    merges into the third letter; the result is the unique normal form
-    with no such pair left.  The stack alternates, so after a merge its
-    new top is "a" or nothing and one pass suffices.
-    """
-    stack: list[str] = []
-    for letter in word:
-        if letter not in GENERATORS:
-            raise ValueError(f"invalid generator {letter!r}")
-        if stack:
-            top = stack[-1]
-            if top == letter:
-                stack.pop()
-                continue
-            if top != "a" and letter != "a":
-                stack[-1] = _MERGE[top + letter]
-                continue
-        stack.append(letter)
-    return "".join(stack)
-
-
 def _append(word: str, letter: str) -> str:
     """The reduced form of word + letter, for a reduced word: only the
     last letter of word can cancel or merge with it."""
@@ -86,6 +62,23 @@ def _append(word: str, letter: str) -> str:
         if top != "a" and letter != "a":
             return word[:-1] + _MERGE[top + letter]
     return word + letter
+
+
+def reduce_word(word: str) -> str:
+    """Rewrite a word to the alternating normal form.
+
+    Equal adjacent letters cancel and an adjacent pair from {b, c, d}
+    merges into the third letter; the result is the unique normal form
+    with no such pair left.  The reduced prefix alternates, so after a
+    merge its new last letter is "a" or nothing, and appending the
+    letters one by one suffices.
+    """
+    reduced = ""
+    for letter in word:
+        if letter not in GENERATORS:
+            raise ValueError(f"invalid generator {letter!r}")
+        reduced = _append(reduced, letter)
+    return reduced
 
 
 @dataclass(frozen=True, slots=True)
@@ -349,10 +342,10 @@ def ball_sections(omega: OmegaSequence,
         yield g, *state
 
 
-def element_order(g: GroupElement, cap: int = 64) -> int | None:
-    """Order of g, or None if it exceeds the cap."""
+def element_order(g: GroupElement) -> int | None:
+    """Order of g, or None if it exceeds 64."""
     power = g
-    for k in range(1, cap + 1):
+    for k in range(1, 65):
         if is_trivial(power):
             return k
         power = power * g

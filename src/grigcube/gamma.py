@@ -227,50 +227,48 @@ def line_apply(omega: OmegaSequence, word: str, t: int) -> int:
     return _push(omega, word, (t,))[0]
 
 
-def ball(center: Ray, radius: int) -> set[Ray]:
-    """Vertices within the given edge distance of the center.
+def ball(radius: int) -> set[Ray]:
+    """Vertices within the given edge distance of the all-zero ray.
 
     The line is ℤ for every sequence, so the ball is the interval of
-    coordinates |t − c(center)| ≤ radius, mapped back to rays; it is
-    empty for a negative radius.
+    coordinates |t| ≤ radius, mapped back to rays; it is empty for a
+    negative radius.
     """
-    c = _coordinate(center.digits)
-    return {ray_at(t) for t in range(c - radius, c + radius + 1)}
+    return {ray_at(t) for t in range(-radius, radius + 1)}
 
 
-def ball_edges(omega: OmegaSequence, center: Ray, radius: int) -> list[LabelledEdge]:
+def ball_edges(omega: OmegaSequence, radius: int) -> list[LabelledEdge]:
     """Edges with both endpoints in the ball, one per unordered pair and label.
 
     The ball is an interval, so each letter pushes the whole of it at
     once.  Sorted by endpoint line coordinates and label, so output is
     diffable.
     """
-    c = _coordinate(center.digits)
-    interval = range(c - radius, c + radius + 1)
+    interval = range(-radius, radius + 1)
     edges = set()
     for label in "abcd":
         for t, image in zip(interval, _push(omega, label, interval)):
-            if abs(image - c) <= radius:
+            if abs(image) <= radius:
                 edges.add((min(t, image), max(t, image), label))
     return [LabelledEdge(ray_at(s), ray_at(t), label) for s, t, label in sorted(edges)]
 
 
-def edge_records(omega: OmegaSequence, radius: int, center: Ray = ZERO_RAY) -> list[dict]:
+def edge_records(omega: OmegaSequence, radius: int) -> list[dict]:
     """JSON-ready {source, target, label} records for the ball graph."""
     return [
         {"source": s.text(), "target": t.text(), "label": label}
-        for s, t, label in ball_edges(omega, center, radius)
+        for s, t, label in ball_edges(omega, radius)
     ]
 
 
-def to_dot(omega: OmegaSequence, radius: int, center: Ray = ZERO_RAY) -> str:
+def to_dot(omega: OmegaSequence, radius: int) -> str:
     """Graphviz source for the ball graph, stable-sorted."""
-    vertices = sorted(ball(center, radius), key=line_coordinate)
+    vertices = sorted(ball(radius), key=line_coordinate)
     lines = ["graph schreier {", "  node [shape=circle];"]
     lines += [f'  "{v.text()}";' for v in vertices]
     lines += [
         f'  "{s.text()}" -- "{t.text()}" [label="{label}", color="{GENERATOR_COLORS[label]}"];'
-        for s, t, label in ball_edges(omega, center, radius)
+        for s, t, label in ball_edges(omega, radius)
     ]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -145,8 +145,8 @@ def stabilizer_in_ball(
     return SmallGroupTable(elements, table, _recognize(elements, table))
 
 
-def subgroup_closure(generators: Iterable[GroupElement], max_order: int = 64) -> tuple:
-    """Close a set of elements under products; errors past max_order."""
+def subgroup_closure(generators: Iterable[GroupElement]) -> tuple:
+    """Close a set of elements under products; errors past 64 elements."""
     gens = list(generators)
     if not gens:
         raise ValueError("need at least one generator")
@@ -161,8 +161,8 @@ def subgroup_closure(generators: Iterable[GroupElement], max_order: int = 64) ->
                 h = g * s
                 key = canonical_key(h)
                 if key not in found:
-                    if len(found) >= max_order:
-                        raise ValueError(f"subgroup exceeds {max_order} elements")
+                    if len(found) >= 64:
+                        raise ValueError("subgroup exceeds 64 elements")
                     found[key] = h
                     new.append(h)
         frontier = new
@@ -242,8 +242,6 @@ def stabilizer_bound_check(
 
 
 class RestrictionReport(NamedTuple):
-    omega: str
-    max_len: int
     checked: int
     case_counts: dict
     violations: tuple
@@ -300,6 +298,4 @@ def verify_restriction_lemma(omega: OmegaSequence, max_len: int) -> RestrictionR
         if not level1 and stab_tilde:
             counts["swapping"] += 1
             violations.append(f"{g.word or '1'}: swapping")
-    return RestrictionReport(
-        str(omega), max_len, len(ball_elements), counts, tuple(violations)
-    )
+    return RestrictionReport(len(ball_elements), counts, tuple(violations))

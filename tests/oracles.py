@@ -238,11 +238,11 @@ def oracle_sections(omega: OmegaSequence, word: str) -> tuple[bool, str, str]:
     return swap, reduce_word("".join(left)), reduce_word("".join(right))
 
 
-def oracle_ball(omega: OmegaSequence, center: Ray, radius: int) -> set[Ray]:
-    """Vertices within the given edge distance of the center, by
+def oracle_ball(omega: OmegaSequence, radius: int) -> set[Ray]:
+    """Vertices within the given edge distance of the all-zero ray, by
     breadth-first search over the four labelled edges of each ray."""
-    seen = {center}
-    frontier = [center]
+    seen = {ZERO_RAY}
+    frontier = [ZERO_RAY]
     for _ in range(radius):
         new = []
         for x in frontier:
@@ -254,10 +254,10 @@ def oracle_ball(omega: OmegaSequence, center: Ray, radius: int) -> set[Ray]:
     return seen
 
 
-def oracle_ball_edges(omega: OmegaSequence, center: Ray, radius: int) -> set:
+def oracle_ball_edges(omega: OmegaSequence, radius: int) -> set:
     """Labelled edges of the search ball, each as (its endpoint rays, label),
     from the four digit-scan neighbours of every vertex."""
-    vertices = oracle_ball(omega, center, radius)
+    vertices = oracle_ball(omega, radius)
     return {
         (frozenset((x, y)), s)
         for x in vertices
@@ -288,7 +288,7 @@ def oracle_commensuration(omega: OmegaSequence, g: GroupElement) -> frozenset:
     g_inv = g.inverse()
     return frozenset(
         x
-        for x in oracle_ball(omega, ZERO_RAY, g.length)
+        for x in oracle_ball(omega, g.length)
         if in_gamma_plus(x) != in_gamma_plus(oracle_apply(g_inv, x))
     )
 
@@ -309,7 +309,7 @@ def oracle_commensuration_window(omega: OmegaSequence, g: GroupElement) -> froze
 def _scan(omega: OmegaSequence, g: GroupElement, before, after) -> bool:
     return all(
         before(x) == after(oracle_apply(g, x))
-        for x in oracle_ball(omega, ZERO_RAY, g.length + 1)
+        for x in oracle_ball(omega, g.length + 1)
     )
 
 
@@ -323,7 +323,7 @@ def oracle_fixed_delta(omega: OmegaSequence, elements) -> frozenset:
     radius = max(g.length for g in elements)
     return frozenset(
         x
-        for x in oracle_ball(omega, ZERO_RAY, radius)
+        for x in oracle_ball(omega, radius)
         if not in_gamma_plus(x)
         and any(in_gamma_plus(oracle_apply(h.inverse(), x)) for h in elements)
     )

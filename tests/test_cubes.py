@@ -136,7 +136,7 @@ class TestCommensuration:
         g_inv = g.inverse()
         wide = {
             line_coordinate(x)
-            for x in ball(ZERO_RAY, g.length + 4)
+            for x in ball(g.length + 4)
             if in_gamma_plus(x) != in_gamma_plus(apply(g_inv, x))
         }
         assert wide == set(commensuration_delta(g))
@@ -241,7 +241,7 @@ class TestAction:
     def test_color_equivariance(self, word, v):
         g = element(word)
         image = act(g, v)
-        for x in ball(ZERO_RAY, g.length + 2):
+        for x in ball(g.length + 2):
             assert image.color(oracle_apply(g, x)) == v.color(x)
 
     @given(alternating_words, vertices)

@@ -1,3 +1,5 @@
+from random import Random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,6 +7,7 @@ from grigcube.elements import GroupElement, apply
 from grigcube.gamma import (
     Ray,
     ZERO_RAY,
+    _coordinate,
     _push,
     ball,
     ball_edges,
@@ -27,6 +30,7 @@ from oracles import (
     oracle_ball_edges,
     oracle_letter,
     oracle_line_coordinates,
+    oracle_word,
 )
 
 OM = OmegaSequence.parse(":012")
@@ -70,14 +74,14 @@ class TestHalfLines:
 class TestNeighbors:
     def test_degree_four_with_labels(self):
         for om in ALL_OMEGAS:
-            for x in ball(ZERO_RAY, 6):
+            for x in ball(6):
                 edges = neighbors(om, x)
                 assert sorted(e.label for e in edges) == ["a", "b", "c", "d"]
                 assert all(e.source == x for e in edges)
 
     def test_neighbor_targets_match_action(self):
         for om in ALL_OMEGAS:
-            for x in ball(ZERO_RAY, 5):
+            for x in ball(5):
                 for e in neighbors(om, x):
                     g = GroupElement.from_word(om, e.label)
                     assert oracle_apply(g, x) == e.target
@@ -86,7 +90,7 @@ class TestNeighbors:
         # one fixed letter, one letter matching the a-edge, and a
         # double edge from the remaining two letters
         for om in ALL_OMEGAS:
-            for x in ball(ZERO_RAY, 8):
+            for x in ball(8):
                 targets = {}
                 for e in neighbors(om, x):
                     targets.setdefault(e.target, []).append(e.label)
@@ -99,15 +103,11 @@ class TestNeighbors:
 class TestBall:
     def test_two_ended_line_sizes(self):
         for radius in (0, 1, 2, 3, 10, 40):
-            assert len(ball(ZERO_RAY, radius)) == 2 * radius + 1
+            assert len(ball(radius)) == 2 * radius + 1
 
     def test_ball_membership(self):
-        b2 = {x.text() for x in ball(ZERO_RAY, 2)}
+        b2 = {x.text() for x in ball(2)}
         assert b2 == {"0inf", "1", "01", "101", "11"}
-
-    def test_off_center(self):
-        b1 = {x.text() for x in ball(Ray.parse("1"), 1)}
-        assert b1 == {"0inf", "1", "101"}
 
 
 class TestLineCoordinate:
@@ -119,13 +119,13 @@ class TestLineCoordinate:
         assert line_coordinate(Ray.parse("11")) == -2
 
     def test_sign_tracks_half_line(self):
-        for x in ball(ZERO_RAY, 12):
+        for x in ball(12):
             coordinate = line_coordinate(x)
             assert (coordinate >= 0) == in_gamma_plus(x)
             assert (coordinate > 0) == in_gamma_plus_tilde(x)
 
     def test_bijective_onto_interval(self):
-        coords = sorted(line_coordinate(x) for x in ball(ZERO_RAY, 9))
+        coords = sorted(line_coordinate(x) for x in ball(9))
         assert coords == list(range(-9, 10))
 
     def test_a_edge_crosses_origin(self):
@@ -134,7 +134,7 @@ class TestLineCoordinate:
 
     def test_neighbors_are_adjacent_coordinates(self):
         for om in ALL_OMEGAS:
-            for x in ball(ZERO_RAY, 10):
+            for x in ball(10):
                 c = line_coordinate(x)
                 for e in neighbors(om, x):
                     assert abs(line_coordinate(e.target) - c) <= 1
@@ -157,26 +157,19 @@ class TestClosedFormAgainstOracle:
     def test_coordinates_and_ball_at_radius_200(self, searched):
         om, coordinates = searched
         near = {x for x, t in coordinates.items() if abs(t) <= 200}
-        assert ball(ZERO_RAY, 200) == near == oracle_ball(om, ZERO_RAY, 200)
+        assert ball(200) == near == oracle_ball(om, 200)
         for x in near:
             assert line_coordinate(x) == coordinates[x]
             assert ray_at(coordinates[x]) == x
 
-    def test_off_center_ball(self, searched):
-        om, coordinates = searched
-        for text in ("1", "11", "1101", "0001"):
-            center = Ray.parse(text)
-            assert ball(center, 7) == oracle_ball(om, center, 7)
-
     def test_ball_edges(self, searched):
         # every interval pushed through each letter at once against the
-        # digit-scan neighbours of each ray, off centre and at the origin
+        # digit-scan neighbours of each ray
         om, coordinates = searched
-        for text, radius in (("0inf", 60), ("1", 7), ("11", 7), ("1101", 7), ("0001", 7)):
-            center = Ray.parse(text)
-            edges = ball_edges(om, center, radius)
+        for radius in (60, 7):
+            edges = ball_edges(om, radius)
             assert {(frozenset((e.source, e.target)), e.label) for e in edges} == (
-                oracle_ball_edges(om, center, radius))
+                oracle_ball_edges(om, radius))
             keys = [(coordinates[e.source], coordinates[e.target], e.label) for e in edges]
             assert keys == sorted(set(keys)) and all(s <= t for s, t, _ in keys)
 
@@ -211,7 +204,7 @@ class TestClosedFormAgainstOracle:
         assert line_coordinate(oracle_apply(g, ray_at(t))) == line_apply(OM, g.word, t)
 
     def test_negative_radius_is_empty(self):
-        assert ball(ZERO_RAY, -1) == set()
+        assert ball(-1) == set()
 
 
 class TestUnlabelledShape:
@@ -224,7 +217,7 @@ class TestUnlabelledShape:
                     min(line_coordinate(e.source), line_coordinate(e.target)),
                     max(line_coordinate(e.source), line_coordinate(e.target)),
                 )
-                for e in ball_edges(om, ZERO_RAY, radius)
+                for e in ball_edges(om, radius)
             )
 
         reference = shape(ALL_OMEGAS[0], 12)
@@ -235,7 +228,7 @@ class TestUnlabelledShape:
         def labelled(om):
             return sorted(
                 (line_coordinate(e.source), line_coordinate(e.target), e.label)
-                for e in ball_edges(om, ZERO_RAY, 4)
+                for e in ball_edges(om, 4)
             )
 
         assert labelled(OM) != labelled(OM01)
@@ -293,7 +286,7 @@ class TestFigureFixtures:
 
 class TestEdgeRecordsAndDot:
     def test_records_have_both_endpoints_inside(self):
-        inside = {x.text() for x in ball(ZERO_RAY, 3)}
+        inside = {x.text() for x in ball(3)}
         for record in edge_records(OM, 3):
             assert record["source"] in inside
             assert record["target"] in inside
@@ -349,3 +342,22 @@ class TestPushAgainstRayOracle:
     def test_line_apply_is_the_push_of_one_point(self, om, word, t):
         g = GroupElement.from_word(om, word)
         assert line_apply(om, word, t) == line_coordinate(oracle_apply(g, ray_at(t)))
+
+
+@pytest.mark.parametrize("om", [
+    OmegaSequence.parse(t)
+    for t in (":012", ":01", "2:01", "00:12", "2:2201", ":0112", "1:12")
+], ids=str)
+def test_push_at_every_level_up_to_60(om):
+    # the ray 1^(L−1) 0 x 1 is a point of a pair at level L; a uniform
+    # draw reaches level L with probability about 2^−L, so the level is
+    # picked first and the push is held to the recursive definition there
+    rng = Random(0)
+    for level in range(1, 61):
+        for _ in range(4):
+            x = "".join(rng.choice("01") for _ in range(rng.randint(0, 8)))
+            digits = "1" * (level - 1) + "0" + x + "1"
+            for letter in "abcd":
+                expected = _coordinate(oracle_word(letter, om, digits + "00"))
+                assert line_apply(om, letter, _coordinate(digits)) == expected, (
+                    level, digits, letter)

@@ -42,6 +42,74 @@ def test_every_parameter_is_read():
     assert unread == []
 
 
+# defaulted parameters that no call inside the package varies, kept for a
+# reason other than such a call
+UNVARIED_DEFAULTS = {
+    "cli.main(argv)": "the entry point; tests and bench/tracer.py pass argv",
+}
+
+
+def _defaulted(tree, module):
+    """(module.function(parameter), function, parameter, position,
+    default) for each defaulted parameter; position counts the positional
+    parameters after self and cls, and is None for a keyword-only one."""
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = fn.args
+        positional = [a for a in args.posonlyargs + args.args if a.arg not in ("self", "cls")]
+        pairs = [(a, positional.index(a), d)
+                 for a, d in zip(positional[len(positional) - len(args.defaults):], args.defaults)]
+        pairs += [(a, None, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        for arg, position, default in pairs:
+            yield f"{module}.{fn.name}({arg.arg})", fn.name, arg.arg, position, default
+
+
+def _passed(trees):
+    """(function, parameter or position, value) for each argument that a
+    call inside the package passes.  A kwargs["parameter"] set in
+    run_suite is passed to each suite of checks._SUITES, with value
+    None."""
+    passed, suites, suite_keys = [], set(), set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                passed += [(name, k.arg, k.value) for k in node.keywords if k.arg]
+                for i, value in enumerate(node.args):
+                    if isinstance(value, ast.Starred):
+                        break
+                    passed.append((name, i, value))
+            elif isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "_SUITES":
+                suites = {v.id for v in node.value.values}
+            elif isinstance(node, ast.FunctionDef) and node.name == "run_suite":
+                suite_keys = {
+                    sub.slice.value for sub in ast.walk(node)
+                    if isinstance(sub, ast.Subscript) and isinstance(sub.ctx, ast.Store)
+                    and getattr(sub.value, "id", None) == "kwargs"
+                }
+    return passed + [(suite, key, None) for suite in suites for key in suite_keys]
+
+
+def test_every_default_is_varied():
+    # a default that every caller keeps is a constant with a parameter's
+    # surface; tests do not count as callers
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SOURCES}
+    passed = _passed(trees.values())
+    unvaried = {
+        label
+        for module, tree in trees.items()
+        for label, fn, param, position, default in _defaulted(tree, module)
+        if not any(
+            name == fn and key in (param, position)
+            and (value is None or ast.dump(value) != ast.dump(default))
+            for name, key, value in passed
+        )
+    }
+    assert unvaried == set(UNVARIED_DEFAULTS)
+
+
 def _calls_by_function(path, attr):
     """The functions of a module that call a method or function named
     attr, as module.function; a call at module level is under the
