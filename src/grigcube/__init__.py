@@ -9,7 +9,6 @@ from .elements import (
     reduce_word,
     apply,
     decompose,
-    stabilizes_level1,
     is_trivial,
     canonical_key,
     enumerate_ball,
@@ -59,7 +58,6 @@ __all__ = [
     "reduce_word",
     "apply",
     "decompose",
-    "stabilizes_level1",
     "is_trivial",
     "canonical_key",
     "enumerate_ball",

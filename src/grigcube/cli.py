@@ -15,7 +15,7 @@ from .checks import DEFAULT_OMEGAS, SUITE_NAMES, run_suite
 from .cubes import CubeVertex, act, distance, orbit_growth
 from .elements import GroupElement, UnsupportedOmegaError
 from .gamma import edge_records, to_dot
-from .omega import OmegaParseError, OmegaSequence
+from .omega import OmegaSequence
 
 
 def _count(text: str) -> int:
@@ -146,7 +146,7 @@ def main(argv: list[str] | None = None) -> int:
     except UnsupportedOmegaError as err:
         print(str(err), file=sys.stderr)
         return 3
-    except (OmegaParseError, ValueError) as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -32,7 +32,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .elements import GroupElement, enumerate_ball
-from .gamma import Ray, _coordinate, _push, in_gamma_plus, ray_at
+from .gamma import Ray, _coordinate, _push, ray_at
 from .omega import OmegaSequence
 
 
@@ -40,13 +40,10 @@ from .omega import OmegaSequence
 class CubeVertex:
     """A finite colouring of the line, by the line coordinates of its delta.
 
-    Rays name the points only in the text form and in color and flip.
+    Rays name the points only in the text form and in flip.
     """
 
     delta: frozenset = field(default_factory=frozenset)
-
-    def color(self, x: Ray) -> bool:
-        return in_gamma_plus(x) != (_coordinate(x.digits) in self.delta)
 
     def flip(self, x: Ray) -> "CubeVertex":
         return CubeVertex(self.delta ^ {_coordinate(x.digits)})

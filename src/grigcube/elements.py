@@ -115,19 +115,10 @@ class GroupElement:
             raise OmegaMismatchError(f"{self.omega} vs {other.omega}")
         return GroupElement.from_word(self.omega, self.word + other.word)
 
-    def inverse(self) -> "GroupElement":
-        # generators are involutions, so the inverse is the reversed word
-        return GroupElement(self.omega, self.word[::-1])
-
 
 def apply(g: GroupElement, ray: Ray) -> Ray:
     """Image of a ray, letters applied right to left, through its line coordinate."""
     return ray_at(line_apply(g.omega, g.word, _coordinate(ray.digits)))
-
-
-def stabilizes_level1(g: GroupElement) -> bool:
-    """Whether g fixes both first-level subtrees setwise."""
-    return g.word.count("a") % 2 == 0
 
 
 @lru_cache(maxsize=None)

@@ -23,7 +23,6 @@ from .elements import (
     decompose,
     enumerate_ball,
     is_trivial,
-    stabilizes_level1,
 )
 from .cubes import CubeVertex, commensuration_delta, fixes
 from .gamma import _push, ray_at
@@ -49,15 +48,14 @@ _PUNCTURED = CubeVertex(frozenset({0}))
 
 @dataclass
 class SmallGroupTable:
-    """A finite subset with its multiplication table when it is closed.
+    """A finite subset with the isomorphism type that its multiplication
+    table shows.
 
-    The table maps index pairs to product indices.  When the subset is
-    not closed inside itself the table is None and only the order is
-    reported in the recognized type.
+    When the subset is not closed inside itself it has no table, and the
+    recognized type reports only the order.
     """
 
     elements: tuple
-    table: tuple | None
     recognized_type: str
 
     @property
@@ -91,8 +89,9 @@ def _table_orders(elements: tuple, table: tuple) -> list[int]:
     return orders
 
 
-def _validate_table(table: tuple, rng: Random) -> None:
+def _validate_table(table: tuple) -> None:
     n = len(table)
+    rng = Random(0)
     for row in table:
         if sorted(row) != list(range(n)):
             raise AssertionError("multiplication table row is not a permutation")
@@ -141,8 +140,8 @@ def stabilizer_in_ball(
     elements = tuple(g for g in enumerate_ball(omega, max_len) if stabilizes(g))
     table = _build_table(elements)
     if table is not None:
-        _validate_table(table, Random(0))
-    return SmallGroupTable(elements, table, _recognize(elements, table))
+        _validate_table(table)
+    return SmallGroupTable(elements, _recognize(elements, table))
 
 
 def subgroup_closure(generators: Iterable[GroupElement]) -> tuple:
@@ -198,7 +197,6 @@ def fixed_vertex_for_subgroup(subgroup: Iterable[GroupElement]) -> CubeVertex:
 
 class BoundCheck(NamedTuple):
     order: int
-    depth: int
     bound: int
     ok: bool
 
@@ -238,11 +236,10 @@ def stabilizer_bound_check(
         if len(target) == len(v.delta):
             order += sum(1 for word in words
                          if target.issuperset(_push(omega, word, v.delta)))
-    return BoundCheck(order, depth, bound, order <= bound)
+    return BoundCheck(order, bound, order <= bound)
 
 
 class RestrictionReport(NamedTuple):
-    checked: int
     case_counts: dict
     violations: tuple
 
@@ -273,29 +270,27 @@ def verify_restriction_lemma(omega: OmegaSequence, max_len: int) -> RestrictionR
     """
     counts = {"half_line": 0, "punctured": 0, "swapping": 0}
     violations = []
-    ball_elements = enumerate_ball(omega, max_len)
-    for g in ball_elements:
-        level1 = stabilizes_level1(g)
+    for g in enumerate_ball(omega, max_len):
         stab_plus = stabilizes_gamma_plus(g)
         stab_tilde = stabilizes_gamma_plus_tilde(g)
         if not (stab_plus or stab_tilde):
             continue
-        _, g0, g1 = decompose(g)
-        if level1 and stab_plus:
+        swap, g0, g1 = decompose(g)
+        if not swap and stab_plus:
             counts["half_line"] += 1
             if not (
                 stabilizes_gamma_plus_tilde(g0)
                 and stabilizes_gamma_plus_tilde(g1)
             ):
                 violations.append(f"{g.word or '1'}: half_line")
-        if level1 and stab_tilde:
+        if not swap and stab_tilde:
             counts["punctured"] += 1
             if not (
                 stabilizes_gamma_plus(g0)
                 and stabilizes_gamma_plus_tilde(g1)
             ):
                 violations.append(f"{g.word or '1'}: punctured")
-        if not level1 and stab_tilde:
+        if swap and stab_tilde:
             counts["swapping"] += 1
             violations.append(f"{g.word or '1'}: swapping")
-    return RestrictionReport(len(ball_elements), counts, tuple(violations))
+    return RestrictionReport(counts, tuple(violations))

@@ -36,7 +36,9 @@ from functools import lru_cache
 
 from grigcube.cubes import CubeVertex, fixes
 from grigcube.elements import GroupElement, canonical_key, enumerate_ball, reduce_word
-from grigcube.gamma import Ray, ZERO_RAY, in_gamma_plus, in_gamma_plus_tilde, line_apply
+from grigcube.gamma import (
+    Ray, ZERO_RAY, in_gamma_plus, in_gamma_plus_tilde, line_apply, ray_at,
+)
 from grigcube.omega import LETTER_SYMBOL, OmegaSequence, passive_letter
 
 
@@ -61,6 +63,18 @@ def _apply_letter(letter: str, omega: OmegaSequence, digits: str) -> str:
     i = m + 1
     flipped = "1" if digits[i] == "0" else "0"
     return (digits[:i] + flipped + digits[i + 1:]).rstrip("0")
+
+
+def oracle_inverse(g: GroupElement) -> GroupElement:
+    """The inverse of g: each generator is an involution, so it is the
+    reversed word, which alternates as the word does."""
+    return GroupElement(g.omega, g.word[::-1])
+
+
+def oracle_color(v: CubeVertex, x: Ray) -> bool:
+    """The colour of a ray in a cube vertex: its half-line colour,
+    flipped when the ray is one of the vertex's delta."""
+    return in_gamma_plus(x) != (x in {ray_at(t) for t in v.delta})
 
 
 def oracle_apply(g: GroupElement, x: Ray) -> Ray:
@@ -285,7 +299,7 @@ def oracle_line_coordinates(omega: OmegaSequence, radius: int) -> dict[Ray, int]
 def oracle_commensuration(omega: OmegaSequence, g: GroupElement) -> frozenset:
     """Rays of the search ball of radius length(g) that g moves across
     the half-line boundary, tested on the rays themselves."""
-    g_inv = g.inverse()
+    g_inv = oracle_inverse(g)
     return frozenset(
         x
         for x in oracle_ball(omega, g.length)
@@ -298,7 +312,7 @@ def oracle_commensuration_window(omega: OmegaSequence, g: GroupElement) -> froze
     against g^-1 t >= 0, by the integer action over |t| <= length(g).
     Each letter moves a coordinate by at most one, so the window holds
     every crossing."""
-    inverse, n = g.inverse().word, g.length
+    inverse, n = oracle_inverse(g).word, g.length
     return frozenset(
         t
         for t in range(-n, n + 1)
@@ -314,7 +328,7 @@ def _scan(omega: OmegaSequence, g: GroupElement, before, after) -> bool:
 
 
 def oracle_stabilizes_gamma_plus_tilde(omega: OmegaSequence, g: GroupElement) -> bool:
-    return _scan(omega, g.inverse(), in_gamma_plus_tilde, in_gamma_plus_tilde)
+    return _scan(omega, oracle_inverse(g), in_gamma_plus_tilde, in_gamma_plus_tilde)
 
 
 def oracle_fixed_delta(omega: OmegaSequence, elements) -> frozenset:
@@ -325,7 +339,7 @@ def oracle_fixed_delta(omega: OmegaSequence, elements) -> frozenset:
         x
         for x in oracle_ball(omega, radius)
         if not in_gamma_plus(x)
-        and any(in_gamma_plus(oracle_apply(h.inverse(), x)) for h in elements)
+        and any(in_gamma_plus(oracle_apply(oracle_inverse(h), x)) for h in elements)
     )
 
 

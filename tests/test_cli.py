@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from grigcube import checks, stabilizers
+from grigcube.checks import SUITE_NAMES, run_suite
 from grigcube.cli import build_parser, exit_code_for, main
+from grigcube.elements import GroupElement
+from grigcube.omega import OmegaSequence
 
 
 def run_cli(capsys, *argv):
@@ -113,6 +120,35 @@ class TestCheck:
             "--max-len", "5",
         )
         assert json_lines(out)[0]["params"] == {"max_len": 5}
+
+    def test_inconsistent_table_is_a_failed_record(self, capsys, monkeypatch):
+        # a key that merges b and c makes a row of the multiplication
+        # table of the half-line stabilizer repeat an index
+        key = stabilizers.canonical_key
+        monkeypatch.setattr(stabilizers, "canonical_key", lambda g: key(
+            GroupElement.from_word(g.omega, g.word.replace("c", "b"))))
+        code, out, err = run_cli(capsys, "check", "--suite", "stab", "--omega", ":012")
+        assert code == 1
+        assert json_lines(out) == [{
+            "check": "stab", "omega": ":012", "params": {}, "status": "fail",
+            "elapsed_ms": 0.0,
+            "counterexample": "multiplication table row is not a permutation",
+        }]
+        assert "0 passed, 1 failed" in err
+        # the other suites still run and pass
+        reports = run_suite("all", [OmegaSequence.parse(":012")], max_len=4, depth=4)
+        assert [r.check for r in reports if r.status != "pass"] == ["stab"]
+
+    def test_closure_past_the_cap_is_a_failed_check(self, capsys, monkeypatch):
+        def overflow(generators):
+            raise ValueError("subgroup exceeds 64 elements")
+
+        monkeypatch.setattr(checks, "subgroup_closure", overflow)
+        code, out, err = run_cli(capsys, "check", "--suite", "stab", "--omega", ":012")
+        assert code == 1
+        records = json_lines(out)
+        assert [r["status"] for r in records] == ["fail", "pass", "pass"]
+        assert records[0]["counterexample"] == ["subgroup exceeds 64 elements"]
 
 
 class TestAct:
@@ -280,3 +316,44 @@ class TestPinnedOutput:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert out == expected
+
+
+COMMANDS = ("check", "orbit", "schreier", "act")
+omega_texts = st.text(alphabet="012:x -", max_size=6)
+counts = st.integers(-1, 3).map(str)
+words = st.text(alphabet="abcdx", max_size=6)
+vertex_texts = st.sampled_from((",", "1,", "0inf,0inf", "∅", "", "0inf", "01,1", "x"))
+
+
+@st.composite
+def argvs(draw):
+    """Random command lines; the counts stay at most 3, so that a check
+    over the default sequences stays cheap."""
+    command = draw(st.sampled_from(COMMANDS))
+    argv = [command]
+    if command == "check":
+        argv += ["--suite", draw(st.sampled_from(SUITE_NAMES + ("all",)))]
+        for _ in range(draw(st.integers(0, 2))):
+            argv += ["--omega", draw(omega_texts)]
+        argv += ["--max-len", draw(counts), "--depth", draw(counts)]
+        return argv
+    argv += ["--omega", draw(omega_texts)]
+    if command == "orbit":
+        argv += ["--max-len", draw(counts)]
+    elif command == "schreier":
+        argv += ["--radius", draw(counts),
+                 "--format", draw(st.sampled_from(("dot", "jsonl", "svg")))]
+    else:
+        argv += ["--word", draw(words)]
+    if command in ("orbit", "act") and draw(st.booleans()):
+        argv += ["--vertex", draw(vertex_texts)]
+    return argv
+
+
+@given(argvs())
+@settings(max_examples=50, deadline=None)
+def test_fuzzed_argv_gives_an_exit_code(argv):
+    # every outcome is a documented exit code, never a traceback
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv

@@ -165,3 +165,47 @@ def test_every_export_has_a_caller():
     loaded = set().union(*(_loaded_names(p) for p in SOURCES if p.stem != "__init__"))
     uncalled = set(grigcube.__all__) - loaded
     assert uncalled == set(UNCALLED_EXPORTS)
+
+
+# class members that no attribute load in the package reads, kept for a
+# reason other than such a read
+UNREAD_MEMBERS = {
+    "gamma.LabelledEdge.source": "the package reads it by unpacking the tuple",
+    "gamma.LabelledEdge.target": "the package reads it by unpacking the tuple",
+    "gamma.LabelledEdge.label": "the package reads it by unpacking the tuple",
+}
+
+
+def _members(path):
+    """module.Class.member for each method, property and annotated field
+    of each class in a module, dunders skipped."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = node.name
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                name = node.target.id
+            else:
+                continue
+            if not (name.startswith("__") and name.endswith("__")):
+                yield f"{path.stem}.{cls.name}.{name}", name
+
+
+def _read_attributes(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_member_has_a_reader():
+    # a member that nothing in the package reads is surface that no
+    # command, suite or claim runs; like the exports, it matches by name
+    read = set().union(*(_read_attributes(p) for p in SOURCES))
+    unread = {label for p in SOURCES for label, name in _members(p) if name not in read}
+    assert unread == set(UNREAD_MEMBERS)
