@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from random import Random
+from typing import NamedTuple
 
 from .cubes import CubeVertex, act, base_vertex, commensuration_delta, fixes
 from .elements import (
@@ -46,8 +46,7 @@ ACTION_TRIPLES = 200
 BOUND_VERTICES = 50
 
 
-@dataclass
-class CheckReport:
+class CheckReport(NamedTuple):
     check: str
     omega: str
     params: dict

@@ -27,7 +27,6 @@ ball, is given one.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -36,14 +35,13 @@ from .gamma import Ray, _coordinate, _push, ray_at
 from .omega import OmegaSequence
 
 
-@dataclass(frozen=True)
-class CubeVertex:
+class CubeVertex(NamedTuple):
     """A finite colouring of the line, by the line coordinates of its delta.
 
     Rays name the points only in the text form and in flip.
     """
 
-    delta: frozenset = field(default_factory=frozenset)
+    delta: frozenset = frozenset()
 
     def flip(self, x: Ray) -> "CubeVertex":
         return CubeVertex(self.delta ^ {_coordinate(x.digits)})

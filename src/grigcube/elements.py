@@ -11,8 +11,8 @@ reads that key.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .gamma import Ray, _coordinate, line_apply, ray_at
@@ -81,22 +81,22 @@ def reduce_word(word: str) -> str:
     return reduced
 
 
-@dataclass(frozen=True, slots=True)
-class GroupElement:
+class GroupElement(namedtuple("GroupElement", "omega word")):
     """A group element over a fixed sequence, stored as a reduced word.
 
-    Balls hold tens of thousands of elements, so an element keeps its two
-    fields in slots and carries no instance dictionary.
+    An element is the bare pair (omega, word): it has no instance
+    dictionary, and it compares equal to a plain tuple of the same two
+    fields.  So len(g) is 2; the word length is g.length.
     """
 
-    omega: OmegaSequence
-    word: str = ""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, omega: OmegaSequence, word: str = "") -> "GroupElement":
         # a word is reduced exactly when no letter is foreign and no pair
         # cancels or merges; reduce_word names a foreign letter
-        if _NOT_REDUCED.search(self.word) and self.word != reduce_word(self.word):
-            raise ValueError(f"word {self.word!r} is not reduced; use from_word")
+        if _NOT_REDUCED.search(word) and word != reduce_word(word):
+            raise ValueError(f"word {word!r} is not reduced; use from_word")
+        return super().__new__(cls, omega, word)
 
     @classmethod
     def from_word(cls, omega: OmegaSequence, word: str) -> "GroupElement":
@@ -111,9 +111,19 @@ class GroupElement:
         return len(self.word)
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
+        """The product, joined at the seam: both words are reduced, so
+        only mirrored letters at the join cancel, and then the last
+        letter left of self can merge with the first one left of other."""
         if self.omega != other.omega:
             raise OmegaMismatchError(f"{self.omega} vs {other.omega}")
-        return GroupElement.from_word(self.omega, self.word + other.word)
+        left, right = self.word, other.word
+        n = 0
+        while n < len(left) and n < len(right) and left[-1 - n] == right[n]:
+            n += 1
+        left, right = left[:len(left) - n], right[n:]
+        if right:
+            left = _append(left, right[0]) + right[1:]
+        return GroupElement(self.omega, left)
 
 
 def apply(g: GroupElement, ray: Ray) -> Ray:
@@ -272,7 +282,9 @@ def enumerate_ball(omega: OmegaSequence, max_len: int) -> tuple[GroupElement, ..
     element, u' + s would name the same element as u + s, and reduced it
     is either shorter than n, so the element was found before, or an
     alternating word that comes before u + s.  Either way u + s would not
-    be first, so u is a representative.
+    be first, so u is a representative.  Every candidate alternates, so
+    it is reduced, and its element is built by _make, without the check
+    of the constructor.
 
     Each representative of the current sphere is kept with its swap flag
     and the reduced words of its two restrictions, so a candidate's key
@@ -305,7 +317,7 @@ def enumerate_ball(omega: OmegaSequence, max_len: int) -> tuple[GroupElement, ..
                            _canonical_key(shifted, right))
             if key not in seen:
                 seen.add(key)
-                elements.append(GroupElement(omega, word))
+                elements.append(GroupElement._make((omega, word)))
                 sphere.append(state)
     return tuple(elements)
 

@@ -40,7 +40,7 @@ is sorted by coordinate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -49,20 +49,20 @@ from .omega import LETTER_SYMBOL, OmegaSequence
 GENERATOR_COLORS = {"a": "red", "b": "blue", "c": "green", "d": "orange"}
 
 
-@dataclass(frozen=True)
-class Ray:
+class Ray(namedtuple("Ray", "digits")):
     """A boundary ray of the tree carrying finitely many 1s.
 
     Stored as the digit prefix up to and including the last 1; the empty
     string is the all-zero ray.
     """
 
-    digits: str = ""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, digits: str = "") -> "Ray":
         # strip() leaves something exactly when a digit is not 0 or 1
-        if self.digits and (self.digits.strip("01") or self.digits[-1] != "1"):
-            raise ValueError(f"not a canonical ray: {self.digits!r}")
+        if digits and (digits.strip("01") or digits[-1] != "1"):
+            raise ValueError(f"not a canonical ray: {digits!r}")
+        return super().__new__(cls, digits)
 
     @classmethod
     def from_digits(cls, digits: str) -> "Ray":

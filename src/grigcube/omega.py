@@ -8,7 +8,7 @@ level exactly when the sequence carries its symbol there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 ALPHABET = "012"
 
@@ -27,47 +27,30 @@ def _primitive_root(period: str) -> str:
     return period
 
 
-@dataclass(frozen=True)
-class OmegaSequence:
+class OmegaSequence(namedtuple("OmegaSequence", "preperiod period")):
     """An eventually periodic sequence ``preperiod + period * infinity``.
 
     Instances normalise themselves on construction: the period is made
     primitive and any preperiod tail that already matches the period is
     absorbed into a rotation, so two descriptions of the same sequence
-    compare equal (``0:120`` becomes ``:012``).  Sequences key every memo
-    table of the package, so the hash is computed once, on construction,
-    and so is whether the sequence is repetition-free, which gates every
-    canonical key.
+    compare equal (``0:120`` becomes ``:012``).  A sequence is the pair
+    of its two strings, so it hashes and compares as that tuple, and
+    unpickling normalises again.
     """
 
-    preperiod: str
-    period: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.period:
+    def __new__(cls, preperiod: str, period: str) -> "OmegaSequence":
+        if not period:
             raise OmegaParseError("period must be non-empty")
-        for ch in self.preperiod + self.period:
+        for ch in preperiod + period:
             if ch not in ALPHABET:
                 raise OmegaParseError(f"invalid symbol {ch!r}, expected one of 0, 1, 2")
-        period = _primitive_root(self.period)
-        preperiod = self.preperiod
+        period = _primitive_root(period)
         while preperiod and preperiod[-1] == period[-1]:
             preperiod = preperiod[:-1]
             period = period[-1] + period[:-1]
-        object.__setattr__(self, "preperiod", preperiod)
-        object.__setattr__(self, "period", period)
-        object.__setattr__(self, "_hash", hash((preperiod, period)))
-        # every adjacent pair of the sequence occurs in this prefix
-        shown = preperiod + period + period[0]
-        object.__setattr__(self, "_repetition_free",
-                           all(x != y for x, y in zip(shown, shown[1:])))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # string hashes differ between processes, so a copy rehashes
-        return OmegaSequence, (self.preperiod, self.period)
+        return super().__new__(cls, preperiod, period)
 
     @classmethod
     def parse(cls, text: str) -> "OmegaSequence":
@@ -95,7 +78,9 @@ class OmegaSequence:
 
     def is_repetition_free(self) -> bool:
         """True when no symbol appears twice in a row."""
-        return self._repetition_free
+        # every adjacent pair of the sequence occurs in this prefix
+        shown = self.preperiod + self.period + self.period[0]
+        return all(x != y for x, y in zip(shown, shown[1:]))
 
 
 def passive_letter(omega: OmegaSequence, letter: str) -> str:

@@ -12,7 +12,6 @@ functions that enumerate a ball are given one.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
 from typing import Callable, Iterable, NamedTuple
@@ -46,8 +45,7 @@ def stabilizes_gamma_plus_tilde(g: GroupElement) -> bool:
 _PUNCTURED = CubeVertex(frozenset({0}))
 
 
-@dataclass
-class SmallGroupTable:
+class SmallGroupTable(NamedTuple):
     """A finite subset with the isomorphism type that its multiplication
     table shows.
 

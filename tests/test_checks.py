@@ -165,12 +165,13 @@ def test_reduction_reports_a_long_restriction(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["--max-len", "0"],
+    ["--max-len", "1"],
     ["--max-len", "40", "--omega", ":012"],
     ["--omega", ":0"],
 ])
 def test_commensuration_suite_passes(capsys, argv):
-    # the ends of the image tables, and a sequence with repetition
+    # the ends of the image tables at the least and a long length, and a
+    # sequence with repetition; --max-len 0 is a usage error
     assert main(["check", "--suite", "commensuration", *argv]) == 0
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert records and all(r["status"] == "pass" for r in records)

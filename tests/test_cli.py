@@ -1,12 +1,16 @@
 import contextlib
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import grigcube
 from grigcube import checks, stabilizers
-from grigcube.checks import SUITE_NAMES, run_suite
+from grigcube.checks import DEFAULT_OMEGAS, SUITE_NAMES, run_suite
 from grigcube.cli import build_parser, exit_code_for, main
 from grigcube.elements import GroupElement
 from grigcube.omega import OmegaSequence
@@ -64,6 +68,13 @@ class TestExitCodes:
         ("orbit", "--omega", ":012", "--max-len", "-1"),
         ("schreier", "--omega", ":012", "--radius", "-2"),
         ("schreier", "--omega", ":012", "--radius", "two"),
+        # a ball too small to test the claim
+        *(("check", "--suite", suite, "--omega", ":012", "--max-len", "0")
+          for suite in ("faithful", "bound", "reduction", "projections", "commensuration")),
+        ("check", "--suite", "prefix", "--omega", ":012", "--depth", "0"),
+        ("check", "--suite", "stab", "--omega", ":012", "--max-len", "2"),
+        ("check", "--suite", "stab", "--omega", ":012", "--max-len", "3"),
+        ("check", "--omega", ":012", "--max-len", "3"),
     ])
     def test_bad_count_is_usage_error(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -113,6 +124,12 @@ class TestCheck:
         assert code == 0
         names = [r["check"] for r in json_lines(out)]
         assert names == ["stab_half_line", "stab_punctured", "stab_intersection"]
+
+    def test_stab_passes_at_the_least_length(self, capsys):
+        # the half-line stabilizer first shows its order 8 at length 4
+        code, out, _ = run_cli(capsys, "check", "--suite", "stab", "--max-len", "4")
+        assert code == 0
+        assert len(json_lines(out)) == 3 * len(DEFAULT_OMEGAS)
 
     def test_records_carry_params(self, capsys):
         code, out, _ = run_cli(
@@ -357,3 +374,14 @@ def test_fuzzed_argv_gives_an_exit_code(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (0, 1, 2, 3), argv
+
+
+def test_start_up_imports_neither_dataclasses_nor_inspect():
+    # each command is its own process, so what importing the CLI pulls in
+    # is paid on every run; -I -S keeps the environment and site out
+    src = str(Path(grigcube.__file__).parent.parent)
+    probe = (f"import sys; sys.path.insert(0, {src!r}); import grigcube.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-I", "-S", "-c", probe],
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"

@@ -1,4 +1,3 @@
-import dataclasses
 import pickle
 from random import Random
 
@@ -23,6 +22,7 @@ from grigcube.elements import (
     is_trivial,
     reduce_word,
 )
+from grigcube.cubes import CubeVertex
 from grigcube.gamma import Ray, ZERO_RAY, line_apply
 from grigcube.omega import OmegaSequence
 
@@ -153,23 +153,35 @@ class TestReduce:
         assert words_agree_on_level(word, reduced, OM, 8)
 
 
+# one value of each immutable type of the package, built by its constructor
+VALUES = (
+    OmegaSequence("0", "120"),
+    Ray("101"),
+    GroupElement.from_word(OM, "abacad"),
+    CubeVertex(frozenset({0, 3})),
+)
+
+
 class TestSlots:
-    """Elements keep their fields in slots and stay frozen, hashable and
+    """Values are tuples: no instance dictionary, frozen, hashable and
     picklable."""
 
-    def test_no_instance_dict(self):
-        g = GroupElement.from_word(OM, "abac")
-        assert not hasattr(g, "__dict__")
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            g.word = "a"
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            g.omega = OM01
+    @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+    def test_no_instance_dict(self, value):
+        assert not hasattr(value, "__dict__")
+        for name in value._fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
 
-    def test_pickle_round_trip(self):
-        g = GroupElement.from_word(OM, "abacad")
-        copy = pickle.loads(pickle.dumps(g))
-        assert copy == g and hash(copy) == hash(g)
-        assert copy.omega == OM and copy.word == "abacad"
+    @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+    def test_pickle_round_trip(self, value):
+        copy = pickle.loads(pickle.dumps(value))
+        assert copy == value and hash(copy) == hash(value)
+        assert type(copy) is type(value) and tuple(copy) == tuple(value)
+
+    def test_sequence_unpickles_normalised(self):
+        copy = pickle.loads(pickle.dumps(OmegaSequence("0", "120")))
+        assert str(copy) == ":012" and copy == OM
 
     def test_equality_and_hash_by_reduced_word(self):
         g = GroupElement.from_word(OM, "abbacd")
@@ -178,6 +190,17 @@ class TestSlots:
         assert len({g, h, GroupElement(OM, "b")}) == 1
         assert GroupElement(OM, "b") != GroupElement(OM01, "b")
         assert GroupElement(OM, "b") != GroupElement(OM, "c")
+
+
+class TestProduct:
+    @given(alternating_words, alternating_words)
+    def test_join_at_the_seam_matches_reduce_word(self, u, v):
+        g, h = GroupElement(OM, u), GroupElement(OM, v)
+        # the inverse of g cancels all of g, and g^-1 h cancels part of it
+        rest = GroupElement.from_word(OM, u[::-1] + v)
+        for right in (h, oracle_inverse(g), rest):
+            assert g * right == GroupElement.from_word(OM, g.word + right.word)
+        assert (g * oracle_inverse(g)).word == ""
 
 
 class TestElementValidation:
@@ -492,6 +515,8 @@ class TestAgainstOracle:
     def test_ball_words_match_oracle(self, text, n):
         om = OmegaSequence.parse(text)
         words = tuple(g.word for g in enumerate_ball(om, n))
+        # the ball builds its elements without the constructor's check
+        assert not any(_NOT_REDUCED.search(word) for word in words)
         for oracle in (oracle_ball_words, oracle_sphere_ball):
             assert words == oracle(om, n), oracle.__name__
 

@@ -52,17 +52,24 @@ UNVARIED_DEFAULTS = {
 def _defaulted(tree, module):
     """(module.function(parameter), function, parameter, position,
     default) for each defaulted parameter; position counts the positional
-    parameters after self and cls, and is None for a keyword-only one."""
+    parameters after self and cls, and is None for a keyword-only one.
+    A class's __new__ goes by the class's name, which its callers call."""
+    classes = {
+        id(fn): cls.name
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for fn in cls.body if getattr(fn, "name", None) == "__new__"
+    }
     for fn in ast.walk(tree):
         if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
+        name = classes.get(id(fn), fn.name)
         args = fn.args
         positional = [a for a in args.posonlyargs + args.args if a.arg not in ("self", "cls")]
         pairs = [(a, positional.index(a), d)
                  for a, d in zip(positional[len(positional) - len(args.defaults):], args.defaults)]
         pairs += [(a, None, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
         for arg, position, default in pairs:
-            yield f"{module}.{fn.name}({arg.arg})", fn.name, arg.arg, position, default
+            yield f"{module}.{name}({arg.arg})", name, arg.arg, position, default
 
 
 def _passed(trees):
@@ -178,18 +185,24 @@ UNREAD_MEMBERS = {
 
 def _members(path):
     """module.Class.member for each method, property and annotated field
-    of each class in a module, dunders skipped."""
+    of each class in a module, and each field named in the field string
+    of a namedtuple("Class", "...") base, dunders skipped."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     for cls in ast.walk(tree):
         if not isinstance(cls, ast.ClassDef):
             continue
+        names = [
+            field
+            for base in cls.bases
+            if isinstance(base, ast.Call) and getattr(base.func, "id", None) == "namedtuple"
+            for field in base.args[1].value.replace(",", " ").split()
+        ]
         for node in cls.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                name = node.name
+                names.append(node.name)
             elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                name = node.target.id
-            else:
-                continue
+                names.append(node.target.id)
+        for name in names:
             if not (name.startswith("__") and name.endswith("__")):
                 yield f"{path.stem}.{cls.name}.{name}", name
 
@@ -207,5 +220,10 @@ def test_every_member_has_a_reader():
     # a member that nothing in the package reads is surface that no
     # command, suite or claim runs; like the exports, it matches by name
     read = set().union(*(_read_attributes(p) for p in SOURCES))
-    unread = {label for p in SOURCES for label, name in _members(p) if name not in read}
+    members = {label: name for p in SOURCES for label, name in _members(p)}
+    assert {
+        "omega.OmegaSequence.preperiod", "omega.OmegaSequence.period",
+        "gamma.Ray.digits", "elements.GroupElement.omega", "elements.GroupElement.word",
+    } <= set(members)
+    unread = {label for label, name in members.items() if name not in read}
     assert unread == set(UNREAD_MEMBERS)
