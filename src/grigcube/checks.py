@@ -227,27 +227,20 @@ def check_commensuration(
     random triples.
 
     The crossings of g are the coordinates t of the window
-    |t| <= length + 4 with t >= 0 unlike g^-1 t >= 0.  The whole window
-    is pushed through g^-1 one letter at a time, through one image table
-    per letter built before the first word.
+    |t| <= length + 4 with t >= 0 unlike g^-1 t >= 0.  Each letter is an
+    involution, so g^-1 is g.word reversed, and the window goes through
+    it in one push.  A word of n letters takes the window at most 2n + 4
+    from 0, so words of up to 61 letters run on the byte tables of
+    gamma._push and longer ones on its level rule.
     """
     rng = Random(seed)
     started = time.monotonic()
     counterexample = None
-    # Every edge of Γ joins t to t ± 1, so n <= max_len letters keep a
-    # window point |t| <= n + 4 inside |t| <= 2 * max_len + 4.  A point
-    # that left the tables would raise KeyError, never be skipped.
-    reach = range(-2 * max_len - 4, 2 * max_len + 5)
-    tables = {s: dict(zip(reach, _push(omega, s, reach))) for s in "abcd"}
     for _ in range(LOCALITY_WORDS):
         g = GroupElement(omega, _random_word(rng, max_len))
         n = g.length
         window = range(-n - 4, n + 5)
-        images = list(window)
-        # g^-1 is g.word reversed, and a word acts right to left
-        for letter in g.word:
-            table = tables[letter]
-            images = [table[t] for t in images]
+        images = _push(omega, g.word[::-1], window)
         wide = {t for t, image in zip(window, images) if (t >= 0) != (image >= 0)}
         escaped = [t for t in wide if abs(t) > n]
         if escaped:
@@ -340,6 +333,24 @@ _SUITES = {
 
 SUITE_NAMES = tuple(_SUITES)
 
+# the keyword that sizes each suite's ball and its least useful value,
+# where that is not max_len 1: a ball of length 0 holds the identity
+# alone, a prefix scan of depth 0 the all-zero ray alone, and the
+# half-line stabilizer first shows its order 8 at length 4
+_LEAST = {"prefix": ("depth", 1), "stab": ("max_len", 4)}
+
+
+def _check_ball_sizes(names, sizes: dict) -> None:
+    """Raise ValueError when a size sets a suite's ball too small to test
+    its claim, which would make it pass vacuously or fail; the message
+    names the size as the CLI flag that sets it."""
+    for name in names:
+        key, least = _LEAST.get(name, ("max_len", 1))
+        value = sizes[key]
+        if value is not None and value < least:
+            raise ValueError(f"--{key.replace('_', '-')} {value} is too small "
+                             f"for suite {name}; it needs at least {least}")
+
 
 def run_suite(
     suite: str,
@@ -356,9 +367,11 @@ def run_suite(
     of it is lost.  The package raises AssertionError only when its own
     results disagree, as a multiplication table that is not a group's;
     a suite that raises it on a sequence gives one fail record for it,
-    with the message as counterexample.
+    with the message as counterexample.  A max_len or depth too small
+    for a suite's claim raises ValueError before any suite runs.
     """
     names = SUITE_NAMES if suite == "all" else (suite,)
+    _check_ball_sizes(names, {"max_len": max_len, "depth": depth})
     reports = []
     for name in names:
         for omega in omegas:

@@ -39,26 +39,7 @@ def exit_code_for(statuses: list[str]) -> int:
     return 0
 
 
-# the flag that sizes each suite's ball and its least useful value, where
-# that is not --max-len 1: a ball of length 0 holds the identity alone, a
-# prefix scan of depth 0 the all-zero ray alone, and the half-line
-# stabilizer first shows its order 8 at length 4
-_LEAST = {"prefix": ("depth", 1), "stab": ("max_len", 4)}
-
-
-def _check_ball_sizes(args) -> None:
-    """Raise ValueError when a flag sizes a suite's ball too small to
-    test its claim, which would make it pass vacuously or fail."""
-    for name in SUITE_NAMES if args.suite == "all" else (args.suite,):
-        flag, least = _LEAST.get(name, ("max_len", 1))
-        value = getattr(args, flag)
-        if value is not None and value < least:
-            raise ValueError(f"--{flag.replace('_', '-')} {value} is too small "
-                             f"for suite {name}; it needs at least {least}")
-
-
 def _cmd_check(args) -> int:
-    _check_ball_sizes(args)
     omegas = _parse_omegas(args.omega)
     reports = run_suite(args.suite, omegas, max_len=args.max_len,
                         depth=args.depth, seed=args.seed)

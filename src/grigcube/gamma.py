@@ -25,17 +25,29 @@ on the sequence, only the labels do.  The right half-line (gamma plus)
 is t ≥ 0: the all-zero ray and the rays whose last 1 sits at an odd
 position.  The punctured right half-line is t ≥ 1.
 
-Inside the package a vertex is its coordinate, and one private loop,
+Inside the package a vertex is its coordinate, and one private function,
 ``_push``, is the only generator action: it moves many coordinates
-through a word letter by letter, reading the sequence's two strings once
-per call.  Started from ∅ with the boundary flips of the cocycle it
-builds the defect δ(g) of the cube complex, and started from a vertex's
-delta it acts on that vertex (see cubes).  ``line_apply`` pushes one
-coordinate, and ``ball_edges`` pushes the whole interval of a ball
-through each letter.  Rays appear at the edges: parsing and printing
-cube vertices, the digit-prefix suite, ``apply`` and ``neighbors`` (thin
-wrappers that take and return rays), and the DOT and JSON output, which
-is sorted by coordinate.
+through a word letter by letter.  Started from ∅ with the boundary flips
+of the cocycle it builds the defect δ(g) of the cube complex, and
+started from a vertex's delta it acts on that vertex (see cubes).
+``line_apply`` pushes one coordinate, and ``ball_edges`` pushes the
+whole interval of a ball through each letter.
+
+A push has two paths.  A letter moves a point by at most 1, so no
+point gets further from 0 than max|t| + len(word), its reach.  When the
+reach is at most 126, the points travel as one byte string, the byte
+of t being t + 127, and each letter is one ``bytes.translate`` through
+a 256-byte table of that letter's images over |t| ≤ 126.  The four
+tables of a sequence are built from the level rule on first use and
+kept in a small cache.  Every δ(g), ``act`` and ``fixes`` of the check
+suites runs this way.  A larger reach, such as the radius-200 interval
+of ``schreier`` or a far ray given to ``act`` or ``orbit``, takes the
+level rule point by point; it is the only path that reaches past ±126.
+
+Rays appear at the edges: parsing and printing cube vertices, the
+digit-prefix suite, ``apply`` and ``neighbors`` (thin wrappers that take
+and return rays), and the DOT and JSON output, which is sorted by
+coordinate.
 """
 
 from __future__ import annotations
@@ -170,10 +182,75 @@ def ray_at(t: int) -> Ray:
 # unless ω₁ is its symbol
 _BOUNDARY = frozenset({-1, 0})
 
+# coordinates |t| <= _REACH travel as the bytes t + _OFFSET, 1 to 253,
+# and their images under one letter as bytes 0 to 254
+_REACH = 126
+_OFFSET = 127
+_BOUNDARY_BYTES = tuple(bytes([t + _OFFSET]) for t in _BOUNDARY)
+
 
 def _push(omega: OmegaSequence, word: str, points, cocycle: bool = False) -> list:
     """Images of coordinates under a word, letters right to left, in the
     order the points are given.
+
+    Every edge joins t to t ± 1, so a letter moves a point by at most 1
+    and the points stay within max|t| + len(word) of 0 while they travel.
+    When that reach is at most _REACH (126), every point is a byte of
+    one string and each letter is one ``bytes.translate`` through the
+    letter's table from _byte_tables; with ``cocycle`` set, a letter that
+    swaps the boundary pair then toggles the bytes of −1 and 0.  Every
+    δ(g), ``act`` and ``fixes`` of the check suites takes that path.  A
+    larger reach, as the radius-200 interval of ``schreier`` or a far
+    ray given to ``act`` or ``orbit``, runs the level rule of _rule_push
+    point by point, the only path that reaches past ±126.
+
+    With ``cocycle`` set, the points are a set and {−1, 0} is toggled
+    after each letter of b, c, d whose symbol is not ω₁: that is
+    δ(s) Δ s·D for the defect D of the suffix, so started from ∅ the
+    loop builds δ(word) and started from a vertex delta it builds the
+    delta of the image vertex (see cubes).  The result then lists that
+    set in no particular order.
+    """
+    points = list(points)
+    if max(map(abs, points), default=0) + len(word) > _REACH:
+        return _rule_push(omega, word, points, cocycle)
+    steps = _byte_tables(omega)
+    held = bytes([t + _OFFSET for t in points])
+    for letter in reversed(word):
+        table, toggles = steps[letter]
+        held = held.translate(table)
+        if cocycle and toggles:
+            for mark in _BOUNDARY_BYTES:
+                held = held.replace(mark, b"") if mark in held else held + mark
+    return [byte - _OFFSET for byte in held]
+
+
+@lru_cache(maxsize=32)
+def _byte_tables(omega: OmegaSequence) -> dict[str, tuple[bytes, bool]]:
+    """Per letter, its ``bytes.translate`` table over |t| <= _REACH and
+    whether it swaps the boundary pair {−1, 0} under ω.
+
+    The table sends byte t + _OFFSET to the byte of the letter's image of
+    t, as _rule_push computes it; the image lies in |t| <= 127.  The
+    other bytes map to themselves, and _push keeps every point off them.
+    The letter swaps the boundary pair exactly when its table sends −1
+    to 0.  Built on first use, never at import.  The five default
+    sequences and their shifts are 11 sequences, so the bound holds them
+    all.
+    """
+    span = range(-_REACH, _REACH + 1)
+    steps = {}
+    for letter in "abcd":
+        table = bytearray(range(256))
+        table[_OFFSET - _REACH:_OFFSET + _REACH + 1] = bytes(
+            [image + _OFFSET for image in _rule_push(omega, letter, span)])
+        steps[letter] = bytes(table), table[_OFFSET - 1] == _OFFSET
+    return steps
+
+
+def _rule_push(omega: OmegaSequence, word: str, points, cocycle: bool = False) -> list:
+    """The level rule: _push for points at any distance from 0, one
+    point and one letter at a time.
 
     ``a`` flips the first digit, so it swaps two rays that agree after
     it.  Their coordinates start as {0, 1}, and each later 1 at position
@@ -189,13 +266,6 @@ def _push(omega: OmegaSequence, word: str, points, cocycle: bool = False) -> lis
     L = ν₂(3u + 1), and the two letters whose symbol is not ω_L swap it.
     The sequence only picks the fixing letter, so the rule holds for
     every ω; its two strings are read once per call and indexed by L.
-
-    With ``cocycle`` set, the points are a set and {−1, 0} is toggled
-    after each letter of b, c, d whose symbol is not ω₁: that is
-    δ(s) Δ s·D for the defect D of the suffix, so started from ∅ the
-    loop builds δ(word) and started from a vertex delta it builds the
-    delta of the image vertex (see cubes).  The result then lists that
-    set in no particular order.
     """
     pre, period = omega.preperiod, omega.period
     n_pre, n_period = len(pre), len(period)

@@ -15,7 +15,9 @@ from grigcube.checks import (
     run_suite,
 )
 from grigcube.cli import main
-from grigcube.elements import GroupElement
+from grigcube.cubes import commensuration_delta
+from grigcube.elements import GroupElement, ball_sections, enumerate_ball
+from grigcube.gamma import ray_at
 from grigcube.omega import OmegaSequence
 
 OM = OmegaSequence.parse(":012")
@@ -164,14 +166,63 @@ def test_reduction_reports_a_long_restriction(monkeypatch, capsys):
     assert record["counterexample"] == {"word": "abab", "left": "aba", "right": "b"}
 
 
+def test_locality_reports_a_crossing_one_past_the_length(monkeypatch):
+    # the escape bound is |t| <= |g| exactly: a crossing at |g| + 1 is
+    # reported as escaped, not only as a δ mismatch
+    true_push = grigcube.checks._push
+
+    def push(omega, word, points):
+        images = true_push(omega, word, points)
+        return [-1 if t == len(word) + 1 else image for t, image in zip(points, images)]
+
+    monkeypatch.setattr(grigcube.checks, "_push", push)
+    report = check_commensuration(OM)[0]
+    assert report.status == "fail"
+    n = len(report.counterexample["word"])
+    assert report.counterexample["escaped"] == [ray_at(n + 1).text()]
+
+
+@pytest.mark.parametrize("text", DEFAULT_OMEGAS)
+def test_locality_and_contraction_margins_are_zero(text):
+    # over ball(12) both bounds are met with equality, by single letters
+    # and by long words such as dacacac and dacad on :012: the largest
+    # max|t| − |g| over t in δ(g), and the largest 2·max|gᵢ| − |g| − 1
+    # over level-fixing g, are both 0
+    om = OmegaSequence.parse(text)
+    locality = max(max(map(abs, delta)) - g.length
+                   for g in enumerate_ball(om, 12) if (delta := commensuration_delta(g)))
+    contraction = max(2 * max(len(left), len(right)) - g.length - 1
+                      for g, swap, left, right in ball_sections(om, 12) if not swap)
+    assert (locality, contraction) == (0, 0)
+
+
+@pytest.mark.parametrize("suite, sizes", [
+    ("faithful", {"max_len": 0}),
+    ("commensuration", {"max_len": 0}),
+    ("prefix", {"depth": 0}),
+    ("stab", {"max_len": 3}),
+    ("all", {"max_len": 3, "depth": 4}),
+])
+def test_run_suite_rejects_a_ball_too_small(capsys, suite, sizes):
+    # a library call gets the CLI's usage error, before any suite runs
+    with pytest.raises(ValueError, match="too small for suite") as caught:
+        run_suite(suite, [OM], **sizes)
+    flags = [part for key, value in sizes.items()
+             for part in (f"--{key.replace('_', '-')}", str(value))]
+    assert main(["check", "--suite", suite, "--omega", ":012", *flags]) == 2
+    assert capsys.readouterr().err == f"error: {caught.value}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["--max-len", "1"],
     ["--max-len", "40", "--omega", ":012"],
     ["--omega", ":0"],
+    ["--max-len", "70", "--omega", ":012"],
 ])
 def test_commensuration_suite_passes(capsys, argv):
-    # the ends of the image tables at the least and a long length, and a
-    # sequence with repetition; --max-len 0 is a usage error
+    # the least length, a long one, a sequence with repetition, and a
+    # length whose longest words push the window past the byte tables of
+    # gamma._push; --max-len 0 is a usage error
     assert main(["check", "--suite", "commensuration", *argv]) == 0
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert records and all(r["status"] == "pass" for r in records)

@@ -12,7 +12,9 @@ import grigcube
 from grigcube import checks, stabilizers
 from grigcube.checks import DEFAULT_OMEGAS, SUITE_NAMES, run_suite
 from grigcube.cli import build_parser, exit_code_for, main
+from grigcube.cubes import CubeVertex
 from grigcube.elements import GroupElement
+from grigcube.gamma import Ray
 from grigcube.omega import OmegaSequence
 
 
@@ -338,21 +340,25 @@ class TestPinnedOutput:
 COMMANDS = ("check", "orbit", "schreier", "act")
 omega_texts = st.text(alphabet="012:x -", max_size=6)
 counts = st.integers(-1, 3).map(str)
+# half the check sizes from 4..6, so fuzzed lines also get past the least
+# ball of stab and all
+ball_sizes = st.one_of(counts, st.integers(4, 6).map(str))
 words = st.text(alphabet="abcdx", max_size=6)
 vertex_texts = st.sampled_from((",", "1,", "0inf,0inf", "∅", "", "0inf", "01,1", "x"))
 
 
 @st.composite
 def argvs(draw):
-    """Random command lines; the counts stay at most 3, so that a check
-    over the default sequences stays cheap."""
+    """Random command lines; the counts stay at most 3 and a check's
+    sizes at most 6, so that a check over the default sequences stays
+    cheap."""
     command = draw(st.sampled_from(COMMANDS))
     argv = [command]
     if command == "check":
         argv += ["--suite", draw(st.sampled_from(SUITE_NAMES + ("all",)))]
         for _ in range(draw(st.integers(0, 2))):
             argv += ["--omega", draw(omega_texts)]
-        argv += ["--max-len", draw(counts), "--depth", draw(counts)]
+        argv += ["--max-len", draw(ball_sizes), "--depth", draw(ball_sizes)]
         return argv
     argv += ["--omega", draw(omega_texts)]
     if command == "orbit":
@@ -374,6 +380,23 @@ def test_fuzzed_argv_gives_an_exit_code(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (0, 1, 2, 3), argv
+
+
+# the characters the three text forms are made of, and any other
+parse_texts = st.text(st.one_of(st.sampled_from("012:,∅emptyinf"), st.characters()),
+                      max_size=12)
+
+
+@pytest.mark.parametrize("parse", [OmegaSequence.parse, CubeVertex.parse, Ray.parse],
+                         ids=["omega", "vertex", "ray"])
+@given(text=parse_texts)
+def test_parsers_give_a_value_or_a_value_error(parse, text):
+    # the CLI turns a ValueError into exit 2; any other exception would
+    # be a traceback
+    try:
+        parse(text)
+    except ValueError:
+        pass
 
 
 def test_start_up_imports_neither_dataclasses_nor_inspect():

@@ -3,8 +3,10 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import grigcube.gamma
 from grigcube.elements import GroupElement, apply
 from grigcube.gamma import (
+    _REACH,
     Ray,
     ZERO_RAY,
     _coordinate,
@@ -25,10 +27,12 @@ from grigcube.omega import OmegaSequence
 
 from oracles import (
     _apply_letter,
+    oracle_act,
     oracle_apply,
     oracle_ball,
     oracle_ball_edges,
     oracle_letter,
+    oracle_cocycle,
     oracle_line_coordinates,
     oracle_word,
 )
@@ -361,3 +365,76 @@ def test_push_at_every_level_up_to_60(om):
                 expected = _coordinate(oracle_word(letter, om, digits + "00"))
                 assert line_apply(om, letter, _coordinate(digits)) == expected, (
                     level, digits, letter)
+
+
+# within ±140 and up to 20 letters, a draw falls on either side of the
+# byte bound of _push, max|t| + len(word) <= _REACH = 126
+near_points = st.integers(min_value=-140, max_value=140)
+long_words = st.text(alphabet="abcd", max_size=20)
+
+
+def _rays(points) -> set[Ray]:
+    return {ray_at(t) for t in points}
+
+
+@pytest.mark.parametrize("om", ORACLE_OMEGAS, ids=str)
+class TestPushOnBothSidesOfTheByteBound:
+    """_push translates bytes when every point stays within ±126 and
+    runs the level rule otherwise; both against the ray oracles."""
+
+    @given(long_words, st.lists(near_points, max_size=6))
+    @settings(max_examples=60)
+    def test_images_in_order(self, om, word, points):
+        g = GroupElement.from_word(om, word)
+        expected = [line_coordinate(oracle_apply(g, ray_at(t))) for t in points]
+        assert _push(om, word, points) == expected
+
+    @given(long_words, st.frozensets(near_points, max_size=4))
+    @settings(max_examples=60)
+    def test_cocycle(self, om, word, delta):
+        assert frozenset(_push(om, word, (), cocycle=True)) == oracle_cocycle(om, word)
+        g = GroupElement.from_word(om, word)
+        image = _push(om, word, delta, cocycle=True)
+        assert len(image) == len(set(image))
+        assert _rays(image) == oracle_act(om, g, frozenset(_rays(delta)))
+
+
+def _outward_word(om: OmegaSequence, t: int, length: int) -> str:
+    """A word whose letters, right to left, each carry t one step further
+    from 0, chosen by the digit scan."""
+    letters = []
+    for _ in range(length):
+        for s in "abcd":
+            image = line_coordinate(oracle_apply(GroupElement(om, s), ray_at(t)))
+            if abs(image) > abs(t):
+                letters.append(s)
+                t = image
+                break
+    return "".join(reversed(letters))
+
+
+@pytest.mark.parametrize("om", ORACLE_OMEGAS, ids=str)
+@pytest.mark.parametrize("reach", [_REACH, _REACH + 1])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_push_at_the_byte_bound(om, reach, sign, monkeypatch):
+    # ten letters carry the far point out to ±reach: at _REACH the byte
+    # tables hold every step, one further the level rule takes the call
+    start = sign * (reach - 10)
+    word = _outward_word(om, start, 10)
+    points = [start, 3, -1, 0]
+    g = GroupElement.from_word(om, word)
+    expected = [line_coordinate(oracle_apply(g, ray_at(t))) for t in points]
+    assert abs(expected[0]) == reach
+    grigcube.gamma._byte_tables(om)  # built before the spy, which then sees pushes only
+    rule_calls = []
+    rule = grigcube.gamma._rule_push
+
+    def counted(*args):
+        rule_calls.append(args)
+        return rule(*args)
+
+    monkeypatch.setattr(grigcube.gamma, "_rule_push", counted)
+    assert _push(om, word, points) == expected
+    image = _push(om, word, points, cocycle=True)
+    assert _rays(image) == oracle_act(om, g, frozenset(_rays(points)))
+    assert len(rule_calls) == (0 if reach == _REACH else 2)
