@@ -26,8 +26,8 @@ ball, is given one.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from functools import lru_cache
+from itertools import groupby
 from typing import NamedTuple
 
 from .elements import GroupElement, enumerate_ball
@@ -126,14 +126,13 @@ def orbit_growth(omega: OmegaSequence, v: CubeVertex, max_len: int) -> list[Orbi
     """Cumulative maximum displacement of v over balls of growing length.
 
     One row per length, carrying a witness word that attains the maximum.
+    The ball comes sphere by sphere, and no sphere of an infinite group
+    is empty, so one pass closes a row at the end of each sphere.
     """
-    by_length = defaultdict(list)
-    for g in enumerate_ball(omega, max_len):
-        by_length[g.length].append(g)
     best, witness = 0, ""
     rows = []
-    for length in range(max_len + 1):
-        for g in by_length.get(length, ()):
+    for length, sphere in groupby(enumerate_ball(omega, max_len), lambda g: g.length):
+        for g in sphere:
             d = distance(v, act(g, v))
             if d > best:
                 best, witness = d, g.word

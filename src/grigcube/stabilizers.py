@@ -3,7 +3,11 @@
 All computations here are restricted to an enumerated ball of elements;
 nothing is claimed about elements beyond that ball.  For the half-line
 and its punctured variant the ball already exhibits the full stabilizer
-(a dihedral group of order 8 and a Klein four group).
+(a dihedral group of order 8 and a Klein four group).  A subset closed
+under products gets a multiplication table, which is checked to be a
+group's; its type is named from the orders that element_order gives its
+elements, a computation that stops after 64 powers, so a wrong product
+makes a type unnamed rather than a loop endless.
 
 The membership tests read the sequence off their elements; only the
 functions that enumerate a ball are given one.
@@ -20,8 +24,8 @@ from .elements import (
     GroupElement,
     canonical_key,
     decompose,
+    element_order,
     enumerate_ball,
-    is_trivial,
 )
 from .cubes import CubeVertex, commensuration_delta, fixes
 from .gamma import _push, ray_at
@@ -49,8 +53,9 @@ class SmallGroupTable(NamedTuple):
     """A finite subset with the isomorphism type that its multiplication
     table shows.
 
-    When the subset is not closed inside itself it has no table, and the
-    recognized type reports only the order.
+    The type is trivial, Z2, Z4, Z2xZ2 or D8 when the subset has a table
+    and its element orders are exactly those of that group (see
+    _recognize), and other(n), n the order, in every other case.
     """
 
     elements: tuple
@@ -75,18 +80,6 @@ def _build_table(elements: tuple) -> tuple | None:
     return tuple(rows)
 
 
-def _table_orders(elements: tuple, table: tuple) -> list[int]:
-    identity = next(i for i, g in enumerate(elements) if is_trivial(g))
-    orders = []
-    for i in range(len(elements)):
-        j, k = i, 1
-        while j != identity:
-            j = table[j][i]
-            k += 1
-        orders.append(k)
-    return orders
-
-
 def _validate_table(table: tuple) -> None:
     n = len(table)
     rng = Random(0)
@@ -103,23 +96,35 @@ def _validate_table(table: tuple) -> None:
             raise AssertionError("multiplication table is not associative")
 
 
+# the sorted element orders of each group of order at most 4
+_SMALL_TYPES = {
+    (1,): "trivial",
+    (1, 2): "Z2",
+    (1, 2, 4, 4): "Z4",
+    (1, 2, 2, 2): "Z2xZ2",
+}
+
+
 def _recognize(elements: tuple, table: tuple | None) -> str:
+    """The type of a subset from its table and its element orders.
+
+    The orders come from element_order, which gives None past 64, read
+    here as 0, so such an element matches no rule.  The rules are exact:
+    trivial, Z2, Z4 and Z2xZ2 need the sorted orders (1), (1, 2),
+    (1, 2, 4, 4) and (1, 2, 2, 2); D8 needs five of order 2 and two of
+    order 4 beside the identity, and a table that does not commute.
+    Anything else, and any subset without a table, is other(n).
+    """
     n = len(elements)
     if table is None:
         return f"other({n})"
-    orders = _table_orders(elements, table)
+    orders = tuple(sorted(element_order(g) or 0 for g in elements))
     abelian = all(
         table[i][j] == table[j][i] for i in range(n) for j in range(i + 1, n)
     )
-    if n == 1:
-        return "trivial"
-    if n == 2:
-        return "Z2"
-    if n == 4:
-        return "Z4" if 4 in orders else "Z2xZ2"
-    if n == 8 and not abelian and orders.count(4) == 2 and orders.count(2) == 5:
+    if orders == (1, 2, 2, 2, 2, 2, 4, 4) and not abelian:
         return "D8"
-    return f"other({n})"
+    return _SMALL_TYPES.get(orders, f"other({n})")
 
 
 def stabilizer_in_ball(
@@ -131,9 +136,9 @@ def stabilizer_in_ball(
 
     The test is stabilizes_gamma_plus, stabilizes_gamma_plus_tilde or,
     for a cube vertex v, ``lambda g: fixes(g, v)``.  The multiplication
-    table is built when the subset is closed within itself, and small
-    isomorphism types are recognized from element orders and
-    commutativity.
+    table is built when the subset is closed within itself and checked
+    to be a group's; _recognize names its type from the element orders
+    and whether the table commutes.
     """
     elements = tuple(g for g in enumerate_ball(omega, max_len) if stabilizes(g))
     table = _build_table(elements)

@@ -1,10 +1,15 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import grigcube
 import grigcube.checks
 from grigcube.checks import (
     DEFAULT_OMEGAS,
+    SUITE_NAMES,
     CheckReport,
     all_rays,
     check_commensuration,
@@ -211,6 +216,31 @@ def test_run_suite_rejects_a_ball_too_small(capsys, suite, sizes):
              for part in (f"--{key.replace('_', '-')}", str(value))]
     assert main(["check", "--suite", suite, "--omega", ":012", *flags]) == 2
     assert capsys.readouterr().err == f"error: {caught.value}\n"
+
+
+def test_run_suite_rejects_an_unknown_suite():
+    # the CLI's choices reject such a name; a library call gets a usage
+    # error that lists the names, before any suite runs
+    with pytest.raises(ValueError, match="unknown suite 'nope'") as caught:
+        run_suite("nope", [OM])
+    assert all(name in str(caught.value) for name in SUITE_NAMES)
+
+
+def test_stab_fails_in_bounded_time_on_a_wrong_product():
+    # with g * h giving h, no element but the identity has a finite
+    # order; both stabilizer tables are still closed and associative, so
+    # only the element orders can tell, and they must stop at their bound
+    src = str(Path(grigcube.__file__).parent.parent)
+    probe = (f"import sys; sys.path.insert(0, {src!r}); "
+             "from grigcube.elements import GroupElement; "
+             "GroupElement.__mul__ = lambda g, h: h; "
+             "from grigcube.cli import main; "
+             "sys.exit(main(['check', '--suite', 'stab', '--omega', ':012']))")
+    result = subprocess.run([sys.executable, "-c", probe],
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 1
+    status = {r["check"]: r["status"] for r in map(json.loads, result.stdout.splitlines())}
+    assert status["stab_half_line"] == status["stab_punctured"] == "fail"
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,7 @@
 """Checks on the package source itself, read as syntax trees."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,21 @@ import pytest
 import grigcube
 
 SOURCES = sorted(Path(grigcube.__file__).parent.glob("*.py"))
+
+
+def _least_python():
+    """The least version that pyproject.toml's requires-python names."""
+    pyproject = Path(__file__).parent.parent / "pyproject.toml"
+    found = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$',
+                      pyproject.read_text(encoding="utf-8"), re.MULTILINE)
+    return int(found[1]), int(found[2])
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_source_parses_on_the_least_python(path):
+    # the grammar of the least supported version, so syntax from a later
+    # one, such as except*, fails here and not on a user's interpreter
+    ast.parse(path.read_text(encoding="utf-8"), feature_version=_least_python())
 
 
 def _parameters(fn):

@@ -2,6 +2,7 @@ from random import Random
 
 import pytest
 
+import grigcube.stabilizers
 from grigcube.checks import _random_vertex
 from grigcube.cubes import CubeVertex, act, base_vertex, commensuration_delta, fixes
 from grigcube.elements import (
@@ -128,6 +129,30 @@ class TestPuncturedStabilizer:
                 g.word for g in tilde.elements if canonical_key(g) in plus_keys
             }
             assert both == {"", fixing_letter(om, 1)}
+
+
+def _picked(*words):
+    return lambda g: g.word in words
+
+
+@pytest.mark.parametrize("member, unbounded, expected", [
+    (_picked(""), None, "trivial"),
+    (_picked("", "a"), None, "Z2"),
+    (_picked("", "ad", "adad", "da"), None, "Z4"),
+    (_picked("", "b", "c", "d"), None, "Z2xZ2"),
+    (stabilizes_gamma_plus, None, "D8"),
+    (_picked("", "b", "c", "d"), "b", "other(4)"),
+], ids=["trivial", "Z2", "Z4", "Z2xZ2", "half-line", "order-past-64"])
+def test_recognized_type_of_a_subset(monkeypatch, member, unbounded, expected):
+    # each named type from its exact order multiset; unbounded names an
+    # element whose order element_order reports as past 64, which leaves
+    # a closed subset of four unnamed
+    if unbounded is not None:
+        monkeypatch.setattr(
+            grigcube.stabilizers, "element_order",
+            lambda g: None if g.word == unbounded else element_order(g))
+    table = stabilizer_in_ball(OM, member, 6)
+    assert table.recognized_type == expected
 
 
 class TestVertexStabilizer:
