@@ -22,7 +22,7 @@ from .gamma import (
     Ray,
     ZERO_RAY,
     _coordinate,
-    _push,
+    _window_signs,
     in_gamma_plus,
     in_gamma_plus_tilde,
     prepend,
@@ -217,6 +217,40 @@ def _random_vertex(rng: Random, max_depth: int = 6) -> CubeVertex:
     return CubeVertex(frozenset(delta))
 
 
+def _locality_counterexample(g: GroupElement, delta: frozenset) -> dict | None:
+    """Whether the crossings of g are delta and lie within |t| <= |g|:
+    None if so, else the counterexample of the locality record.
+
+    The crossings are the t of the window |t| <= n + 4, n = |g|, with
+    t >= 0 unlike g^-1 t >= 0.  Each letter is an involution, so g^-1 is
+    g.word reversed, and _window_signs gives the signs of the window's
+    images in one push: on its byte tables while 2n + 4 <= 126, that is
+    for words of up to 61 letters, and by its level rule beyond.  The
+    window's own signs are n + 4 zeros and n + 5 ones, and its images
+    must carry them with exactly the bytes of delta flipped, every point
+    of delta within |t| <= n.  That holds exactly when the crossings
+    equal delta and none lies past n, so only a word that fails it has
+    its crossings read out: the escaped ones if any, else a mismatch.
+    """
+    n = g.length
+    radius = n + 4
+    own = bytes(radius) + b"\1" * (radius + 1)
+    signs = _window_signs(g.omega, g.word[::-1], radius)
+    if all(abs(t) <= n for t in delta):
+        expected = bytearray(own)
+        for t in delta:
+            expected[t + radius] ^= 1
+        if signs == expected:
+            return None
+    crossings = [i - radius for i, (image, sign) in enumerate(zip(signs, own))
+                 if image != sign]
+    escaped = [t for t in crossings if abs(t) > n]
+    if escaped:
+        return {"word": g.word, "escaped": sorted(ray_at(t).text() for t in escaped)}
+    # the crossings lie within n, so they differ from delta
+    return {"word": g.word, "mismatch": True}
+
+
 def check_commensuration(
     omega: OmegaSequence, max_len: int = 16, seed: int = 0
 ) -> list[CheckReport]:
@@ -224,31 +258,17 @@ def check_commensuration(
     a group action, on LOCALITY_WORDS random words and ACTION_TRIPLES
     random triples.
 
-    The crossings of g are the coordinates t of the window
-    |t| <= length + 4 with t >= 0 unlike g^-1 t >= 0.  Each letter is an
-    involution, so g^-1 is g.word reversed, and the window goes through
-    it in one push.  A word of n letters takes the window at most 2n + 4
-    from 0, so words of up to 61 letters run on the byte tables of
-    gamma._push and longer ones on its level rule.
+    Each word's crossings are judged against commensuration_delta by
+    _locality_counterexample, on sign bytes from the byte tables for
+    words of up to 61 letters and from the level rule for longer ones.
     """
     rng = Random(seed)
     started = time.monotonic()
     counterexample = None
     for _ in range(LOCALITY_WORDS):
         g = GroupElement(omega, _random_word(rng, max_len))
-        n = g.length
-        window = range(-n - 4, n + 5)
-        images = _push(omega, g.word[::-1], window)
-        wide = {t for t, image in zip(window, images) if (t >= 0) != (image >= 0)}
-        escaped = [t for t in wide if abs(t) > n]
-        if escaped:
-            counterexample = {
-                "word": g.word,
-                "escaped": sorted(ray_at(t).text() for t in escaped),
-            }
-            break
-        if wide != commensuration_delta(g):
-            counterexample = {"word": g.word, "mismatch": True}
+        counterexample = _locality_counterexample(g, commensuration_delta(g))
+        if counterexample is not None:
             break
     reports = [
         _report("commensuration_locality", omega,

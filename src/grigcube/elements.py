@@ -54,7 +54,8 @@ def _require_distinct_letters(omega: OmegaSequence) -> None:
 
 def _append(word: str, letter: str) -> str:
     """The reduced form of word + letter, for a reduced word: only the
-    last letter of word can cancel or merge with it."""
+    last letter of word can cancel or merge with it.  This is the one
+    statement of the rewriting rule; reduce_word applies it too."""
     if word:
         top = word[-1]
         if top == letter:
@@ -71,14 +72,16 @@ def reduce_word(word: str) -> str:
     merges into the third letter; the result is the unique normal form
     with no such pair left.  The reduced prefix alternates, so after a
     merge its new last letter is "a" or nothing, and appending the
-    letters one by one suffices.
+    letters one by one suffices.  The prefix is a stack of letters, and
+    each letter is appended by _append to its top letter alone, so the
+    time is linear in the length of the word.
     """
-    reduced = ""
+    stack: list[str] = []
     for letter in word:
         if letter not in GENERATORS:
             raise ValueError(f"invalid generator {letter!r}")
-        reduced = _append(reduced, letter)
-    return reduced
+        stack.extend(_append(stack.pop() if stack else "", letter))
+    return "".join(stack)
 
 
 class GroupElement(namedtuple("GroupElement", "omega word")):
@@ -262,6 +265,11 @@ def _extensions(word: str) -> str:
     return BCD if word[-1] == "a" else "a"
 
 
+# per sequence, the longest ball enumerated so far and the index after
+# each of its spheres: ends[k] elements have length at most k
+_longest: dict[OmegaSequence, tuple[tuple[GroupElement, ...], tuple[int, ...]]] = {}
+
+
 @lru_cache(maxsize=None)
 def enumerate_ball(omega: OmegaSequence, max_len: int) -> tuple[GroupElement, ...]:
     """The distinct elements of length at most max_len, grown sphere by
@@ -298,11 +306,34 @@ def enumerate_ball(omega: OmegaSequence, max_len: int) -> tuple[GroupElement, ..
     letters gives their leaves as well.  The top-level keys are not
     memoised: each is looked up once, and only the shorter restriction
     words are shared.
+
+    A shorter ball is read off the longest one enumerated so far.  The
+    loop over lengths builds sphere n from sphere n - 1 and from the keys
+    seen in spheres 0 to n, and nothing in it reads max_len but its
+    bound; so enumerate_ball(omega, n) is exactly the part of
+    enumerate_ball(omega, m), for any m >= n, whose words have length at
+    most n, the same words in the same order.  A ball that the longest
+    one covers is that part of it, a slice; a longer one is enumerated
+    and becomes the longest.  A default check asks for lengths 12, 10
+    and 8 in that order, so it enumerates one ball per sequence.
     """
     _require_distinct_letters(omega)
+    elements, ends = _longest.get(omega, ((), ()))
+    if max_len < len(ends):
+        return elements[:ends[max_len]]
+    elements, ends = _grow_ball(omega, max_len)
+    _longest[omega] = elements, ends
+    return elements
+
+
+def _grow_ball(omega: OmegaSequence,
+               max_len: int) -> tuple[tuple[GroupElement, ...], tuple[int, ...]]:
+    """The ball of enumerate_ball, grown sphere by sphere, and the index
+    after each sphere."""
     shifted, active = _level(omega)
     seen = set()
     elements: list[GroupElement] = []
+    ends: list[int] = []
     sphere = [("", False, "", "")]
     for length in range(max_len + 1):
         parents, sphere = sphere, []
@@ -319,7 +350,8 @@ def enumerate_ball(omega: OmegaSequence, max_len: int) -> tuple[GroupElement, ..
                 seen.add(key)
                 elements.append(GroupElement._make((omega, word)))
                 sphere.append(state)
-    return tuple(elements)
+        ends.append(len(elements))
+    return tuple(elements), tuple(ends)
 
 
 def ball_sections(omega: OmegaSequence,

@@ -26,12 +26,13 @@ is t ≥ 0: the all-zero ray and the rays whose last 1 sits at an odd
 position.  The punctured right half-line is t ≥ 1.
 
 Inside the package a vertex is its coordinate, and one private function,
-``_push``, is the only generator action: it moves many coordinates
-through a word letter by letter.  Started from ∅ with the boundary flips
-of the cocycle it builds the defect δ(g) of the cube complex, and
-started from a vertex's delta it acts on that vertex (see cubes).
-``line_apply`` pushes one coordinate, and ``ball_edges`` pushes the
-whole interval of a ball through each letter.
+``_push``, is the generator action: it moves many coordinates through a
+word letter by letter, by one of the two paths below.  Started from ∅
+with the boundary flips of the cocycle it builds the defect δ(g) of the
+cube complex, and started from a vertex's delta it acts on that vertex
+(see cubes).  ``line_apply`` pushes one coordinate, ``ball_edges``
+pushes the whole interval of a ball through each letter, and
+``_window_signs`` takes the same two paths for a window of the line.
 
 A push has two paths.  A letter moves a point by at most 1, so no
 point gets further from 0 than max|t| + len(word), its reach.  When the
@@ -40,8 +41,12 @@ of t being t + 127, and each letter is one ``bytes.translate`` through
 a 256-byte table of that letter's images over |t| ≤ 126.  The four
 tables of a sequence are built from the level rule on first use and
 kept in a small cache.  Every δ(g), ``act`` and ``fixes`` of the check
-suites runs this way.  A larger reach, such as the radius-200 interval
-of ``schreier`` or a far ray given to ``act`` or ``orbit``, takes the
+suites runs this way.  The locality scan of the ``commensuration``
+suite asks ``_window_signs`` for the signs of a window's images: on
+this path the images stay bytes, and one more ``translate`` turns them
+into sign bytes, for every word of up to 61 letters.  A larger reach,
+such as the radius-200 interval of ``schreier``, a far ray given to
+``act`` or ``orbit`` or the window of a longer locality word, takes the
 level rule point by point; it is the only path that reaches past ±126.
 
 Rays appear at the edges: parsing and printing cube vertices, the
@@ -214,15 +219,43 @@ def _push(omega: OmegaSequence, word: str, points, cocycle: bool = False) -> lis
     points = list(points)
     if max(map(abs, points), default=0) + len(word) > _REACH:
         return _rule_push(omega, word, points, cocycle)
+    held = _push_bytes(omega, word, bytes([t + _OFFSET for t in points]), cocycle)
+    return [byte - _OFFSET for byte in held]
+
+
+def _push_bytes(omega: OmegaSequence, word: str, held: bytes,
+                cocycle: bool = False) -> bytes:
+    """The byte path of _push: points held as the bytes t + _OFFSET, of
+    reach at most _REACH, and their images held the same way."""
     steps = _byte_tables(omega)
-    held = bytes([t + _OFFSET for t in points])
     for letter in reversed(word):
         table, toggles = steps[letter]
         held = held.translate(table)
         if cocycle and toggles:
             for mark in _BOUNDARY_BYTES:
                 held = held.replace(mark, b"") if mark in held else held + mark
-    return [byte - _OFFSET for byte in held]
+    return held
+
+
+# the sign of each byte's coordinate: 1 where t = byte - _OFFSET >= 0;
+# a literal, so nothing is computed at import
+_SIGNS = b"\0" * 127 + b"\1" * 129
+
+
+def _window_signs(omega: OmegaSequence, word: str, radius: int) -> bytes:
+    """The signs of the images of the window |t| <= radius under a word,
+    in the order of t: byte 1 where the image is >= 0, else 0.
+
+    Within the byte reach the window is pushed by _push_bytes and its
+    images, held as bytes, go through one more ``translate``, by
+    _SIGNS; they never become ints.  A larger reach, radius + len(word)
+    > _REACH, runs the level rule of _rule_push point by point.
+    """
+    if radius + len(word) > _REACH:
+        window = range(-radius, radius + 1)
+        return bytes([image >= 0 for image in _rule_push(omega, word, window)])
+    window = bytes(range(_OFFSET - radius, _OFFSET + radius + 1))
+    return _push_bytes(omega, word, window).translate(_SIGNS)
 
 
 @lru_cache(maxsize=32)

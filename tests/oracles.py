@@ -30,6 +30,11 @@ one ``line_apply`` call per point and letter; the production code pushes
 the whole set through each letter at once and reads every half-line
 predicate off it.  The stabilizer order of a vertex is counted here one
 element at a time; the production code tests the classes of equal δ.
+The locality scan here collects the crossings of a window as ints, from
+images moved point by point by the level rule; the production code
+compares sign bytes of the window's images with those δ(g) predicts.
+Words are reduced here by a fold that copies the reduced prefix at every
+letter; the production code rewrites the top of a stack.
 """
 
 from functools import lru_cache
@@ -37,7 +42,7 @@ from functools import lru_cache
 from grigcube.cubes import CubeVertex, fixes
 from grigcube.elements import GroupElement, canonical_key, enumerate_ball, reduce_word
 from grigcube.gamma import (
-    Ray, ZERO_RAY, in_gamma_plus, in_gamma_plus_tilde, line_apply, ray_at,
+    Ray, ZERO_RAY, _rule_push, in_gamma_plus, in_gamma_plus_tilde, line_apply, ray_at,
 )
 from grigcube.omega import LETTER_SYMBOL, OmegaSequence, passive_letter
 
@@ -364,3 +369,40 @@ def oracle_cocycle(omega: OmegaSequence, word: str) -> frozenset:
 def oracle_stabilizer_order(omega: OmegaSequence, v: CubeVertex, max_len: int) -> int:
     """How many elements of the ball fix v, one fixes call per element."""
     return sum(fixes(g, v) for g in enumerate_ball(omega, max_len))
+
+
+def oracle_reduce_word(word: str) -> str:
+    """The normal form by the fold that copies the reduced prefix at
+    every letter: equal letters cancel, and two distinct letters of b,
+    c, d merge into the one of the three that neither is.  It shares no
+    code with reduce_word and takes time quadratic in the length of the
+    word."""
+    reduced = ""
+    for letter in word:
+        top = reduced[-1:]
+        if top == letter:
+            reduced = reduced[:-1]
+        elif top and "a" not in (top, letter):
+            reduced = reduced[:-1] + ({"b", "c", "d"} - {top, letter}).pop()
+        else:
+            reduced += letter
+    return reduced
+
+
+def oracle_locality(g: GroupElement, delta: frozenset):
+    """The locality scan of the commensuration suite on ints: the
+    crossings of g are the t of the window |t| <= |g| + 4 with t >= 0
+    unlike g^-1 t >= 0, the window pushed through the reversed word by
+    the level rule point by point.  A crossing past |g| is reported as
+    escaped; else crossings other than delta are a mismatch; else None.
+    """
+    n = g.length
+    window = range(-n - 4, n + 5)
+    images = _rule_push(g.omega, g.word[::-1], window)
+    wide = {t for t, image in zip(window, images) if (t >= 0) != (image >= 0)}
+    escaped = [t for t in wide if abs(t) > n]
+    if escaped:
+        return {"word": g.word, "escaped": sorted(ray_at(t).text() for t in escaped)}
+    if wide != delta:
+        return {"word": g.word, "mismatch": True}
+    return None

@@ -4,10 +4,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import grigcube
 import grigcube.checks
 from grigcube.checks import (
+    _locality_counterexample,
     DEFAULT_OMEGAS,
     SUITE_NAMES,
     CheckReport,
@@ -24,6 +26,8 @@ from grigcube.cubes import commensuration_delta
 from grigcube.elements import GroupElement, ball_sections, enumerate_ball
 from grigcube.gamma import ray_at
 from grigcube.omega import OmegaSequence
+
+from oracles import oracle_locality
 
 OM = OmegaSequence.parse(":012")
 
@@ -174,17 +178,59 @@ def test_reduction_reports_a_long_restriction(monkeypatch, capsys):
 def test_locality_reports_a_crossing_one_past_the_length(monkeypatch):
     # the escape bound is |t| <= |g| exactly: a crossing at |g| + 1 is
     # reported as escaped, not only as a δ mismatch
-    true_push = grigcube.checks._push
+    true_signs = grigcube.checks._window_signs
 
-    def push(omega, word, points):
-        images = true_push(omega, word, points)
-        return [-1 if t == len(word) + 1 else image for t, image in zip(points, images)]
+    def signs(omega, word, radius):
+        # the image of t = |g| + 1, at index t + radius, turns negative
+        held = bytearray(true_signs(omega, word, radius))
+        held[len(word) + 1 + radius] = 0
+        return bytes(held)
 
-    monkeypatch.setattr(grigcube.checks, "_push", push)
+    monkeypatch.setattr(grigcube.checks, "_window_signs", signs)
     report = check_commensuration(OM)[0]
     assert report.status == "fail"
     n = len(report.counterexample["word"])
     assert report.counterexample["escaped"] == [ray_at(n + 1).text()]
+
+
+def test_locality_reports_an_escape_that_delta_shares(monkeypatch):
+    # a crossing at |g| + 1 that δ(g) holds too agrees with δ, and is
+    # still reported as escaped
+    true_signs = grigcube.checks._window_signs
+    true_delta = grigcube.checks.commensuration_delta
+
+    def signs(omega, word, radius):
+        held = bytearray(true_signs(omega, word, radius))
+        held[len(word) + 1 + radius] = 0
+        return bytes(held)
+
+    monkeypatch.setattr(grigcube.checks, "_window_signs", signs)
+    monkeypatch.setattr(grigcube.checks, "commensuration_delta",
+                        lambda g: true_delta(g) ^ {g.length + 1})
+    report = check_commensuration(OM)[0]
+    n = len(report.counterexample["word"])
+    assert report.counterexample["escaped"] == [ray_at(n + 1).text()]
+
+
+# alternating words of 0 to 80 letters: 62 letters and more put the
+# locality window past the byte reach of 126
+locality_words = st.builds(
+    lambda lead, letters, length: ("a" * lead + "a".join(letters))[:length],
+    st.booleans(), st.lists(st.sampled_from("bcd"), min_size=41, max_size=41),
+    st.integers(0, 80))
+
+
+@pytest.mark.parametrize("text", DEFAULT_OMEGAS)
+@given(word=locality_words, off=st.one_of(st.none(), st.integers(-90, 90)))
+@settings(max_examples=60, deadline=None)
+def test_locality_scan_matches_the_oracle(text, word, off):
+    # the same verdict and counterexample as the scan on ints, on the
+    # true δ and on a δ one point off, inside or outside the window
+    g = GroupElement(OmegaSequence.parse(text), word)
+    delta = commensuration_delta(g)
+    if off is not None:
+        delta = delta ^ {off}
+    assert _locality_counterexample(g, delta) == oracle_locality(g, delta)
 
 
 @pytest.mark.parametrize("text", DEFAULT_OMEGAS)

@@ -4,11 +4,15 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import grigcube.elements
+from grigcube.checks import DEFAULT_OMEGAS
+from grigcube.cli import main
 from grigcube.elements import (
     _NOT_REDUCED,
     _canonical_key,
     _extend,
     _level,
+    _longest,
     _sections,
     GroupElement,
     OmegaMismatchError,
@@ -33,6 +37,7 @@ from oracles import (
     oracle_inverse,
     oracle_is_trivial,
     oracle_key,
+    oracle_reduce_word,
     oracle_sections,
     oracle_sphere_ball,
     oracle_word,
@@ -151,6 +156,17 @@ class TestReduce:
     def test_reduction_preserves_action(self, word):
         reduced = reduce_word(word)
         assert words_agree_on_level(word, reduced, OM, 8)
+
+    @given(st.text(alphabet="abcd", max_size=60))
+    def test_matches_oracle(self, word):
+        assert reduce_word(word) == oracle_reduce_word(word)
+
+    def test_long_word_matches_oracle(self):
+        # the stack rewrites only its top, so a word of 10^5 letters is
+        # cheap; the oracle copies its reduced prefix at every letter
+        rng = Random(23)
+        word = "".join(rng.choice("abcd") for _ in range(10 ** 5))
+        assert reduce_word(word) == oracle_reduce_word(word)
 
 
 # one value of each immutable type of the package, built by its constructor
@@ -631,10 +647,14 @@ def test_warm_keys_read_no_symbol(monkeypatch):
 
 @pytest.fixture
 def cold_key_table():
+    # the kept longest balls too, or a shorter ball would be a slice of
+    # one that an earlier test enumerated
     enumerate_ball.cache_clear()
+    _longest.clear()
     _canonical_key.cache_clear()
     yield
     enumerate_ball.cache_clear()
+    _longest.clear()
     _canonical_key.cache_clear()
 
 
@@ -643,3 +663,40 @@ def test_candidate_keys_not_memoised(cold_key_table):
     # candidate: 165 entries for 1,487 elements when this was written
     ball = enumerate_ball(OM, 12)
     assert _canonical_key.cache_info().currsize < len(ball)
+
+
+def _cold_ball(om, n):
+    enumerate_ball.cache_clear()
+    _longest.clear()
+    return enumerate_ball(om, n)
+
+
+@pytest.mark.parametrize("text", DEFAULT_OMEGAS)
+def test_shorter_balls_are_cold_balls(text, cold_key_table):
+    # read after ball(12), each ball(n) is the cold ball(n), word for
+    # word and in order
+    om = OmegaSequence.parse(text)
+    enumerate_ball(om, 12)
+    shorter = [enumerate_ball(om, n) for n in range(13)]
+    assert shorter == [_cold_ball(om, n) for n in range(13)]
+
+
+def test_a_longer_ball_after_a_shorter_one_is_cold(cold_key_table):
+    enumerate_ball(OM, 8)
+    assert enumerate_ball(OM, 12) == _cold_ball(OM, 12)
+
+
+def test_default_check_enumerates_one_ball_per_sequence(
+        monkeypatch, capsys, cold_key_table):
+    # the suites ask for lengths 12, 10 and 8; only the first enumerates
+    grown = []
+    grow = grigcube.elements._grow_ball
+
+    def counted(omega, max_len):
+        grown.append((str(omega), max_len))
+        return grow(omega, max_len)
+
+    monkeypatch.setattr(grigcube.elements, "_grow_ball", counted)
+    assert main(["check"]) == 0
+    capsys.readouterr()
+    assert sorted(grown) == sorted((text, 12) for text in DEFAULT_OMEGAS)

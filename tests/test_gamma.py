@@ -6,11 +6,14 @@ from hypothesis import given, settings, strategies as st
 import grigcube.gamma
 from grigcube.elements import GroupElement, apply
 from grigcube.gamma import (
+    _OFFSET,
     _REACH,
+    _SIGNS,
     Ray,
     ZERO_RAY,
     _coordinate,
     _push,
+    _window_signs,
     ball,
     ball_edges,
     edge_records,
@@ -438,3 +441,27 @@ def test_push_at_the_byte_bound(om, reach, sign, monkeypatch):
     image = _push(om, word, points, cocycle=True)
     assert _rays(image) == oracle_act(om, g, frozenset(_rays(points)))
     assert len(rule_calls) == (0 if reach == _REACH else 2)
+
+
+def test_sign_table_marks_the_bytes_of_the_half_line():
+    # byte t + _OFFSET reads 1 exactly when t >= 0
+    assert _SIGNS == bytes(byte >= _OFFSET for byte in range(256))
+
+
+@pytest.mark.parametrize("om", ORACLE_OMEGAS, ids=str)
+@pytest.mark.parametrize("reach", [_REACH - 1, _REACH, _REACH + 1])
+def test_window_signs_on_both_sides_of_the_byte_bound(om, reach, monkeypatch):
+    # radius + len(word) <= _REACH translates bytes; one further the
+    # level rule takes the window
+    word = "".join(Random(reach).choice("bcd") + "a" for _ in range(20))
+    radius = reach - len(word)
+    window = range(-radius, radius + 1)
+    g = GroupElement.from_word(om, word)
+    expected = bytes(line_coordinate(oracle_apply(g, ray_at(t))) >= 0 for t in window)
+    grigcube.gamma._byte_tables(om)
+    rule_calls = []
+    rule = grigcube.gamma._rule_push
+    monkeypatch.setattr(grigcube.gamma, "_rule_push",
+                        lambda *args: rule_calls.append(args) or rule(*args))
+    assert _window_signs(om, word, radius) == expected
+    assert len(rule_calls) == (reach > _REACH)
