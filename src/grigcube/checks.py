@@ -13,6 +13,7 @@ from .cubes import CubeVertex, act, base_vertex, commensuration_delta, fixes
 from .elements import (
     GroupElement,
     ball_sections,
+    decompose,
     element_order,
     enumerate_ball,
     canonical_key,
@@ -121,14 +122,17 @@ def _prefix_scan(depth: int) -> tuple[str, tuple[bool, ...]] | None:
 def check_reduction(omega: OmegaSequence, max_len: int = 12) -> list[CheckReport]:
     """Restrictions of level-fixing ball elements contract in length.
 
-    The restriction words come from ball_sections, which grows them with
-    the ball, so no element is decomposed again.
+    Each element's span, the length of its longer restriction word, or 0
+    when it swaps level 1, comes from ball_sections, which records it
+    while the ball grows; only an element that fails is decomposed, for
+    the words of its record.
     """
     started = time.monotonic()
     counterexample = None
-    for g, swap, left, right in ball_sections(omega, max_len):
-        if not swap and max(len(left), len(right)) * 2 > g.length + 1:
-            counterexample = {"word": g.word, "left": left, "right": right}
+    for g, span in ball_sections(omega, max_len):
+        if 2 * span > g.length + 1:
+            _, left, right = decompose(g)
+            counterexample = {"word": g.word, "left": left.word, "right": right.word}
             break
     return [_report("reduction", omega, {"max_len": max_len}, started, counterexample)]
 

@@ -265,12 +265,12 @@ def _extensions(word: str) -> str:
     return BCD if word[-1] == "a" else "a"
 
 
-# per sequence, the longest ball enumerated so far and the index after
-# each of its spheres: ends[k] elements have length at most k
-_longest: dict[OmegaSequence, tuple[tuple[GroupElement, ...], tuple[int, ...]]] = {}
+# per sequence, the longest ball enumerated so far, the index after each
+# of its spheres (ends[k] elements have length at most k) and the span of
+# each element, one byte each
+_longest: dict[OmegaSequence, tuple[tuple[GroupElement, ...], tuple[int, ...], bytes]] = {}
 
 
-@lru_cache(maxsize=None)
 def enumerate_ball(omega: OmegaSequence, max_len: int) -> tuple[GroupElement, ...]:
     """The distinct elements of length at most max_len, grown sphere by
     sphere.
@@ -307,32 +307,41 @@ def enumerate_ball(omega: OmegaSequence, max_len: int) -> tuple[GroupElement, ..
     memoised: each is looked up once, and only the shorter restriction
     words are shared.
 
-    A shorter ball is read off the longest one enumerated so far.  The
-    loop over lengths builds sphere n from sphere n - 1 and from the keys
-    seen in spheres 0 to n, and nothing in it reads max_len but its
-    bound; so enumerate_ball(omega, n) is exactly the part of
-    enumerate_ball(omega, m), for any m >= n, whose words have length at
-    most n, the same words in the same order.  A ball that the longest
-    one covers is that part of it, a slice; a longer one is enumerated
-    and becomes the longest.  A default check asks for lengths 12, 10
-    and 8 in that order, so it enumerates one ball per sequence.
+    A shorter ball is read off the longest one enumerated so far, which
+    is the only ball table.  The loop over lengths builds sphere n from
+    sphere n - 1 and from the keys seen in spheres 0 to n, and nothing
+    in it reads max_len but its bound; so enumerate_ball(omega, n) is
+    exactly the part of enumerate_ball(omega, m), for any m >= n, whose
+    words have length at most n, the same words in the same order.  A
+    ball that the longest one covers is that part of it, a slice; a
+    longer one is enumerated and becomes the longest.  A default check
+    asks for lengths 12, 10 and 8 in that order, so it enumerates one
+    ball per sequence.
     """
     _require_distinct_letters(omega)
-    elements, ends = _longest.get(omega, ((), ()))
-    if max_len < len(ends):
-        return elements[:ends[max_len]]
-    elements, ends = _grow_ball(omega, max_len)
-    _longest[omega] = elements, ends
-    return elements
+    if omega not in _longest or max_len >= len(_longest[omega][1]):
+        _longest[omega] = _grow_ball(omega, max_len)
+    elements, ends, _ = _longest[omega]
+    return elements[:ends[max_len]]
 
 
 def _grow_ball(omega: OmegaSequence,
-               max_len: int) -> tuple[tuple[GroupElement, ...], tuple[int, ...]]:
-    """The ball of enumerate_ball, grown sphere by sphere, and the index
-    after each sphere."""
+               max_len: int) -> tuple[tuple[GroupElement, ...], tuple[int, ...], bytes]:
+    """The ball of enumerate_ball, grown sphere by sphere, the index
+    after each sphere and the span of each element: the length of its
+    longer restriction word when it fixes level 1, and 0 when it swaps.
+
+    Each letter of a word adds at most one letter to one of its
+    restriction words, so a span is at most the length of its word, and
+    so at most max_len.  A byte holds every span up to 255, and a
+    bytearray raises ValueError on a larger one rather than wrap it; no
+    ball that long can be grown, since ball(15) over :012 already holds
+    4,973 elements.
+    """
     shifted, active = _level(omega)
     seen = set()
     elements: list[GroupElement] = []
+    spans = bytearray()
     ends: list[int] = []
     sphere = [("", False, "", "")]
     for length in range(max_len + 1):
@@ -349,32 +358,22 @@ def _grow_ball(omega: OmegaSequence,
             if key not in seen:
                 seen.add(key)
                 elements.append(GroupElement._make((omega, word)))
+                spans.append(0 if swap else max(len(left), len(right)))
                 sphere.append(state)
         ends.append(len(elements))
-    return tuple(elements), tuple(ends)
+    return tuple(elements), tuple(ends), bytes(spans)
 
 
-def ball_sections(omega: OmegaSequence,
-                  max_len: int) -> Iterator[tuple[GroupElement, bool, str, str]]:
+def ball_sections(omega: OmegaSequence, max_len: int) -> Iterator[tuple[GroupElement, int]]:
     """Each element g of enumerate_ball(omega, max_len), in order, with
-    the swap flag and reduced left and right restriction words of
-    decompose(g), as (g, swap, left, right).
+    its span, as (g, span): the length of the longer restriction word
+    of decompose(g) when g fixes level 1, and 0 when it swaps.
 
-    A representative of length n > 0 is r + s for a representative r of
-    length n - 1 (see enumerate_ball), so its state is _extend of r's by
-    s, and only the states of the previous sphere are kept.
+    _grow_ball records the spans as it grows the ball, and the spans of
+    the longest ball begin with those of every shorter one, so they are
+    read off, not derived again.
     """
-    _, active = _level(omega)
-    parents: dict[str, tuple[bool, str, str]] = {}
-    sphere: dict[str, tuple[bool, str, str]] = {}
-    length = 0
-    for g in enumerate_ball(omega, max_len):
-        word = g.word
-        if len(word) > length:
-            parents, sphere, length = sphere, {}, len(word)
-        state = _extend(active, *parents[word[:-1]], word[-1]) if word else (False, "", "")
-        sphere[word] = state
-        yield g, *state
+    return zip(enumerate_ball(omega, max_len), _longest[omega][2])
 
 
 def element_order(g: GroupElement) -> int | None:

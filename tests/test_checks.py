@@ -23,7 +23,7 @@ from grigcube.checks import (
 )
 from grigcube.cli import main
 from grigcube.cubes import commensuration_delta
-from grigcube.elements import GroupElement, ball_sections, enumerate_ball
+from grigcube.elements import GroupElement, ball_sections, decompose, enumerate_ball
 from grigcube.gamma import ray_at
 from grigcube.omega import OmegaSequence
 
@@ -161,18 +161,20 @@ def test_locality_reports_a_wrong_delta(monkeypatch):
 
 
 def test_reduction_reports_a_long_restriction(monkeypatch, capsys):
-    # a level-fixing state of length 4 whose left restriction has 3
-    # letters, more than (4 + 1) / 2
+    # a word of length 4 given a span of 3, more than (4 + 1) / 2; the
+    # record holds the restriction words of decompose
     g = GroupElement.from_word(OM, "abab")
+    _, left, right = decompose(g)
+    expected = {"word": "abab", "left": left.word, "right": right.word}
     monkeypatch.setattr(grigcube.checks, "ball_sections",
-                        lambda omega, max_len: iter([(g, False, "aba", "b")]))
+                        lambda omega, max_len: iter([(g, 3)]))
     report = check_reduction(OM, 4)[0]
     assert report.status == "fail"
-    assert report.counterexample == {"word": "abab", "left": "aba", "right": "b"}
+    assert report.counterexample == expected
     assert main(["check", "--suite", "reduction", "--omega", ":012"]) == 1
     record = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert record["status"] == "fail"
-    assert record["counterexample"] == {"word": "abab", "left": "aba", "right": "b"}
+    assert record["counterexample"] == expected
 
 
 def test_locality_reports_a_crossing_one_past_the_length(monkeypatch):
@@ -242,8 +244,8 @@ def test_locality_and_contraction_margins_are_zero(text):
     om = OmegaSequence.parse(text)
     locality = max(max(map(abs, delta)) - g.length
                    for g in enumerate_ball(om, 12) if (delta := commensuration_delta(g)))
-    contraction = max(2 * max(len(left), len(right)) - g.length - 1
-                      for g, swap, left, right in ball_sections(om, 12) if not swap)
+    # a swapping g has span 0, so its −|g| − 1 stays below the identity's −1
+    contraction = max(2 * span - g.length - 1 for g, span in ball_sections(om, 12))
     assert (locality, contraction) == (0, 0)
 
 

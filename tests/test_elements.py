@@ -1,9 +1,11 @@
+import json
 import pickle
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import grigcube.checks
 import grigcube.elements
 from grigcube.checks import DEFAULT_OMEGAS
 from grigcube.cli import main
@@ -613,18 +615,27 @@ class TestSectionsStep:
 
 
 class TestBallSections:
-    """The states read off the ball against the wreath recursion that
-    reduces each restriction word once."""
+    """The spans recorded while the ball grows against the wreath
+    recursion that reduces each restriction word once."""
 
     @pytest.mark.parametrize("text", ORACLE_OMEGAS)
     @pytest.mark.parametrize("n", (0, 1, 5, 9, 13))
     def test_matches_ball_and_oracle_sections(self, text, n):
         om = OmegaSequence.parse(text)
         rows = list(ball_sections(om, n))
-        assert tuple(g for g, *_ in rows) == enumerate_ball(om, n)
-        for g, swap, left, right in rows:
-            assert (swap, left, right) == oracle_sections(om, g.word), g.word
-            assert swap == decompose(g)[0]
+        assert tuple(g for g, _ in rows) == enumerate_ball(om, n)
+        for g, span in rows:
+            swap, left, right = oracle_sections(om, g.word)
+            assert span == (0 if swap else max(len(left), len(right))), g.word
+
+    @pytest.mark.parametrize("text", DEFAULT_OMEGAS)
+    def test_shorter_spans_are_cold_spans(self, text, cold_key_table):
+        # read after ball(12), the spans of each ball(n) are those of the
+        # cold ball(n)
+        om = OmegaSequence.parse(text)
+        enumerate_ball(om, 12)
+        shorter = [list(ball_sections(om, n)) for n in range(13)]
+        assert shorter == [_cold_sections(om, n) for n in range(13)]
 
     def test_requires_repetition_free(self):
         with pytest.raises(UnsupportedOmegaError):
@@ -649,11 +660,9 @@ def test_warm_keys_read_no_symbol(monkeypatch):
 def cold_key_table():
     # the kept longest balls too, or a shorter ball would be a slice of
     # one that an earlier test enumerated
-    enumerate_ball.cache_clear()
     _longest.clear()
     _canonical_key.cache_clear()
     yield
-    enumerate_ball.cache_clear()
     _longest.clear()
     _canonical_key.cache_clear()
 
@@ -666,9 +675,13 @@ def test_candidate_keys_not_memoised(cold_key_table):
 
 
 def _cold_ball(om, n):
-    enumerate_ball.cache_clear()
     _longest.clear()
     return enumerate_ball(om, n)
+
+
+def _cold_sections(om, n):
+    _longest.clear()
+    return list(ball_sections(om, n))
 
 
 @pytest.mark.parametrize("text", DEFAULT_OMEGAS)
@@ -700,3 +713,21 @@ def test_default_check_enumerates_one_ball_per_sequence(
     assert main(["check"]) == 0
     capsys.readouterr()
     assert sorted(grown) == sorted((text, 12) for text in DEFAULT_OMEGAS)
+
+
+def test_reduction_suite_walks_one_ball(monkeypatch, capsys, cold_key_table):
+    # a passing reduction suite enumerates one ball, grows it once and
+    # decomposes no element: the spans come with the ball
+    calls = []
+
+    def count(module, name):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args: calls.append(name) or original(*args))
+
+    for name in ("enumerate_ball", "_grow_ball", "decompose"):
+        count(grigcube.elements, name)
+    count(grigcube.checks, "decompose")
+    assert main(["check", "--suite", "reduction", "--omega", ":012", "--max-len", "8"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "pass"
+    assert sorted(calls) == ["_grow_ball", "enumerate_ball"]

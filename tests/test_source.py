@@ -165,6 +165,14 @@ def test_one_gate_decides_repetition_freeness(name):
     assert callers == {"elements._require_distinct_letters"}
 
 
+def test_one_walk_extends_restriction_words():
+    # the wreath step is folded over a word by _sections and over the
+    # spheres by _grow_ball; a second walk over a ball that derives the
+    # restriction words again would be a third caller
+    callers = set().union(*(_calls_by_function(p, "_extend") for p in SOURCES))
+    assert callers == {"elements._sections", "elements._grow_ball"}
+
+
 # names exported for a reason other than a caller inside the package
 UNCALLED_EXPORTS = {
     "apply": "a span of bench/tracer.py",
