@@ -9,13 +9,12 @@ from itertools import product
 from random import Random
 from typing import NamedTuple
 
-from .cubes import CubeVertex, act, base_vertex, commensuration_delta, fixes
+from .cubes import CubeVertex, _fixes, act, ball_action, base_vertex, commensuration_delta
 from .elements import (
     GroupElement,
     ball_sections,
     decompose,
     element_order,
-    enumerate_ball,
     canonical_key,
     UnsupportedOmegaError,
 )
@@ -199,14 +198,30 @@ def check_stab(omega: OmegaSequence, max_len: int = 10) -> list[CheckReport]:
     return reports
 
 
+def _below(getrandbits, n: int) -> int:
+    """A uniform draw from range(n), as Random's choice, randrange and
+    randint make it: getrandbits(n.bit_length()) until the value is
+    below n.  Drawing this way consumes the same stream as those calls,
+    so the samples are the ones they drew."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def _random_word(rng: Random, max_len: int) -> str:
-    length = rng.randint(0, max_len)
-    word = []
-    for _ in range(length):
-        if not word:
-            word.append(rng.choice("abcd"))
-        elif word[-1] == "a":
-            word.append(rng.choice("bcd"))
+    """An alternating word: its length uniform in 0..max_len, its first
+    letter uniform in a, b, c, d, and each letter after an "a" uniform
+    in b, c, d; after b, c or d comes "a"."""
+    getrandbits = rng.getrandbits
+    length = _below(getrandbits, max_len + 1)
+    if not length:
+        return ""
+    word = ["abcd"[_below(getrandbits, 4)]]
+    while len(word) < length:
+        if word[-1] == "a":
+            word.append("bcd"[_below(getrandbits, 3)])
         else:
             word.append("a")
     return "".join(word)
@@ -214,9 +229,11 @@ def _random_word(rng: Random, max_len: int) -> str:
 
 def _random_vertex(rng: Random, max_depth: int = 6) -> CubeVertex:
     """Up to 4 random rays of up to max_depth digits, as coordinates."""
+    getrandbits = rng.getrandbits
     delta = set()
-    for _ in range(rng.randint(0, 4)):
-        digits = "".join(rng.choice("01") for _ in range(rng.randint(0, max_depth)))
+    for _ in range(_below(getrandbits, 5)):
+        digits = "".join("01"[_below(getrandbits, 2)]
+                         for _ in range(_below(getrandbits, max_depth + 1)))
         delta.add(_coordinate(digits))
     return CubeVertex(frozenset(delta))
 
@@ -270,7 +287,7 @@ def check_commensuration(
     started = time.monotonic()
     counterexample = None
     for _ in range(LOCALITY_WORDS):
-        g = GroupElement(omega, _random_word(rng, max_len))
+        g = GroupElement._make((omega, _random_word(rng, max_len)))
         counterexample = _locality_counterexample(g, commensuration_delta(g))
         if counterexample is not None:
             break
@@ -283,8 +300,8 @@ def check_commensuration(
     started = time.monotonic()
     counterexample = None
     for _ in range(ACTION_TRIPLES):
-        g = GroupElement(omega, _random_word(rng, 8))
-        h = GroupElement(omega, _random_word(rng, 8))
+        g = GroupElement._make((omega, _random_word(rng, 8)))
+        h = GroupElement._make((omega, _random_word(rng, 8)))
         v = _random_vertex(rng)
         if act(g * h, v) != act(g, act(h, v)):
             counterexample = {"g": g.word, "h": h.word, "vertex": v.text()}
@@ -304,13 +321,17 @@ def faithfulness_witnesses() -> tuple[CubeVertex, ...]:
 
 
 def check_faithful(omega: OmegaSequence, max_len: int = 8) -> list[CheckReport]:
-    """Every nontrivial ball element moves one of three witness vertices."""
+    """Every nontrivial ball element moves one of three witness vertices.
+
+    The ball comes from ball_action, so each element's δ and line images
+    are grown from its parent's and no word is pushed.
+    """
     started = time.monotonic()
     witnesses = faithfulness_witnesses()
     counterexample = None
-    # the first element of the ball is the identity
-    for g in enumerate_ball(omega, max_len)[1:]:
-        if all(fixes(g, v) for v in witnesses):
+    for g, delta, images in ball_action(omega, max_len):
+        # the identity has the empty word and fixes every vertex
+        if g.word and all(_fixes(g, delta, images, v) for v in witnesses):
             counterexample = {"word": g.word}
             break
     return [
@@ -322,13 +343,12 @@ def check_faithful(omega: OmegaSequence, max_len: int = 8) -> list[CheckReport]:
 
 def check_bound(omega: OmegaSequence, max_len: int = 8, seed: int = 0) -> list[CheckReport]:
     """BOUND_VERTICES random shallow vertices against the stabilizer order
-    bound."""
+    bound, all drawn first and then counted in one pass over the ball."""
     rng = Random(seed)
     started = time.monotonic()
     counterexample = None
-    for _ in range(BOUND_VERTICES):
-        v = _random_vertex(rng, max_depth=4)
-        result = stabilizer_bound_check(omega, v, max_len)
+    vertices = [_random_vertex(rng, max_depth=4) for _ in range(BOUND_VERTICES)]
+    for v, result in zip(vertices, stabilizer_bound_check(omega, vertices, max_len)):
         if not result.ok:
             counterexample = {
                 "vertex": v.text(),

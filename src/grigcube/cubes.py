@@ -16,22 +16,38 @@ is the push started from ∅.
 
 Whether g fixes v is asked far more often than where g sends it, so
 ``fixes`` answers that without building the image: g permutes ℤ, and a
-size test on the cached δ(g) rejects most pairs before any point of the
-delta is moved.
+size test on δ(g) rejects most pairs before any point of the delta is
+moved.
+
+The suites that visit every element of a ball walk it with
+``ball_action``, which grows each element's δ and its byte table of
+line images from its parent's by one letter, so they look up no δ and
+push no word.  The δ table that ``commensuration_delta`` reads is
+bounded; it serves the elements that come one at a time.
 
 An element carries its sequence, so ``commensuration_delta``, ``act``
-and ``fixes`` read it off g; only ``orbit_growth``, which enumerates a
-ball, is given one.
+and ``fixes`` read it off g; only ``ball_action`` and ``orbit_growth``,
+which enumerate a ball, are given one.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import lru_cache
 from itertools import groupby
 from typing import NamedTuple
 
 from .elements import GroupElement, enumerate_ball
-from .gamma import Ray, _coordinate, _push, ray_at
+from .gamma import (
+    _OFFSET,
+    _REACH,
+    Ray,
+    _byte_tables,
+    _coordinate,
+    _push,
+    _push_bytes,
+    ray_at,
+)
 from .omega import OmegaSequence
 
 
@@ -71,7 +87,7 @@ def base_vertex() -> CubeVertex:
     return CubeVertex()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _commensuration(omega: OmegaSequence, word: str) -> frozenset:
     """δ(word) as line coordinates: the cocycle push started from ∅.
 
@@ -79,8 +95,17 @@ def _commensuration(omega: OmegaSequence, word: str) -> frozenset:
     on has δ(s) Δ s·D.  Only b, c and d move a coordinate across the
     boundary between −1 and 0, the pair at level 1, and they do so
     unless ω₁ is their symbol.  No window and no hypothesis on ω.
+
+    The push starts from no point, so its reach is the word length: a
+    word of up to 126 letters runs on the byte tables directly, and a
+    longer one by the level rule of _push.  The table holds 1024
+    entries, more than the 643 elements of ball(10) over :012 that the
+    stab suite scans twice per sequence; the suites that walk a whole
+    ball read δ off ball_action instead.
     """
-    return frozenset(_push(omega, word, (), cocycle=True))
+    if len(word) > _REACH:
+        return frozenset(_push(omega, word, (), cocycle=True))
+    return frozenset(byte - _OFFSET for byte in _push_bytes(omega, word, b"", True))
 
 
 def commensuration_delta(g: GroupElement) -> frozenset:
@@ -107,8 +132,69 @@ def fixes(g: GroupElement, v: CubeVertex) -> bool:
     the delta pushed through g; its |v.delta| images are distinct, so
     they make up the target exactly when they all lie in it.
     """
-    target = commensuration_delta(g) ^ v.delta
-    return len(target) == len(v.delta) and target.issuperset(_push(g.omega, g.word, v.delta))
+    return _fixes(g, commensuration_delta(g), None, v)
+
+
+def _fixes(g: GroupElement, delta: frozenset, images: bytes | None, v: CubeVertex) -> bool:
+    """fixes(g, v) given δ(g) and, from ball_action, g's byte table of
+    images, or None.
+
+    The images of v.delta are read off the table while
+    max|t| + |g| <= 126, where it is exact, and pushed through the word
+    by _push otherwise.
+    """
+    target = delta ^ v.delta
+    if len(target) != len(v.delta):
+        return False
+    if images is None or max(map(abs, v.delta), default=0) + g.length > _REACH:
+        return target.issuperset(_push(g.omega, g.word, v.delta))
+    return all(images[t + _OFFSET] - _OFFSET in target for t in v.delta)
+
+
+# the byte table of the identity, which sends every byte to itself
+_IDENTITY = bytes(range(256))
+
+
+def ball_action(omega: OmegaSequence,
+                max_len: int) -> Iterator[tuple[GroupElement, frozenset, bytes]]:
+    """Each element g of enumerate_ball(omega, max_len), in order, with
+    δ(g) and its byte table, as (g, δ(g), images): images sends the
+    byte t + 127 to the byte of g·t, as _push would, wherever
+    |t| + |g| <= 126.
+
+    The parent of g is its word r without the last letter s, which
+    enumerate_ball's proof shows to be a representative of the sphere
+    before; so g = r·s, and g·t = r·(s·t).  Its table is s's letter
+    table translated through r's, one ``bytes.translate``, and exact
+    where |t| + |g| <= 126, since s moves t by at most 1.  Its δ is
+    δ(r) Δ r·δ(s) by the cocycle law, and δ(s) is {−1, 0} or ∅, so δ(g)
+    is δ(r) toggled at r's images of −1 and 0 when s swaps that pair.
+    Those images are exact while |g| <= 126, and no ball that long can
+    be grown, since ball(15) over :012 already holds 4,973 elements.
+
+    Only the states of two spheres are kept, the parents' and the
+    current one's, so the tables never outnumber two spheres.  The
+    ball's checks, a sequence that is not repetition-free or a negative
+    max_len, raise at the first element.
+    """
+    steps = _byte_tables(omega)
+    parents: dict[str, tuple[frozenset, bytes]] = {}
+    current: dict[str, tuple[frozenset, bytes]] = {}
+    length = 0
+    for g in enumerate_ball(omega, max_len):
+        word = g.word
+        if not word:
+            state = frozenset(), _IDENTITY
+        else:
+            if len(word) > length:
+                parents, current, length = current, {}, len(word)
+            delta, images = parents[word[:-1]]
+            table, toggles = steps[word[-1]]
+            if toggles:
+                delta = delta ^ {images[_OFFSET - 1] - _OFFSET, images[_OFFSET] - _OFFSET}
+            state = delta, table.translate(images)
+        current[word] = state
+        yield g, *state
 
 
 def distance(v: CubeVertex, w: CubeVertex) -> int:

@@ -317,7 +317,12 @@ def enumerate_ball(omega: OmegaSequence, max_len: int) -> tuple[GroupElement, ..
     longer one is enumerated and becomes the longest.  A default check
     asks for lengths 12, 10 and 8 in that order, so it enumerates one
     ball per sequence.
+
+    A negative max_len raises ValueError, before the gate: no ball has
+    a negative length, and a slice would read one from the end.
     """
+    if max_len < 0:
+        raise ValueError(f"ball length {max_len} is negative")
     _require_distinct_letters(omega)
     if omega not in _longest or max_len >= len(_longest[omega][1]):
         _longest[omega] = _grow_ball(omega, max_len)

@@ -15,8 +15,6 @@ functions that enumerate a ball are given one.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from functools import lru_cache
 from random import Random
 from typing import Callable, Iterable, NamedTuple
 
@@ -27,8 +25,8 @@ from .elements import (
     element_order,
     enumerate_ball,
 )
-from .cubes import CubeVertex, commensuration_delta, fixes
-from .gamma import _push, ray_at
+from .cubes import CubeVertex, _fixes, ball_action, commensuration_delta, fixes
+from .gamma import ray_at
 from .omega import OmegaSequence
 
 
@@ -204,42 +202,43 @@ class BoundCheck(NamedTuple):
     ok: bool
 
 
-@lru_cache(maxsize=16)
-def _delta_classes(omega: OmegaSequence, max_len: int) -> tuple:
-    """The words of the ball grouped by their defect: (δ, words) pairs.
-
-    Whether g fixes v first asks |δ(g) Δ v.delta| = |v.delta|, which
-    depends on δ(g) only, so the test runs once per class.  Kept for the
-    few (sequence, length) pairs that one check visits.
-    """
-    classes = defaultdict(list)
-    for g in enumerate_ball(omega, max_len):
-        classes[commensuration_delta(g)].append(g.word)
-    return tuple((delta, tuple(words)) for delta, words in classes.items())
-
-
 def stabilizer_bound_check(
-    omega: OmegaSequence, v: CubeVertex, max_len: int
-) -> BoundCheck:
-    """Check the ball-restricted stabilizer of v against 8 * 4 * 4^n.
+    omega: OmegaSequence, vertices: Iterable[CubeVertex], max_len: int
+) -> list[BoundCheck]:
+    """Check the ball-restricted stabilizer of each vertex v against
+    8 * 4 * 4^n, one BoundCheck per vertex, in order.
 
     n is the smallest even integer bounding the digit length of every
     ray in the delta of v.  The order counts the ball elements g that
-    fix v, as fixes(g, v) would: the size test runs once per
-    class of equal δ(g), and v.delta is pushed only through the words of
-    the classes that pass it.
+    fix v, as fixes(g, v) would, in one pass of ball_action over the
+    ball: each element's δ(g) and line images are grown from its
+    parent's, so no δ is looked up and no word is pushed.  Whether g
+    can fix v first asks |δ(g) Δ v.delta| = |v.delta|, which depends on
+    δ(g) only, so the vertices that pass it are listed once per δ seen
+    in the pass (ball(8) over :012 has 271 elements and 56 δ), and only
+    those are tested on the images.
     """
-    depth = max((len(ray_at(t).digits) for t in v.delta), default=0)
-    if depth % 2:
-        depth += 1
-    bound = 8 * 4 * 4**depth
-    order = 0
-    for delta, words in _delta_classes(omega, max_len):
-        target = delta ^ v.delta
-        if len(target) == len(v.delta):
-            order += sum(1 for word in words
-                         if target.issuperset(_push(omega, word, v.delta)))
-    return BoundCheck(order, bound, order <= bound)
+    vertices = list(vertices)
+    orders = [0] * len(vertices)
+    candidates: dict[frozenset, list] = {}
+    for g, delta, images in ball_action(omega, max_len):
+        passing = candidates.get(delta)
+        if passing is None:
+            passing = candidates[delta] = [
+                (i, v) for i, v in enumerate(vertices)
+                if len(delta ^ v.delta) == len(v.delta)
+            ]
+        for i, v in passing:
+            if _fixes(g, delta, images, v):
+                orders[i] += 1
+    checks = []
+    for v, order in zip(vertices, orders):
+        depth = max((len(ray_at(t).digits) for t in v.delta), default=0)
+        if depth % 2:
+            depth += 1
+        bound = 8 * 4 * 4**depth
+        checks.append(BoundCheck(order, bound, order <= bound))
+    return checks
 
 
 class RestrictionReport(NamedTuple):
@@ -270,12 +269,17 @@ def verify_restriction_lemma(omega: OmegaSequence, max_len: int) -> RestrictionR
     Each δ(s) has 0 or 2 points and δ(gh) = δ(g) Δ g·δ(h), so |δ(g)| is
     always even, while g0 carrying the half-line onto the punctured
     half-line means δ(g0) = {0}, which is odd.
+
+    The ball comes from ball_action, so each g's δ and line images are
+    grown from its parent's by one letter, and both tests on g read
+    them; only the restrictions of the few g that stabilize either set
+    are tested one by one.
     """
     counts = {"half_line": 0, "punctured": 0, "swapping": 0}
     violations = []
-    for g in enumerate_ball(omega, max_len):
-        stab_plus = stabilizes_gamma_plus(g)
-        stab_tilde = stabilizes_gamma_plus_tilde(g)
+    for g, delta, images in ball_action(omega, max_len):
+        stab_plus = not delta
+        stab_tilde = _fixes(g, delta, images, _PUNCTURED)
         if not (stab_plus or stab_tilde):
             continue
         swap, g0, g1 = decompose(g)

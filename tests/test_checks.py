@@ -1,5 +1,6 @@
 import json
 import subprocess
+from random import Random
 import sys
 from pathlib import Path
 
@@ -8,8 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 import grigcube
 import grigcube.checks
+import grigcube.cubes
 from grigcube.checks import (
     _locality_counterexample,
+    _random_vertex,
+    _random_word,
     DEFAULT_OMEGAS,
     SUITE_NAMES,
     CheckReport,
@@ -27,7 +31,7 @@ from grigcube.elements import GroupElement, ball_sections, decompose, enumerate_
 from grigcube.gamma import ray_at
 from grigcube.omega import OmegaSequence
 
-from oracles import oracle_locality
+from oracles import oracle_locality, oracle_random_vertex, oracle_random_word
 
 OM = OmegaSequence.parse(":012")
 
@@ -304,3 +308,34 @@ def test_commensuration_suite_passes(capsys, argv):
     assert main(["check", "--suite", "commensuration", *argv]) == 0
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert records and all(r["status"] == "pass" for r in records)
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_random_draws_match_choice_and_randint(seed):
+    # the same words and vertices as the draws through choice and
+    # randint, and the stream left where they leave it, so the records
+    # of every seed are unchanged
+    for size in (0, 1, 4, 6, 8, 16):
+        fast, slow = Random(seed), Random(seed)
+        assert ([_random_word(fast, size) for _ in range(20)]
+                == [oracle_random_word(slow, size) for _ in range(20)])
+        assert ([_random_vertex(fast, size) for _ in range(20)]
+                == [oracle_random_vertex(slow, size) for _ in range(20)])
+        assert fast.getstate() == slow.getstate()
+
+
+@pytest.mark.parametrize("suite", ["bound", "faithful"])
+def test_ball_suites_look_up_no_delta(monkeypatch, capsys, suite):
+    # both suites read δ off ball_action, so the bounded δ table is
+    # neither filled nor read
+    calls = []
+    original = grigcube.cubes._commensuration
+    monkeypatch.setattr(grigcube.cubes, "_commensuration",
+                        lambda *args: calls.append(args) or original(*args))
+    assert main(["check", "--suite", suite, "--omega", ":012"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert records and all(r["status"] == "pass" for r in records)
+    assert calls == []
+    # the spy sees a lookup that does go through the table
+    commensuration_delta(GroupElement(OM, "b"))
+    assert calls == [(OM, "b")]

@@ -4,10 +4,13 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import grigcube.cubes
 from grigcube.cubes import (
     CubeVertex,
     _commensuration,
+    _fixes,
     act,
+    ball_action,
     base_vertex,
     commensuration_delta,
     distance,
@@ -25,6 +28,7 @@ from grigcube.elements import (
 from grigcube.gamma import (
     Ray,
     ZERO_RAY,
+    _push,
     ball,
     in_gamma_plus,
     line_apply,
@@ -196,6 +200,76 @@ class TestCocycleAgainstScans:
             )
             v = vertex_of(delta)
             assert act(g, v).text() == vertex_of(oracle_act(om, g, delta)).text()
+
+
+ORACLE_OMEGAS = (":012", ":01", ":02", ":12", "2:01", "0:12", "21:0102")
+
+
+class TestBallAction:
+    """δ and line images grown along the ball from each parent's."""
+
+    @pytest.mark.parametrize("text", ORACLE_OMEGAS)
+    @pytest.mark.parametrize("n", [0, 1, 5, 10])
+    def test_against_cocycle_and_push(self, text, n):
+        om = OmegaSequence.parse(text)
+        walked = list(ball_action(om, n))
+        assert [g for g, _, _ in walked] == list(enumerate_ball(om, n))
+        for g, delta, images in walked:
+            assert delta == oracle_cocycle(om, g.word), g.word
+            reach = 126 - g.length
+            span = range(-reach, reach + 1)
+            assert [images[t + 127] - 127 for t in span] == _push(om, g.word, span), g.word
+
+    def test_keeps_two_spheres(self):
+        # after each element of length n, the kept states are those of
+        # lengths n - 1 and n, and of n - 1 only the full sphere
+        walk = ball_action(OM, 10)
+        sizes = {}
+        for g, _, _ in walk:
+            sizes[g.length] = sizes.get(g.length, 0) + 1
+            state = walk.gi_frame.f_locals
+            kept = {len(word) for word in (*state["parents"], *state["current"])}
+            assert kept <= {g.length - 1, g.length}, g.word
+            if g.length:
+                assert len(state["parents"]) == sizes[g.length - 1]
+
+    def test_negative_length_is_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            next(ball_action(OM, -1))
+
+    @pytest.mark.parametrize("text", [":012", "2:01"])
+    def test_far_vertex_takes_the_push(self, monkeypatch, text):
+        # at the byte reach the table answers; one point past it, or far
+        # out, the delta is pushed through the word, and both agree with
+        # fixes
+        om = OmegaSequence.parse(text)
+        pushed = []
+        monkeypatch.setattr(grigcube.cubes, "_push",
+                            lambda *args: pushed.append(args[1]) or _push(*args))
+        fixed = ran = 0
+        for g, delta, images in ball_action(om, 6):
+            reach = 126 - g.length
+            own = frozenset(t for t in delta if t < 0)
+            for points, far in (({reach, -1}, False), ({reach + 1, 0}, True),
+                                ({-reach - 1}, True), ({2**20, -3}, True), (own, False)):
+                v = CubeVertex(frozenset(points))
+                del pushed[:]
+                answer = _fixes(g, delta, images, v)
+                # the push runs only past the size test
+                assert pushed == ([g.word] if far and len(delta ^ v.delta) == len(v.delta)
+                                  else []), (g.word, sorted(points))
+                ran += bool(pushed)
+                assert answer == fixes(g, v), (g.word, sorted(points))
+                fixed += answer
+        assert fixed > 0 and ran > 0
+
+    def test_long_words_take_the_level_rule(self):
+        # the δ table pushes words past 126 letters by the level rule
+        for g in random_elements(OM, 40, max_len=200, seed=9):
+            assert _commensuration(OM, g.word) == oracle_cocycle(OM, g.word)
+
+    def test_delta_table_is_bounded(self):
+        assert _commensuration.cache_info().maxsize is not None
 
 
 class TestDeltaParity:

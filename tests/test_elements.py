@@ -694,6 +694,18 @@ def test_shorter_balls_are_cold_balls(text, cold_key_table):
     assert shorter == [_cold_ball(om, n) for n in range(13)]
 
 
+@pytest.mark.parametrize("length", [-1, -2])
+def test_negative_ball_length_is_rejected(length, cold_key_table):
+    # cold, the sphere ends were an IndexError; warm, a slice of them
+    # read the ball from its end
+    with pytest.raises(ValueError, match="negative"):
+        enumerate_ball(OM01, length)
+    enumerate_ball(OM, 3)
+    with pytest.raises(ValueError, match="negative"):
+        enumerate_ball(OM, length)
+    assert len(enumerate_ball(OM, 3)) == 23
+
+
 def test_a_longer_ball_after_a_shorter_one_is_cold(cold_key_table):
     enumerate_ball(OM, 8)
     assert enumerate_ball(OM, 12) == _cold_ball(OM, 12)

@@ -173,6 +173,13 @@ def test_one_walk_extends_restriction_words():
     assert callers == {"elements._sections", "elements._grow_ball"}
 
 
+def test_stabilizers_keep_no_memo_table():
+    # the ball suites walk ball_action and the predicates read the
+    # bounded δ table of cubes, so no table of stabilizers outlives a call
+    path = next(p for p in SOURCES if p.stem == "stabilizers")
+    assert "lru_cache" not in _loaded_names(path)
+
+
 # names exported for a reason other than a caller inside the package
 UNCALLED_EXPORTS = {
     "apply": "a span of bench/tracer.py",

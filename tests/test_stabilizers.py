@@ -228,38 +228,48 @@ class TestFixedVertex:
 
 class TestBound:
     def test_base_vertex(self):
-        result = stabilizer_bound_check(OM, base_vertex(), 8)
+        [result] = stabilizer_bound_check(OM, [base_vertex()], 8)
         assert result.order == 8
         assert result.bound == 32
         assert result.ok
 
     def test_deep_vertex(self):
         v = CubeVertex.parse("101,1")
-        result = stabilizer_bound_check(OM, v, 8)
+        [result] = stabilizer_bound_check(OM, [v], 8)
         assert result.bound == 8 * 4 * 4 ** 4
         assert result.ok
 
     def test_all_small_vertices(self):
-        for digits in ("", "1", "01", "11"):
-            v = CubeVertex.parse(Ray.from_digits(digits).text())
-            assert stabilizer_bound_check(OM, v, 8).ok
+        vertices = [CubeVertex.parse(Ray.from_digits(digits).text())
+                    for digits in ("", "1", "01", "11")]
+        results = stabilizer_bound_check(OM, vertices, 8)
+        assert len(results) == 4
+        assert all(result.ok for result in results)
+
+    def test_no_vertices(self):
+        assert stabilizer_bound_check(OM, [], 8) == []
 
     @pytest.mark.parametrize(
         "text", [":012", ":01", ":02", ":12", "2:01", "0:12", "21:0102"]
     )
     def test_grouped_order_against_one_test_per_element(self, text):
-        # the order counted per class of equal δ against one fixes call
-        # per element, on the vertices the bound suite draws
+        # the orders of one pass over the ball against one fixes call
+        # per element, on the vertices the bound suite draws, a repeated
+        # vertex among them
         om = OmegaSequence.parse(text)
         rng = Random(0)
-        total = 0
-        for _ in range(50):
-            v = _random_vertex(rng, max_depth=4)
-            order = stabilizer_bound_check(om, v, 8).order
-            assert order == oracle_stabilizer_order(om, v, 8), v.text()
-            total += order
-        # the identity alone fixes all 50; more pairs must pass
-        assert total > 50
+        vertices = [_random_vertex(rng, max_depth=4) for _ in range(50)]
+        vertices.append(vertices[7])
+        orders = [r.order for r in stabilizer_bound_check(om, vertices, 8)]
+        assert orders == [oracle_stabilizer_order(om, v, 8) for v in vertices]
+        # the identity alone fixes all 51; more pairs must pass
+        assert sum(orders) > 51
+
+    def test_far_vertex_takes_the_push(self):
+        # past the byte reach the images are pushed, as fixes does
+        v = CubeVertex(frozenset({-1, 0, 130, 2**20}))
+        [result] = stabilizer_bound_check(OM, [v], 6)
+        assert result.order == oracle_stabilizer_order(OM, v, 6)
 
 
 class TestRestrictionCases:
