@@ -45,7 +45,6 @@ from .gamma import (
     _byte_tables,
     _coordinate,
     _push,
-    _push_bytes,
     ray_at,
 )
 from .omega import OmegaSequence
@@ -96,16 +95,10 @@ def _commensuration(omega: OmegaSequence, word: str) -> frozenset:
     boundary between −1 and 0, the pair at level 1, and they do so
     unless ω₁ is their symbol.  No window and no hypothesis on ω.
 
-    The push starts from no point, so its reach is the word length: a
-    word of up to 126 letters runs on the byte tables directly, and a
-    longer one by the level rule of _push.  The table holds 1024
-    entries, more than the 643 elements of ball(10) over :012 that the
-    stab suite scans twice per sequence; the suites that walk a whole
-    ball read δ off ball_action instead.
+    The table is bounded: the suites that walk a whole ball read δ off
+    ball_action, so it serves only the elements that come one at a time.
     """
-    if len(word) > _REACH:
-        return frozenset(_push(omega, word, (), cocycle=True))
-    return frozenset(byte - _OFFSET for byte in _push_bytes(omega, word, b"", True))
+    return frozenset(_push(omega, word, (), cocycle=True))
 
 
 def commensuration_delta(g: GroupElement) -> frozenset:

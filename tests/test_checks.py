@@ -1,6 +1,5 @@
 import json
 import subprocess
-from random import Random
 import sys
 from pathlib import Path
 
@@ -12,8 +11,6 @@ import grigcube.checks
 import grigcube.cubes
 from grigcube.checks import (
     _locality_counterexample,
-    _random_vertex,
-    _random_word,
     DEFAULT_OMEGAS,
     SUITE_NAMES,
     CheckReport,
@@ -31,7 +28,7 @@ from grigcube.elements import GroupElement, ball_sections, decompose, enumerate_
 from grigcube.gamma import ray_at
 from grigcube.omega import OmegaSequence
 
-from oracles import oracle_locality, oracle_random_vertex, oracle_random_word
+from oracles import oracle_locality
 
 OM = OmegaSequence.parse(":012")
 
@@ -310,20 +307,6 @@ def test_commensuration_suite_passes(capsys, argv):
     assert records and all(r["status"] == "pass" for r in records)
 
 
-@pytest.mark.parametrize("seed", range(50))
-def test_random_draws_match_choice_and_randint(seed):
-    # the same words and vertices as the draws through choice and
-    # randint, and the stream left where they leave it, so the records
-    # of every seed are unchanged
-    for size in (0, 1, 4, 6, 8, 16):
-        fast, slow = Random(seed), Random(seed)
-        assert ([_random_word(fast, size) for _ in range(20)]
-                == [oracle_random_word(slow, size) for _ in range(20)])
-        assert ([_random_vertex(fast, size) for _ in range(20)]
-                == [oracle_random_vertex(slow, size) for _ in range(20)])
-        assert fast.getstate() == slow.getstate()
-
-
 @pytest.mark.parametrize("suite", ["bound", "faithful"])
 def test_ball_suites_look_up_no_delta(monkeypatch, capsys, suite):
     # both suites read δ off ball_action, so the bounded δ table is
@@ -339,3 +322,20 @@ def test_ball_suites_look_up_no_delta(monkeypatch, capsys, suite):
     # the spy sees a lookup that does go through the table
     commensuration_delta(GroupElement(OM, "b"))
     assert calls == [(OM, "b")]
+
+
+def test_stab_looks_up_delta_only_for_candidates(monkeypatch, capsys):
+    # stab reads every δ off one walk, so its lookups do not grow with
+    # the ball, and a ball longer than the δ table costs no refills
+    assert grigcube.cubes._commensuration.cache_info().maxsize < 1487
+    original = grigcube.cubes._commensuration
+    counts = []
+    for n in ("8", "12"):
+        calls = []
+        monkeypatch.setattr(grigcube.cubes, "_commensuration",
+                            lambda *args: calls.append(args) or original(*args))
+        assert main(["check", "--suite", "stab", "--omega", ":012", "--max-len", n]) == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert records and all(r["status"] == "pass" for r in records)
+        counts.append(len(calls))
+    assert 0 < counts[0] == counts[1] <= 2 * 16

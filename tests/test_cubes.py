@@ -245,7 +245,7 @@ class TestBallAction:
         om = OmegaSequence.parse(text)
         pushed = []
         monkeypatch.setattr(grigcube.cubes, "_push",
-                            lambda *args: pushed.append(args[1]) or _push(*args))
+                            lambda *args, **kw: pushed.append(args[1]) or _push(*args, **kw))
         fixed = ran = 0
         for g, delta, images in ball_action(om, 6):
             reach = 126 - g.length
