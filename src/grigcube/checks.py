@@ -30,8 +30,8 @@ from .gamma import (
 )
 from .omega import OmegaSequence, fixing_letter
 from .stabilizers import (
+    _PUNCTURED,
     stabilizer_in_ball,
-    stabilizes_gamma_plus,
     stabilizes_gamma_plus_tilde,
     stabilizer_bound_check,
     subgroup_closure,
@@ -146,24 +146,18 @@ def check_projections(omega: OmegaSequence, max_len: int = 10) -> list[CheckRepo
 def check_stab(omega: OmegaSequence, max_len: int = 10) -> list[CheckReport]:
     """The two half-line stabilizers and their intersection in the ball.
 
-    Each element's δ is read once, off one ball_action walk, so the
-    suite looks up δ only for the elements that pass the size test,
-    however long the ball.
+    Γ₊ is the base vertex and Γ₊ Δ {0} the vertex with delta {0}, so
+    both stabilizers come from one stabilizer_in_ball pass, which looks
+    up no δ.  The intersection runs the punctured half-line's membership
+    test on the half-line stabilizer's elements, a second route to the
+    set that the table of the vertex {0} holds.
     """
     reports = []
     u = GroupElement(omega, fixing_letter(omega, 1))
     a = GroupElement(omega, "a")
 
     started = time.monotonic()
-    # One walk reads every δ off ball_action.  An element can fix the
-    # punctured half-line, the vertex {0}, only when |δ Δ {0}| = 1, and
-    # one with δ = ∅ passes too, so both stabilizers lie among these few
-    # (16 of each default ball(10)); the membership tests, which look δ
-    # up, run on them alone.
-    candidates = {g.word for g, delta, _ in ball_action(omega, max_len)
-                  if len(delta ^ {0}) == 1}
-    plus = stabilizer_in_ball(
-        omega, lambda g: g.word in candidates and stabilizes_gamma_plus(g), max_len)
+    plus, tilde = stabilizer_in_ball(omega, [base_vertex(), _PUNCTURED], max_len)
     problems = []
     if plus.order != 8:
         problems.append(f"order {plus.order}")
@@ -185,8 +179,6 @@ def check_stab(omega: OmegaSequence, max_len: int = 10) -> list[CheckReport]:
     )
 
     started = time.monotonic()
-    tilde = stabilizer_in_ball(
-        omega, lambda g: g.word in candidates and stabilizes_gamma_plus_tilde(g), max_len)
     problems = []
     if {g.word for g in tilde.elements} != {"", "b", "c", "d"}:
         problems.append(f"elements {[g.word for g in tilde.elements]}")
@@ -198,10 +190,7 @@ def check_stab(omega: OmegaSequence, max_len: int = 10) -> list[CheckReport]:
     )
 
     started = time.monotonic()
-    # both stabilizers are subsets of one enumerated ball, so a shared
-    # element has one word in each
-    plus_words = {g.word for g in plus.elements}
-    both = [g.word for g in tilde.elements if g.word in plus_words]
+    both = [g.word for g in plus.elements if stabilizes_gamma_plus_tilde(g)]
     counterexample = None
     if set(both) != {"", u.word}:
         counterexample = {"intersection": both}

@@ -1,30 +1,27 @@
 """Ball-restricted stabilizers of the half-line sets and of cube vertices.
 
 All computations here are restricted to an enumerated ball of elements;
-nothing is claimed about elements beyond that ball.  For the half-line
-and its punctured variant the ball already exhibits the full stabilizer
-(a dihedral group of order 8 and a Klein four group).  A subset closed
-under products gets a multiplication table, which is checked to be a
-group's; its type is named from the orders that element_order gives its
-elements, a computation that stops after 64 powers, so a wrong product
-makes a type unnamed rather than a loop endless.
+nothing is claimed about elements beyond that ball.  The half-line and
+its punctured variant are the cube vertices with delta ∅ and {0}, and
+for them the ball already exhibits the full stabilizer (a dihedral group
+of order 8 and a Klein four group).  One pass over the ball,
+_ball_fixers, finds the elements that fix each of a list of vertices;
+stabilizer_in_ball and stabilizer_bound_check both read it.  A subset
+closed under products gets a multiplication table, which is checked to
+be a group's; its type is named from the orders that element_order
+gives its elements, a computation that stops after 64 powers, so a
+wrong product makes a type unnamed rather than a loop endless.
 
 The membership tests read the sequence off their elements; only the
-functions that enumerate a ball are given one.
+functions that walk a ball are given one.
 """
 
 from __future__ import annotations
 
 from random import Random
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
-from .elements import (
-    GroupElement,
-    canonical_key,
-    decompose,
-    element_order,
-    enumerate_ball,
-)
+from .elements import GroupElement, canonical_key, decompose, element_order
 from .cubes import CubeVertex, _fixes, ball_action, commensuration_delta, fixes
 from .gamma import ray_at
 from .omega import OmegaSequence
@@ -125,24 +122,55 @@ def _recognize(elements: tuple, table: tuple | None) -> str:
     return _SMALL_TYPES.get(orders, f"other({n})")
 
 
-def stabilizer_in_ball(
-    omega: OmegaSequence,
-    stabilizes: Callable[[GroupElement], bool],
-    max_len: int,
-) -> SmallGroupTable:
-    """Elements of the length ball that pass a membership test.
-
-    The test is stabilizes_gamma_plus, stabilizes_gamma_plus_tilde or,
-    for a cube vertex v, ``lambda g: fixes(g, v)``.  The multiplication
-    table is built when the subset is closed within itself and checked
-    to be a group's; _recognize names its type from the element orders
-    and whether the table commutes.
-    """
-    elements = tuple(g for g in enumerate_ball(omega, max_len) if stabilizes(g))
+def _small_group_table(elements: tuple) -> SmallGroupTable:
+    """The subset with its type: the multiplication table is built when
+    the subset is closed within itself and checked to be a group's, and
+    _recognize names the type from the element orders and whether the
+    table commutes."""
     table = _build_table(elements)
     if table is not None:
         _validate_table(table)
     return SmallGroupTable(elements, _recognize(elements, table))
+
+
+def _ball_fixers(omega: OmegaSequence, vertices: list[CubeVertex], max_len: int) -> list[list]:
+    """For each vertex v, the ball elements g that fix v, as fixes(g, v)
+    would, in ball order, from one pass of ball_action over the ball.
+
+    Each element's δ(g) and line images are grown from its parent's, so
+    no δ is looked up and no word is pushed.  Whether g can fix v first
+    asks |δ(g) Δ v.delta| = |v.delta|, which depends on δ(g) only, so
+    the vertices that pass it are listed once per δ seen in the pass
+    (ball(8) over :012 has 271 elements and 56 δ), and only those are
+    tested on the images.
+    """
+    fixers = [[] for _ in vertices]
+    candidates: dict[frozenset, list] = {}
+    for g, delta, images in ball_action(omega, max_len):
+        passing = candidates.get(delta)
+        if passing is None:
+            passing = candidates[delta] = [
+                (found, v) for found, v in zip(fixers, vertices)
+                if len(delta ^ v.delta) == len(v.delta)
+            ]
+        for found, v in passing:
+            if _fixes(g, delta, images, v):
+                found.append(g)
+    return fixers
+
+
+def stabilizer_in_ball(
+    omega: OmegaSequence, vertices: list[CubeVertex], max_len: int
+) -> list[SmallGroupTable]:
+    """The ball elements that fix each cube vertex, one SmallGroupTable
+    per vertex, in order, all found in one pass over the ball.
+
+    The half-line Γ₊ is the base vertex and the punctured half-line
+    Γ₊ Δ {0} the vertex with delta {0}, so their stabilizers are the
+    tables of those two vertices.
+    """
+    return [_small_group_table(tuple(found))
+            for found in _ball_fixers(omega, vertices, max_len)]
 
 
 def subgroup_closure(generators: Iterable[GroupElement]) -> tuple:
@@ -209,35 +237,18 @@ def stabilizer_bound_check(
     8 * 4 * 4^n, one BoundCheck per vertex, in order.
 
     n is the smallest even integer bounding the digit length of every
-    ray in the delta of v.  The order counts the ball elements g that
-    fix v, as fixes(g, v) would, in one pass of ball_action over the
-    ball: each element's δ(g) and line images are grown from its
-    parent's, so no δ is looked up and no word is pushed.  Whether g
-    can fix v first asks |δ(g) Δ v.delta| = |v.delta|, which depends on
-    δ(g) only, so the vertices that pass it are listed once per δ seen
-    in the pass (ball(8) over :012 has 271 elements and 56 δ), and only
-    those are tested on the images.
+    ray in the delta of v.  The order counts the ball elements that fix
+    v, found by the one pass of _ball_fixers, as stabilizer_in_ball
+    finds them.
     """
     vertices = list(vertices)
-    orders = [0] * len(vertices)
-    candidates: dict[frozenset, list] = {}
-    for g, delta, images in ball_action(omega, max_len):
-        passing = candidates.get(delta)
-        if passing is None:
-            passing = candidates[delta] = [
-                (i, v) for i, v in enumerate(vertices)
-                if len(delta ^ v.delta) == len(v.delta)
-            ]
-        for i, v in passing:
-            if _fixes(g, delta, images, v):
-                orders[i] += 1
     checks = []
-    for v, order in zip(vertices, orders):
+    for v, found in zip(vertices, _ball_fixers(omega, vertices, max_len)):
         depth = max((len(ray_at(t).digits) for t in v.delta), default=0)
         if depth % 2:
             depth += 1
         bound = 8 * 4 * 4**depth
-        checks.append(BoundCheck(order, bound, order <= bound))
+        checks.append(BoundCheck(len(found), bound, len(found) <= bound))
     return checks
 
 

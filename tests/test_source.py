@@ -26,11 +26,15 @@ def test_source_parses_on_the_least_python(path):
     ast.parse(path.read_text(encoding="utf-8"), feature_version=_least_python())
 
 
-def _parameters(fn):
+def _arguments(fn):
     args = fn.args
     named = args.posonlyargs + args.args + args.kwonlyargs
     named += [a for a in (args.vararg, args.kwarg) if a is not None]
-    return [a.arg for a in named if a.arg not in ("self", "cls")]
+    return [a for a in named if a.arg not in ("self", "cls")]
+
+
+def _parameters(fn):
+    return [a.arg for a in _arguments(fn)]
 
 
 def _unread_parameters(path):
@@ -171,6 +175,32 @@ def test_one_walk_extends_restriction_words():
     # restriction words again would be a third caller
     callers = set().union(*(_calls_by_function(p, "_extend") for p in SOURCES))
     assert callers == {"elements._sections", "elements._grow_ball"}
+
+
+def test_one_walk_finds_ball_stabilizers():
+    # the stabilizers of vertices come from one pass, which stab and
+    # bound both read; the restriction lemma decomposes its fixers on a
+    # walk of its own and faithful stops at its first counterexample
+    callers = set().union(*(_calls_by_function(p, "ball_action") for p in SOURCES))
+    assert callers == {
+        "stabilizers._ball_fixers",
+        "stabilizers.verify_restriction_lemma",
+        "checks.check_faithful",
+    }
+
+
+def test_no_parameter_takes_a_callable():
+    # a membership test passed in as a callable is a second way to say
+    # which elements fix something; the vertex says it
+    annotated = [
+        f"{path.stem}.{fn.name}({arg.arg})"
+        for path in SOURCES
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for arg in _arguments(fn)
+        if arg.annotation is not None and "Callable" in ast.unparse(arg.annotation)
+    ]
+    assert annotated == []
 
 
 def test_stabilizers_keep_no_memo_table():

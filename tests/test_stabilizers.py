@@ -1,10 +1,11 @@
+from itertools import combinations
 from random import Random
 
 import pytest
 
 import grigcube.stabilizers
-from grigcube.checks import _random_vertex
-from grigcube.cubes import CubeVertex, act, base_vertex, commensuration_delta, fixes
+from grigcube.checks import BOUND_VERTICES, _random_vertex
+from grigcube.cubes import CubeVertex, act, base_vertex, commensuration_delta
 from grigcube.elements import (
     GroupElement,
     OmegaMismatchError,
@@ -26,6 +27,8 @@ from grigcube.gamma import (
 )
 from grigcube.omega import OmegaSequence, fixing_letter
 from grigcube.stabilizers import (
+    _PUNCTURED,
+    _small_group_table,
     fixed_vertex_for_subgroup,
     stabilizer_bound_check,
     stabilizer_in_ball,
@@ -84,7 +87,7 @@ class TestPointwisePredicates:
 class TestHalfLineStabilizer:
     def test_dihedral_of_order_eight(self):
         for om in ALL_OMEGAS:
-            table = stabilizer_in_ball(om, stabilizes_gamma_plus, 10)
+            [table] = stabilizer_in_ball(om, [base_vertex()], 10)
             assert table.order == 8
             assert table.recognized_type == "D8"
             words = {g.word for g in table.elements}
@@ -97,7 +100,7 @@ class TestHalfLineStabilizer:
             a = element("a", om)
             generated = subgroup_closure([a, u])
             assert len(generated) == 8
-            table = stabilizer_in_ball(om, stabilizes_gamma_plus, 10)
+            [table] = stabilizer_in_ball(om, [base_vertex()], 10)
             assert {canonical_key(g) for g in generated} == {
                 canonical_key(g) for g in table.elements
             }
@@ -108,22 +111,21 @@ class TestHalfLineStabilizer:
             assert element_order(element("a", om) * u) == 4
 
     def test_all_elements_short(self):
-        table = stabilizer_in_ball(OM, stabilizes_gamma_plus, 10)
+        [table] = stabilizer_in_ball(OM, [base_vertex()], 10)
         assert max(g.length for g in table.elements) <= 4
 
 
 class TestPuncturedStabilizer:
     def test_klein_four(self):
         for om in ALL_OMEGAS:
-            table = stabilizer_in_ball(om, stabilizes_gamma_plus_tilde, 10)
+            [table] = stabilizer_in_ball(om, [_PUNCTURED], 10)
             assert table.order == 4
             assert table.recognized_type == "Z2xZ2"
             assert {g.word for g in table.elements} == {"", "b", "c", "d"}
 
     def test_intersection_with_half_line(self):
         for om in ALL_OMEGAS:
-            plus = stabilizer_in_ball(om, stabilizes_gamma_plus, 10)
-            tilde = stabilizer_in_ball(om, stabilizes_gamma_plus_tilde, 10)
+            plus, tilde = stabilizer_in_ball(om, [base_vertex(), _PUNCTURED], 10)
             plus_keys = {canonical_key(g) for g in plus.elements}
             both = {
                 g.word for g in tilde.elements if canonical_key(g) in plus_keys
@@ -151,22 +153,55 @@ def test_recognized_type_of_a_subset(monkeypatch, member, unbounded, expected):
         monkeypatch.setattr(
             grigcube.stabilizers, "element_order",
             lambda g: None if g.word == unbounded else element_order(g))
-    table = stabilizer_in_ball(OM, member, 6)
-    assert table.recognized_type == expected
+    subset = tuple(g for g in enumerate_ball(OM, 6) if member(g))
+    assert _small_group_table(subset).recognized_type == expected
 
 
 class TestVertexStabilizer:
     def test_base_vertex_table_is_half_line_table(self):
         # the half-line is the base vertex, so no separate target is needed
-        direct = stabilizer_in_ball(OM, lambda g: fixes(g, base_vertex()), 8)
-        plus = stabilizer_in_ball(OM, stabilizes_gamma_plus, 8)
-        assert {g.word for g in direct.elements} == {g.word for g in plus.elements}
+        [direct] = stabilizer_in_ball(OM, [base_vertex()], 8)
+        plus = {g.word for g in enumerate_ball(OM, 8) if stabilizes_gamma_plus(g)}
+        assert {g.word for g in direct.elements} == plus
         assert direct.recognized_type == "D8"
 
     def test_moved_vertex_has_smaller_ball_stabilizer(self):
         v = base_vertex().flip(ZERO_RAY)
-        table = stabilizer_in_ball(OM, lambda g: fixes(g, v), 6)
+        [table] = stabilizer_in_ball(OM, [v], 6)
         assert all(act(g, v) == v for g in table.elements)
+
+    @pytest.mark.parametrize("om", ALL_OMEGAS, ids=str)
+    def test_orders_agree_with_the_bound_check(self, om):
+        # the 50 vertices that check_bound draws at seed 0, both ways
+        rng = Random(0)
+        vertices = [_random_vertex(rng, max_depth=4) for _ in range(BOUND_VERTICES)]
+        tables = stabilizer_in_ball(om, vertices, 8)
+        checks = stabilizer_bound_check(om, vertices, 8)
+        assert [t.order for t in tables] == [c.order for c in checks]
+        assert len(tables) == BOUND_VERTICES
+
+    def test_fixed_vertex_stabilizer_holds_the_subgroup(self):
+        # every finite closure of at most two elements of ball(2) whose
+        # elements all lie in ball(8) lies in the ball(8) stabilizer of
+        # the vertex that fixed_vertex_for_subgroup gives it; a closure
+        # with longer elements, such as <ab> over :012, is left out
+        checked = 0
+        for om in ALL_OMEGAS:
+            small = enumerate_ball(om, 2)
+            subgroups = []
+            for gens in [*combinations(small, 1), *combinations(small, 2)]:
+                try:
+                    subgroup = subgroup_closure(gens)
+                except ValueError:
+                    continue
+                if max(h.length for h in subgroup) <= 8:
+                    subgroups.append(subgroup)
+            vertices = [fixed_vertex_for_subgroup(h) for h in subgroups]
+            for subgroup, table in zip(subgroups, stabilizer_in_ball(om, vertices, 8)):
+                keys = {canonical_key(g) for g in table.elements}
+                assert {canonical_key(h) for h in subgroup} <= keys
+            checked += len(subgroups)
+        assert checked == 130
 
 
 class TestSubgroupClosure:
