@@ -104,14 +104,18 @@ def _prefix_scan(depth: int) -> tuple[str, tuple[bool, ...]] | None:
     the claims' values, or None."""
     for x in all_rays(depth):
         zero, one = prepend("0", x), prepend("1", x)
+        # each predicate once per ray; the claims combine the five values
+        plus, tilde = in_gamma_plus(x), in_gamma_plus_tilde(x)
+        zero_plus, zero_tilde = in_gamma_plus(zero), in_gamma_plus_tilde(zero)
+        one_tilde = in_gamma_plus_tilde(one)
         claims = (
-            in_gamma_plus(x) == (not in_gamma_plus_tilde(zero)),
-            (not in_gamma_plus(x)) == in_gamma_plus_tilde(zero),
-            in_gamma_plus(x) or in_gamma_plus_tilde(one),
-            in_gamma_plus_tilde(x) == (not in_gamma_plus(zero)),
-            in_gamma_plus_tilde(x) == (not in_gamma_plus_tilde(one)),
-            (not in_gamma_plus_tilde(x)) == in_gamma_plus(zero),
-            (not in_gamma_plus_tilde(x)) == in_gamma_plus_tilde(one),
+            plus == (not zero_tilde),
+            (not plus) == zero_tilde,
+            plus or one_tilde,
+            tilde == (not zero_plus),
+            tilde == (not one_tilde),
+            (not tilde) == zero_plus,
+            (not tilde) == one_tilde,
         )
         if not all(claims):
             return x.text(), claims
@@ -201,24 +205,55 @@ def check_stab(omega: OmegaSequence, max_len: int = 10) -> list[CheckReport]:
     return reports
 
 
+def _below(draw, n: int) -> int:
+    """A uniform integer in [0, n) from draw, a generator's getrandbits:
+    n.bit_length() bits, drawn again while they read n or more.
+
+    That is Random._randbelow, the rule by which Random.choice(seq) and
+    Random.randint(a, b) draw seq[_below(len(seq))] and
+    a + _below(b - a + 1), so each draw here takes the same bits from the
+    stream as the call it stands for and leaves the generator in the
+    same state.
+    """
+    k = n.bit_length()
+    r = draw(k)
+    while r >= n:
+        r = draw(k)
+    return r
+
+
 def _random_word(rng: Random, max_len: int) -> str:
-    length = rng.randint(0, max_len)
-    word = []
-    for _ in range(length):
-        if not word:
-            word.append(rng.choice("abcd"))
-        elif word[-1] == "a":
-            word.append(rng.choice("bcd"))
-        else:
-            word.append("a")
-    return "".join(word)
+    """A random alternating word of 0 to max_len letters.
+
+    Drawn as rng.randint(0, max_len) letters, the first by
+    rng.choice("abcd") and each letter after an ``a`` by
+    rng.choice("bcd"), an ``a`` after each other letter; every draw goes
+    through _below on rng.getrandbits, which takes the same bits as the
+    call it stands for (3 bits for "abcd", 2 for "bcd"), so the words
+    and the generator's state are those of the calls.  After its first
+    letter the word is pairs "a" + x up to one trailing ``a``.
+    """
+    draw = rng.getrandbits
+    length = _below(draw, max_len + 1)
+    if not length:
+        return ""
+    first = "abcd"[_below(draw, 4)]
+    # the part of the word that starts at an a
+    rest = length if first == "a" else length - 1
+    pairs = "".join(["a" + "bcd"[_below(draw, 3)] for _ in range(rest // 2)])
+    return ("" if first == "a" else first) + pairs + "a" * (rest % 2)
 
 
 def _random_vertex(rng: Random, max_depth: int = 6) -> CubeVertex:
-    """Up to 4 random rays of up to max_depth digits, as coordinates."""
+    """Up to 4 random rays of up to max_depth digits, as coordinates.
+
+    Drawn as rng.randint(0, 4) rays, each of rng.randint(0, max_depth)
+    digits by rng.choice("01"), through _below as _random_word draws.
+    """
+    draw = rng.getrandbits
     delta = set()
-    for _ in range(rng.randint(0, 4)):
-        digits = "".join(rng.choice("01") for _ in range(rng.randint(0, max_depth)))
+    for _ in range(_below(draw, 5)):
+        digits = "".join(["01"[_below(draw, 2)] for _ in range(_below(draw, max_depth + 1))])
         delta.add(_coordinate(digits))
     return CubeVertex(frozenset(delta))
 
@@ -267,12 +302,22 @@ def check_commensuration(
     Each word's crossings are judged against commensuration_delta by
     _locality_counterexample, on sign bytes from the byte tables for
     words of up to 61 letters and from the level rule for longer ones.
+    The verdict depends on the word alone, so each distinct word is
+    judged once, at its first draw (about 640 of the 1,000 words over
+    :012 at seed 0 are distinct); a repeat would get the same verdict,
+    so the first failing word is still the one reported.  Every word is
+    still drawn, so the triples come from the same stream.
     """
     rng = Random(seed)
     started = time.monotonic()
     counterexample = None
+    judged = set()
     for _ in range(LOCALITY_WORDS):
-        g = GroupElement(omega, _random_word(rng, max_len))
+        word = _random_word(rng, max_len)
+        if word in judged:
+            continue
+        judged.add(word)
+        g = GroupElement(omega, word)
         counterexample = _locality_counterexample(g, commensuration_delta(g))
         if counterexample is not None:
             break

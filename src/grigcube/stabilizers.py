@@ -22,7 +22,16 @@ from random import Random
 from typing import Iterable, NamedTuple
 
 from .elements import GroupElement, canonical_key, decompose, element_order
-from .cubes import CubeVertex, _fixes, ball_action, commensuration_delta, fixes
+from .cubes import (
+    CubeVertex,
+    _fixes,
+    _held,
+    _lands,
+    _target,
+    ball_action,
+    commensuration_delta,
+    fixes,
+)
 from .gamma import ray_at
 from .omega import OmegaSequence
 
@@ -141,22 +150,26 @@ def _ball_fixers(omega: OmegaSequence, vertices: list[CubeVertex], max_len: int)
     no δ is looked up and no word is pushed.  Whether g can fix v first
     asks |δ(g) Δ v.delta| = |v.delta|, which depends on δ(g) only, so
     the vertices that pass it are listed once per δ seen in the pass
-    (ball(8) over :012 has 271 elements and 56 δ), and only those are
-    tested on the images.
+    (ball(8) over :012 has 271 elements and 56 δ), each with its
+    target δ Δ v.delta, computed then; each element runs only the image
+    tests of its δ's list.  A vertex given twice is tested once, and its
+    byte offsets are computed once for the pass; both places in the
+    result hold the same list.
     """
-    fixers = [[] for _ in vertices]
+    fixers = {v: [] for v in vertices}
+    held = {v: _held(v) for v in fixers}
     candidates: dict[frozenset, list] = {}
     for g, delta, images in ball_action(omega, max_len):
         passing = candidates.get(delta)
         if passing is None:
             passing = candidates[delta] = [
-                (found, v) for found, v in zip(fixers, vertices)
-                if len(delta ^ v.delta) == len(v.delta)
+                (found, held[v], target) for v, found in fixers.items()
+                if (target := _target(delta, v)) is not None
             ]
-        for found, v in passing:
-            if _fixes(g, delta, images, v):
+        for found, v_held, target in passing:
+            if _lands(g, images, v_held, target):
                 found.append(g)
-    return fixers
+    return [fixers[v] for v in vertices]
 
 
 def stabilizer_in_ball(

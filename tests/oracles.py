@@ -37,14 +37,20 @@ images moved point by point by the level rule; the production code
 compares sign bytes of the window's images with those δ(g) predicts.
 Words are reduced here by a fold that copies the reduced prefix at every
 letter; the production code rewrites the top of a stack.
+The random words and vertices of the suites are drawn here by
+``Random.choice`` and ``Random.randint``; the production code draws the
+same bits through its own copy of their rejection rule on
+``getrandbits``.
 """
 
 from functools import lru_cache
+from random import Random
 
 from grigcube.cubes import CubeVertex, fixes
 from grigcube.elements import GroupElement, canonical_key, enumerate_ball, reduce_word
 from grigcube.gamma import (
-    Ray, ZERO_RAY, _rule_push, in_gamma_plus, in_gamma_plus_tilde, line_apply, ray_at,
+    Ray, ZERO_RAY, _coordinate, _rule_push, in_gamma_plus, in_gamma_plus_tilde, line_apply,
+    ray_at,
 )
 from grigcube.omega import LETTER_SYMBOL, OmegaSequence, passive_letter
 
@@ -408,3 +414,29 @@ def oracle_locality(g: GroupElement, delta: frozenset):
     if wide != delta:
         return {"word": g.word, "mismatch": True}
     return None
+
+
+def oracle_random_word(rng: Random, max_len: int) -> str:
+    """A random alternating word by Random's own calls: randint for the
+    length, choice("abcd") for the first letter, choice("bcd") after
+    each a, and an a after each other letter."""
+    length = rng.randint(0, max_len)
+    word = []
+    for _ in range(length):
+        if not word:
+            word.append(rng.choice("abcd"))
+        elif word[-1] == "a":
+            word.append(rng.choice("bcd"))
+        else:
+            word.append("a")
+    return "".join(word)
+
+
+def oracle_random_vertex(rng: Random, max_depth: int) -> CubeVertex:
+    """Up to 4 random rays of up to max_depth digits, by Random's own
+    randint and choice("01"), as coordinates."""
+    delta = set()
+    for _ in range(rng.randint(0, 4)):
+        digits = "".join(rng.choice("01") for _ in range(rng.randint(0, max_depth)))
+        delta.add(_coordinate(digits))
+    return CubeVertex(frozenset(delta))

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,10 @@ import grigcube.checks
 import grigcube.cubes
 from grigcube.checks import (
     _locality_counterexample,
+    _random_vertex,
+    _random_word,
     DEFAULT_OMEGAS,
+    LOCALITY_WORDS,
     SUITE_NAMES,
     CheckReport,
     all_rays,
@@ -28,7 +32,7 @@ from grigcube.elements import GroupElement, ball_sections, decompose, enumerate_
 from grigcube.gamma import ray_at
 from grigcube.omega import OmegaSequence
 
-from oracles import oracle_locality
+from oracles import oracle_locality, oracle_random_vertex, oracle_random_word
 
 OM = OmegaSequence.parse(":012")
 
@@ -159,6 +163,43 @@ def test_locality_reports_a_wrong_delta(monkeypatch):
     assert report.check == "commensuration_locality"
     assert report.status == "fail"
     assert report.counterexample["mismatch"] is True
+
+
+def test_draws_match_choice_and_randint():
+    # the getrandbits draws take the bits that Random.choice and
+    # Random.randint take on this interpreter: the same words and
+    # vertices, and the generator left in the same state
+    for seed in range(300):
+        ours, theirs = Random(seed), Random(seed)
+        for max_len in (0, 1, 2, 8, 16, 70):
+            words = [_random_word(ours, max_len) for _ in range(5)]
+            assert words == [oracle_random_word(theirs, max_len) for _ in range(5)], seed
+        for max_depth in (4, 6):
+            vertices = [_random_vertex(ours, max_depth) for _ in range(5)]
+            assert vertices == [oracle_random_vertex(theirs, max_depth) for _ in range(5)], seed
+        assert ours.random() == theirs.random(), seed
+
+
+def test_locality_judges_each_distinct_word_once(monkeypatch):
+    # the suite's words, drawn again: each distinct one is judged once,
+    # in the order of its first draw
+    rng = Random(0)
+    words = [_random_word(rng, 16) for _ in range(LOCALITY_WORDS)]
+    judged = []
+    true_judge = grigcube.checks._locality_counterexample
+    monkeypatch.setattr(grigcube.checks, "_locality_counterexample",
+                        lambda g, delta: judged.append(g.word) or true_judge(g, delta))
+    assert check_commensuration(OM)[0].status == "pass"
+    assert judged == list(dict.fromkeys(words))
+    assert len(judged) < len(words)
+    # a δ one point off on a word drawn twice only: the record names it
+    repeated = next(w for i, w in enumerate(words) if w in words[:i])
+    true_delta = grigcube.checks.commensuration_delta
+    monkeypatch.setattr(grigcube.checks, "commensuration_delta",
+                        lambda g: true_delta(g) ^ {5} if g.word == repeated else true_delta(g))
+    report = check_commensuration(OM)[0]
+    assert report.status == "fail"
+    assert report.counterexample == {"word": repeated, "mismatch": True}
 
 
 def test_reduction_reports_a_long_restriction(monkeypatch, capsys):

@@ -3,6 +3,7 @@ from random import Random
 
 import pytest
 
+import grigcube.cubes
 import grigcube.stabilizers
 from grigcube.checks import BOUND_VERTICES, _random_vertex
 from grigcube.cubes import CubeVertex, act, base_vertex, commensuration_delta
@@ -305,6 +306,26 @@ class TestBound:
         v = CubeVertex(frozenset({-1, 0, 130, 2**20}))
         [result] = stabilizer_bound_check(OM, [v], 6)
         assert result.order == oracle_stabilizer_order(OM, v, 6)
+
+    @pytest.mark.parametrize("text", [":012", "2:01"])
+    def test_vertices_at_the_byte_reach(self, monkeypatch, text):
+        # over ball(8) a point at |t| = 118 has every image on the byte
+        # tables, 118 + 8 = 126, and one at |t| = 119 is pushed through
+        # the words of 8 letters; both orders are those of one fixes
+        # call per element
+        om = OmegaSequence.parse(text)
+        pushed = []
+        true_push = grigcube.cubes._push
+        monkeypatch.setattr(grigcube.cubes, "_push",
+                            lambda *args, **kw: pushed.append(args[1]) or true_push(*args, **kw))
+        for reach, far in ((118, False), (119, True)):
+            vertices = [CubeVertex(frozenset(points)) for points in (
+                {reach - 1, reach}, {-reach, 1 - reach}, {-1, 0, reach - 1, reach}, {-reach})]
+            del pushed[:]
+            orders = [r.order for r in stabilizer_bound_check(om, vertices, 8)]
+            assert bool(pushed) == far and {len(word) for word in pushed} <= {8}
+            assert orders == [oracle_stabilizer_order(om, v, 8) for v in vertices]
+            assert sum(orders) > len(vertices)
 
 
 class TestRestrictionCases:
