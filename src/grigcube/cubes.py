@@ -17,20 +17,16 @@ is the push started from ∅.
 Whether g fixes v is asked far more often than where g sends it, so
 ``fixes`` answers that without building the image: g permutes ℤ, and a
 size test on δ(g) rejects most pairs before any point of the delta is
-moved.  The test has two halves: the target δ(g) Δ v.delta, which
-depends on δ(g) and v alone, and the image test, which asks whether g
-sends v.delta into it.  A walk over a ball builds each vertex's byte
-offsets once and each target once per δ it meets, and runs only the
-image test per element.
+moved.  A walk over a ball builds each target δ(g) Δ v.delta once per
+δ it meets, and v's byte offsets once, so each element runs only the
+image test.
 
 The suites that visit every element of a ball walk it with
 ``ball_action``, which grows each element's δ and its byte table of
 line images from its parent's by one letter, so they look up no δ and
 push no word.  The δ table that ``commensuration_delta`` reads is
 bounded; it serves the elements that come one at a time.  The locality
-scan of the ``commensuration`` suite judges each distinct word once, so
-a word drawn again makes no second lookup: its repeats are no longer
-hits of the table.
+scan judges each distinct word once, so a repeated word is no hit.
 
 An element carries its sequence, so ``commensuration_delta``, ``act``
 and ``fixes`` read it off g; only ``ball_action`` and ``orbit_growth``,
@@ -144,19 +140,17 @@ def _fixes(g: GroupElement, delta: frozenset, images: bytes | None, v: CubeVerte
 
 
 def _held(v: CubeVertex) -> tuple:
-    """v.delta as _lands reads it: (points, limit, held bytes), with
-    limit = 126 − max|t| over the points, the length of the longest word
-    whose byte table is exact on them, and the bytes t + 127 of the
-    points, empty when limit < 0, where they do not fit."""
+    """(v.delta, limit, its bytes t + 127): a byte table of a word of at
+    most limit = 126 − max|t| letters is exact on v.delta; past the byte
+    reach, limit < 0 and the bytes are empty."""
     limit = _REACH - max(map(abs, v.delta), default=0)
     return v.delta, limit, bytes([t + _OFFSET for t in v.delta]) if limit >= 0 else b""
 
 
 def _target(delta: frozenset, v: CubeVertex) -> frozenset | None:
-    """Where an element g with δ(g) = delta must send v.delta to fix v:
-    the points t of δ Δ v.delta as the integers t + 127, which within
-    the byte reach are their bytes, or None when |δ Δ v.delta| ≠
-    |v.delta|, so that no such g fixes v."""
+    """δ Δ v.delta as the integers t + 127, where g with δ(g) = delta
+    must send v.delta to fix v, or None when no such g can: the size
+    test |δ Δ v.delta| = |v.delta|."""
     target = delta ^ v.delta
     if len(target) != len(v.delta):
         return None
@@ -164,15 +158,10 @@ def _target(delta: frozenset, v: CubeVertex) -> frozenset | None:
 
 
 def _lands(g: GroupElement, images: bytes | None, held: tuple, target: frozenset) -> bool:
-    """Whether g sends the points of held, from _held, into target, from
-    _target.
-
-    The images are read off g's byte table, one ``translate`` of the
-    held bytes, while max|t| + |g| <= 126, where the table is exact,
-    and pushed through the word by _push otherwise, or when g has no
-    table.  The images are distinct and as many as the target, so they
-    make up the target exactly when they all lie in it.
-    """
+    """Whether g sends the points of _held into the _target: one
+    ``translate`` of the held bytes through g's table while |g| <= limit,
+    else a _push of the points.  The images are distinct and as many as
+    the target, so they make it up exactly when they all lie in it."""
     points, limit, held_bytes = held
     if images is None or g.length > limit:
         return target.issuperset([t + _OFFSET for t in _push(g.omega, g.word, points)])
