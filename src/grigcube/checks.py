@@ -9,7 +9,7 @@ from itertools import product
 from random import Random
 from typing import NamedTuple
 
-from .cubes import CubeVertex, _fixes, act, ball_action, base_vertex, commensuration_delta
+from .cubes import CubeVertex, act, base_vertex, commensuration_delta
 from .elements import (
     GroupElement,
     ball_sections,
@@ -31,6 +31,7 @@ from .gamma import (
 from .omega import OmegaSequence, fixing_letter
 from .stabilizers import (
     _PUNCTURED,
+    _ball_fixers,
     stabilizer_in_ball,
     stabilizes_gamma_plus_tilde,
     stabilizer_bound_check,
@@ -258,6 +259,52 @@ def _random_vertex(rng: Random, max_depth: int = 6) -> CubeVertex:
     return CubeVertex(frozenset(delta))
 
 
+@lru_cache(maxsize=4)
+def _commensuration_sample(seed: int, max_len: int) -> tuple[tuple, tuple]:
+    """The samples of check_commensuration at a seed, drawn once per run:
+    the distinct locality words, in the order of their first draw, and
+    the ACTION_TRIPLES triples drawn after all LOCALITY_WORDS words.
+
+    Random(seed) draws every word and triple of the suite; the samples
+    read no sequence, so every sequence of a run shares them.
+    """
+    rng = Random(seed)
+    words = dict.fromkeys([_random_word(rng, max_len) for _ in range(LOCALITY_WORDS)])
+    return tuple(words), _draw_triples(rng)
+
+
+def _triples_after(seed: int, max_len: int, word: str) -> tuple:
+    """The ACTION_TRIPLES triples drawn right after the first draw of a
+    locality word: the stream replayed to that word."""
+    rng = Random(seed)
+    for _ in range(LOCALITY_WORDS):
+        if _random_word(rng, max_len) == word:
+            return _draw_triples(rng)
+    raise AssertionError(f"{word!r} is not a locality word of seed {seed}")
+
+
+def _draw_triples(rng: Random) -> tuple:
+    """ACTION_TRIPLES triples (g, h, v) of two words of up to 8 letters
+    and a vertex, each drawn in that order."""
+    return tuple((_random_word(rng, 8), _random_word(rng, 8), _random_vertex(rng))
+                 for _ in range(ACTION_TRIPLES))
+
+
+@lru_cache(maxsize=4)
+def _bound_sample(seed: int) -> tuple:
+    """The BOUND_VERTICES vertices of check_bound at a seed, drawn once
+    per run and shared by every sequence."""
+    rng = Random(seed)
+    return tuple(_random_vertex(rng, max_depth=4) for _ in range(BOUND_VERTICES))
+
+
+@lru_cache(maxsize=128)
+def _own_signs(radius: int) -> bytes:
+    """The signs of the window |t| <= radius itself, radius zeros and
+    then radius + 1 ones; one string per radius."""
+    return bytes(radius) + b"\1" * (radius + 1)
+
+
 def _locality_counterexample(g: GroupElement, delta: frozenset) -> dict | None:
     """Whether the crossings of g are delta and lie within |t| <= |g|:
     None if so, else the counterexample of the locality record.
@@ -275,7 +322,7 @@ def _locality_counterexample(g: GroupElement, delta: frozenset) -> dict | None:
     """
     n = g.length
     radius = n + 4
-    own = bytes(radius) + b"\1" * (radius + 1)
+    own = _own_signs(radius)
     signs = _window_signs(g.omega, g.word[::-1], radius)
     if all(abs(t) <= n for t in delta):
         expected = bytearray(own)
@@ -299,27 +346,27 @@ def check_commensuration(
     a group action, on LOCALITY_WORDS random words and ACTION_TRIPLES
     random triples.
 
-    Each word's crossings are judged against commensuration_delta by
+    Both samples come from one stream, Random(seed): the words, then the
+    triples.  They read no sequence, so _commensuration_sample draws
+    them once per run and every sequence shares them.  Each word's
+    crossings are judged against commensuration_delta by
     _locality_counterexample, on sign bytes from the byte tables for
     words of up to 61 letters and from the level rule for longer ones.
     The verdict depends on the word alone, so each distinct word is
-    judged once, at its first draw (about 640 of the 1,000 words over
-    :012 at seed 0 are distinct); a repeat would get the same verdict,
-    so the first failing word is still the one reported.  Every word is
-    still drawn, so the triples come from the same stream.
+    judged once, in the order of its first draw (about 640 of the 1,000
+    words at seed 0 are distinct), and the first failing word is still
+    the one reported.  The stream stops at that word, so on a failure
+    the triples are drawn again right after its first draw, by
+    _triples_after.
     """
-    rng = Random(seed)
     started = time.monotonic()
+    words, triples = _commensuration_sample(seed, max_len)
     counterexample = None
-    judged = set()
-    for _ in range(LOCALITY_WORDS):
-        word = _random_word(rng, max_len)
-        if word in judged:
-            continue
-        judged.add(word)
+    for word in words:
         g = GroupElement(omega, word)
         counterexample = _locality_counterexample(g, commensuration_delta(g))
         if counterexample is not None:
+            triples = _triples_after(seed, max_len, word)
             break
     reports = [
         _report("commensuration_locality", omega,
@@ -329,10 +376,8 @@ def check_commensuration(
 
     started = time.monotonic()
     counterexample = None
-    for _ in range(ACTION_TRIPLES):
-        g = GroupElement(omega, _random_word(rng, 8))
-        h = GroupElement(omega, _random_word(rng, 8))
-        v = _random_vertex(rng)
+    for g_word, h_word, v in triples:
+        g, h = GroupElement(omega, g_word), GroupElement(omega, h_word)
         if act(g * h, v) != act(g, act(h, v)):
             counterexample = {"g": g.word, "h": h.word, "vertex": v.text()}
             break
@@ -353,17 +398,19 @@ def faithfulness_witnesses() -> tuple[CubeVertex, ...]:
 def check_faithful(omega: OmegaSequence, max_len: int = 8) -> list[CheckReport]:
     """Every nontrivial ball element moves one of three witness vertices.
 
-    The ball comes from ball_action, so each element's δ and line images
-    are grown from its parent's and no word is pushed.
+    The fixers of the three witnesses come from one pass of _ball_fixers,
+    which grows each element's δ and line images from its parent's, so no
+    word is pushed.  The counterexample is the first nontrivial element,
+    in ball order, that fixes all three.
     """
     started = time.monotonic()
     witnesses = faithfulness_witnesses()
-    counterexample = None
-    for g, delta, images in ball_action(omega, max_len):
-        # the identity has the empty word and fixes every vertex
-        if g.word and all(_fixes(g, delta, images, v) for v in witnesses):
-            counterexample = {"word": g.word}
-            break
+    first, *others = _ball_fixers(omega, witnesses, max_len)
+    # each ball element has one word; the identity's is empty and fixes
+    # every vertex
+    common = set.intersection(*({g.word for g in found} for found in others))
+    word = next((g.word for g in first if g.word and g.word in common), None)
+    counterexample = None if word is None else {"word": word}
     return [
         _report("faithful", omega,
                 {"max_len": max_len, "witnesses": [v.text() for v in witnesses]},
@@ -373,11 +420,15 @@ def check_faithful(omega: OmegaSequence, max_len: int = 8) -> list[CheckReport]:
 
 def check_bound(omega: OmegaSequence, max_len: int = 8, seed: int = 0) -> list[CheckReport]:
     """BOUND_VERTICES random shallow vertices against the stabilizer order
-    bound, all drawn first and then counted in one pass over the ball."""
-    rng = Random(seed)
+    bound, counted in one pass over the ball.
+
+    The vertices come from Random(seed) and read no sequence, so
+    _bound_sample draws them once per run and every sequence shares
+    them.
+    """
     started = time.monotonic()
+    vertices = _bound_sample(seed)
     counterexample = None
-    vertices = [_random_vertex(rng, max_depth=4) for _ in range(BOUND_VERTICES)]
     for v, result in zip(vertices, stabilizer_bound_check(omega, vertices, max_len)):
         if not result.ok:
             counterexample = {

@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sequence as pre:period, repeatable")
     check.add_argument("--max-len", type=_count, default=None)
     check.add_argument("--depth", type=_count, default=None)
-    check.add_argument("--seed", type=int, default=0)
+    check.add_argument("--seed", type=_count, default=0)
     check.set_defaults(func=_cmd_check)
 
     orbit = sub.add_parser("orbit", help="orbit growth of a cube vertex")

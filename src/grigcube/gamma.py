@@ -254,8 +254,14 @@ def _window_signs(omega: OmegaSequence, word: str, radius: int) -> bytes:
     if radius + len(word) > _REACH:
         window = range(-radius, radius + 1)
         return bytes([image >= 0 for image in _rule_push(omega, word, window)])
-    window = bytes(range(_OFFSET - radius, _OFFSET + radius + 1))
-    return _push_bytes(omega, word, window).translate(_SIGNS)
+    return _push_bytes(omega, word, _window_bytes(radius)).translate(_SIGNS)
+
+
+@lru_cache(maxsize=128)
+def _window_bytes(radius: int) -> bytes:
+    """The bytes t + _OFFSET of the window |t| <= radius, for a radius
+    within the byte reach; one string per radius."""
+    return bytes(range(_OFFSET - radius, _OFFSET + radius + 1))
 
 
 @lru_cache(maxsize=32)

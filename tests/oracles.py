@@ -40,19 +40,29 @@ letter; the production code rewrites the top of a stack.
 The random words and vertices of the suites are drawn here by
 ``Random.choice`` and ``Random.randint``; the production code draws the
 same bits through its own copy of their rejection rule on
-``getrandbits``.
+``getrandbits``.  The sampled suites here draw their samples anew for
+each sequence from ``Random(seed)`` and read the triples of the action
+law from the stream right where the locality words stop; the production
+code draws each sample once per run and, after a locality failure,
+replays the stream to the failing word.
 """
 
+import time
 from functools import lru_cache
 from random import Random
 
-from grigcube.cubes import CubeVertex, fixes
+from grigcube.checks import (
+    ACTION_TRIPLES, BOUND_VERTICES, LOCALITY_WORDS, CheckReport, _locality_counterexample,
+    _report,
+)
+from grigcube.cubes import CubeVertex, act, commensuration_delta, fixes
 from grigcube.elements import GroupElement, canonical_key, enumerate_ball, reduce_word
 from grigcube.gamma import (
     Ray, ZERO_RAY, _coordinate, _rule_push, in_gamma_plus, in_gamma_plus_tilde, line_apply,
     ray_at,
 )
 from grigcube.omega import LETTER_SYMBOL, OmegaSequence, passive_letter
+from grigcube.stabilizers import stabilizer_bound_check
 
 
 def _apply_letter(letter: str, omega: OmegaSequence, digits: str) -> str:
@@ -440,3 +450,61 @@ def oracle_random_vertex(rng: Random, max_depth: int) -> CubeVertex:
         digits = "".join(rng.choice("01") for _ in range(rng.randint(0, max_depth)))
         delta.add(_coordinate(digits))
     return CubeVertex(frozenset(delta))
+
+
+def oracle_check_commensuration(omega: OmegaSequence, max_len: int, seed: int) -> list[CheckReport]:
+    """check_commensuration with its samples drawn for this sequence
+    alone: LOCALITY_WORDS words from Random(seed), each distinct one
+    judged at its first draw until one fails, then ACTION_TRIPLES
+    triples from the stream where the words stopped."""
+    rng = Random(seed)
+    started = time.monotonic()
+    counterexample = None
+    judged = set()
+    for _ in range(LOCALITY_WORDS):
+        word = oracle_random_word(rng, max_len)
+        if word in judged:
+            continue
+        judged.add(word)
+        g = GroupElement(omega, word)
+        counterexample = _locality_counterexample(g, commensuration_delta(g))
+        if counterexample is not None:
+            break
+    reports = [
+        _report("commensuration_locality", omega,
+                {"max_len": max_len, "words": LOCALITY_WORDS, "seed": seed},
+                started, counterexample)
+    ]
+
+    started = time.monotonic()
+    counterexample = None
+    for _ in range(ACTION_TRIPLES):
+        g = GroupElement(omega, oracle_random_word(rng, 8))
+        h = GroupElement(omega, oracle_random_word(rng, 8))
+        v = oracle_random_vertex(rng, 6)
+        if act(g * h, v) != act(g, act(h, v)):
+            counterexample = {"g": g.word, "h": h.word, "vertex": v.text()}
+            break
+    reports.append(
+        _report("action_law", omega, {"triples": ACTION_TRIPLES, "seed": seed},
+                started, counterexample)
+    )
+    return reports
+
+
+def oracle_check_bound(omega: OmegaSequence, max_len: int, seed: int) -> list[CheckReport]:
+    """check_bound with its BOUND_VERTICES vertices drawn for this
+    sequence alone from Random(seed)."""
+    rng = Random(seed)
+    started = time.monotonic()
+    counterexample = None
+    vertices = [oracle_random_vertex(rng, 4) for _ in range(BOUND_VERTICES)]
+    for v, result in zip(vertices, stabilizer_bound_check(omega, vertices, max_len)):
+        if not result.ok:
+            counterexample = {"vertex": v.text(), "order": result.order, "bound": result.bound}
+            break
+    return [
+        _report("stabilizer_bound", omega,
+                {"max_len": max_len, "vertices": BOUND_VERTICES, "seed": seed},
+                started, counterexample)
+    ]

@@ -11,14 +11,19 @@ import grigcube
 import grigcube.checks
 import grigcube.cubes
 from grigcube.checks import (
+    _bound_sample,
+    _commensuration_sample,
     _locality_counterexample,
     _random_vertex,
     _random_word,
+    ACTION_TRIPLES,
+    BOUND_VERTICES,
     DEFAULT_OMEGAS,
     LOCALITY_WORDS,
     SUITE_NAMES,
     CheckReport,
     all_rays,
+    check_bound,
     check_commensuration,
     check_faithful,
     check_prefix,
@@ -27,12 +32,18 @@ from grigcube.checks import (
     run_suite,
 )
 from grigcube.cli import main
-from grigcube.cubes import commensuration_delta
+from grigcube.cubes import CubeVertex, commensuration_delta, fixes
 from grigcube.elements import GroupElement, ball_sections, decompose, enumerate_ball
 from grigcube.gamma import ray_at
 from grigcube.omega import OmegaSequence
 
-from oracles import oracle_locality, oracle_random_vertex, oracle_random_word
+from oracles import (
+    oracle_check_bound,
+    oracle_check_commensuration,
+    oracle_locality,
+    oracle_random_vertex,
+    oracle_random_word,
+)
 
 OM = OmegaSequence.parse(":012")
 
@@ -143,6 +154,21 @@ def test_individual_checks_pass():
     assert check_faithful(OM, 5)[0].status == "pass"
 
 
+@pytest.mark.parametrize("deltas", [((), (), ()), ((), (-1, 0), (-1,))])
+def test_faithful_reports_the_first_element_fixing_every_witness(monkeypatch, deltas):
+    # witnesses that nontrivial elements fix: the half-line three times,
+    # whose stabilizer has order 8, and three vertices that the fixing
+    # letter fixes; the record names the first such element in ball order
+    witnesses = tuple(CubeVertex(frozenset(delta)) for delta in deltas)
+    monkeypatch.setattr(grigcube.checks, "faithfulness_witnesses", lambda: witnesses)
+    for omega in map(OmegaSequence.parse, DEFAULT_OMEGAS):
+        first = next(g.word for g in enumerate_ball(omega, 8)
+                     if g.word and all(fixes(g, v) for v in witnesses))
+        report = check_faithful(omega)[0]
+        assert report.status == "fail"
+        assert report.counterexample == {"word": first}
+
+
 def test_projections_report_counts():
     reports = run_suite("projections", [OM], max_len=8)
     assert reports[0].status == "pass"
@@ -200,6 +226,95 @@ def test_locality_judges_each_distinct_word_once(monkeypatch):
     report = check_commensuration(OM)[0]
     assert report.status == "fail"
     assert report.counterexample == {"word": repeated, "mismatch": True}
+
+
+def _masked(reports):
+    return [r._replace(elapsed_ms=0.0) for r in reports]
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_samples_are_the_suites_draws(seed):
+    # the held samples are the draws of Random's own calls, in order:
+    # the locality words, the triples after all of them, and the vertices
+    for max_len in (1, 16, 70):
+        rng = Random(seed)
+        words = [oracle_random_word(rng, max_len) for _ in range(LOCALITY_WORDS)]
+        triples = tuple((oracle_random_word(rng, 8), oracle_random_word(rng, 8),
+                         oracle_random_vertex(rng, 6)) for _ in range(ACTION_TRIPLES))
+        assert _commensuration_sample(seed, max_len) == (tuple(dict.fromkeys(words)), triples)
+    rng = Random(seed)
+    vertices = tuple(oracle_random_vertex(rng, 4) for _ in range(BOUND_VERTICES))
+    assert _bound_sample(seed) == vertices
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_sampled_suites_match_the_per_sequence_oracle(monkeypatch, seed):
+    # the samples drawn once per run give every sequence the records of
+    # samples drawn anew for it
+    omegas = [OmegaSequence.parse(text) for text in DEFAULT_OMEGAS]
+    for omega in omegas:
+        for max_len in (1, 16, 70):
+            assert (_masked(check_commensuration(omega, max_len, seed))
+                    == _masked(oracle_check_commensuration(omega, max_len, seed)))
+        # ball(70) cannot be grown, so bound runs at its least and default length
+        for max_len in (1, 8):
+            assert (_masked(check_bound(omega, max_len, seed))
+                    == _masked(oracle_check_bound(omega, max_len, seed)))
+    # records that name a sampled word and triple: δ one point off on the
+    # words of more than max_len / 2 letters, and g * h giving h
+    true_delta = grigcube.cubes._commensuration
+    monkeypatch.setattr(grigcube.cubes, "_commensuration", lambda omega, word: (
+        true_delta(omega, word) ^ {5} if 2 * len(word) > max_len else true_delta(omega, word)))
+    monkeypatch.setattr(GroupElement, "__mul__", lambda g, h: h)
+    for omega in omegas:
+        for max_len in (1, 16, 70):
+            reports = check_commensuration(omega, max_len, seed)
+            assert [r.status for r in reports] == ["fail", "fail"]
+            assert _masked(reports) == _masked(oracle_check_commensuration(omega, max_len, seed))
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_locality_failure_reads_the_triples_after_its_word(monkeypatch, seed):
+    # with g * h giving h the action law fails at a triple the stream
+    # decides; a δ one point off on the third distinct word stops the
+    # words there, and the triples must come right after its first draw
+    monkeypatch.setattr(GroupElement, "__mul__", lambda g, h: h)
+    rng = Random(seed)
+    words = list(dict.fromkeys(oracle_random_word(rng, 16) for _ in range(LOCALITY_WORDS)))
+    passing = check_commensuration(OM, 16, seed)
+    assert [r.status for r in passing] == ["pass", "fail"]
+    assert _masked(passing) == _masked(oracle_check_commensuration(OM, 16, seed))
+    true_delta = grigcube.cubes._commensuration
+    monkeypatch.setattr(grigcube.cubes, "_commensuration", lambda omega, word: (
+        true_delta(omega, word) ^ {5} if word == words[2] else true_delta(omega, word)))
+    for omega in map(OmegaSequence.parse, DEFAULT_OMEGAS):
+        failing = check_commensuration(omega, 16, seed)
+        assert failing[0].counterexample == {"word": words[2], "mismatch": True}
+        assert _masked(failing) == _masked(oracle_check_commensuration(omega, 16, seed))
+    assert failing[1].status == "fail"
+    assert failing[1].counterexample != passing[1].counterexample
+
+
+def test_one_check_draws_each_sample_once(monkeypatch, capsys):
+    # every sequence shares one draw: 1,000 words and 200 triples for
+    # commensuration, 50 vertices for bound, where drawing per sequence
+    # took five times as many
+    grigcube.checks._commensuration_sample.cache_clear()
+    grigcube.checks._bound_sample.cache_clear()
+    calls = {"word": 0, "vertex": 0}
+
+    def spy(name, draw):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return draw(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(grigcube.checks, "_random_word", spy("word", _random_word))
+    monkeypatch.setattr(grigcube.checks, "_random_vertex", spy("vertex", _random_vertex))
+    assert main(["check"]) == 0
+    capsys.readouterr()
+    # 1,000 locality words and two per triple; a vertex per triple and 50
+    assert calls == {"word": 1400, "vertex": 250}
 
 
 def test_reduction_reports_a_long_restriction(monkeypatch, capsys):

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -84,6 +85,15 @@ class TestExitCodes:
         assert out == ""
         assert "error:" in err
 
+    @pytest.mark.parametrize("flag", [("--seed", "-5"), ("--seed=-5",), ("--seed", "five")])
+    def test_negative_seed_is_usage_error(self, capsys, flag):
+        # Random seeds an int by its absolute value, so seed -5 would draw
+        # the samples of seed 5 under records that print -5
+        assert Random(-5).random() == Random(5).random()
+        code, out, err = run_cli(capsys, "check", "--suite", "bound", "--omega", ":012", *flag)
+        assert code == 2
+        assert out == ""
+        assert "non-negative integer" in err
 
     @pytest.mark.parametrize("command", [
         ("act", "--omega", ":012", "--word", "b"),

@@ -178,14 +178,24 @@ def test_one_walk_extends_restriction_words():
 
 
 def test_one_walk_finds_ball_stabilizers():
-    # the stabilizers of vertices come from one pass, which stab and
-    # bound both read; the restriction lemma decomposes its fixers on a
-    # walk of its own and faithful stops at its first counterexample
+    # the fixers of vertices come from one pass, which stab, bound and
+    # faithful read; the restriction lemma decomposes its fixers on a
+    # walk of its own
     callers = set().union(*(_calls_by_function(p, "ball_action") for p in SOURCES))
     assert callers == {
         "stabilizers._ball_fixers",
         "stabilizers.verify_restriction_lemma",
-        "checks.check_faithful",
+    }
+
+
+def test_samples_are_drawn_only_by_their_helpers():
+    # a generator built in a suite would draw its sample again for each
+    # sequence; the helpers draw each sample once per run
+    path = next(p for p in SOURCES if p.stem == "checks")
+    assert _calls_by_function(path, "Random") == {
+        "checks._commensuration_sample",
+        "checks._triples_after",
+        "checks._bound_sample",
     }
 
 
