@@ -263,11 +263,11 @@ def test_sampled_suites_match_the_per_sequence_oracle(monkeypatch, seed):
     # records that name a sampled word and triple: δ one point off on the
     # words of more than max_len / 2 letters, and g * h giving h
     true_delta = grigcube.cubes._commensuration
-    monkeypatch.setattr(grigcube.cubes, "_commensuration", lambda omega, word: (
-        true_delta(omega, word) ^ {5} if 2 * len(word) > max_len else true_delta(omega, word)))
     monkeypatch.setattr(GroupElement, "__mul__", lambda g, h: h)
-    for omega in omegas:
-        for max_len in (1, 16, 70):
+    for max_len in (1, 16, 70):
+        monkeypatch.setattr(grigcube.cubes, "_commensuration", lambda omega, word, n=max_len: (
+            true_delta(omega, word) ^ {5} if 2 * len(word) > n else true_delta(omega, word)))
+        for omega in omegas:
             reports = check_commensuration(omega, max_len, seed)
             assert [r.status for r in reports] == ["fail", "fail"]
             assert _masked(reports) == _masked(oracle_check_commensuration(omega, max_len, seed))
@@ -281,18 +281,18 @@ def test_locality_failure_reads_the_triples_after_its_word(monkeypatch, seed):
     monkeypatch.setattr(GroupElement, "__mul__", lambda g, h: h)
     rng = Random(seed)
     words = list(dict.fromkeys(oracle_random_word(rng, 16) for _ in range(LOCALITY_WORDS)))
-    passing = check_commensuration(OM, 16, seed)
-    assert [r.status for r in passing] == ["pass", "fail"]
-    assert _masked(passing) == _masked(oracle_check_commensuration(OM, 16, seed))
+    omegas = [OmegaSequence.parse(text) for text in DEFAULT_OMEGAS]
+    passing = [check_commensuration(omega, 16, seed)[1] for omega in omegas]
     true_delta = grigcube.cubes._commensuration
     monkeypatch.setattr(grigcube.cubes, "_commensuration", lambda omega, word: (
         true_delta(omega, word) ^ {5} if word == words[2] else true_delta(omega, word)))
-    for omega in map(OmegaSequence.parse, DEFAULT_OMEGAS):
+    for omega, action_law in zip(omegas, passing):
         failing = check_commensuration(omega, 16, seed)
         assert failing[0].counterexample == {"word": words[2], "mismatch": True}
         assert _masked(failing) == _masked(oracle_check_commensuration(omega, 16, seed))
-    assert failing[1].status == "fail"
-    assert failing[1].counterexample != passing[1].counterexample
+        # the triples after the third word are not those after all 1,000
+        assert failing[1].status == action_law.status == "fail"
+        assert failing[1].counterexample != action_law.counterexample
 
 
 def test_one_check_draws_each_sample_once(monkeypatch, capsys):
