@@ -5,7 +5,7 @@ import pytest
 
 import grigcube.cubes
 import grigcube.stabilizers
-from grigcube.checks import BOUND_VERTICES, _random_vertex
+from grigcube.checks import BOUND_VERTICES, _random_vertex, check_projections
 from grigcube.cubes import CubeVertex, act, base_vertex, commensuration_delta
 from grigcube.elements import (
     GroupElement,
@@ -340,6 +340,36 @@ class TestRestrictionCases:
         assert report.case_counts["half_line"] == 4
         assert report.case_counts["punctured"] == 4
         assert report.case_counts["swapping"] == 0
+
+    def test_wrong_left_restriction_faults_half_line_only(self, monkeypatch):
+        # a stabilizes Γ₊ but not Γ̃₊, so as g0 it breaks the half_line
+        # case of the four level-fixing elements of S₊ in ball(8), and
+        # leaves the punctured case, which asks g0 to stabilize Γ₊
+        true_decompose = grigcube.stabilizers.decompose
+
+        def left_is_a(g):
+            swap, g0, g1 = true_decompose(g)
+            return swap, GroupElement(g0.omega, "a"), g1
+
+        monkeypatch.setattr(grigcube.stabilizers, "decompose", left_is_a)
+        report = verify_restriction_lemma(OM, 8)
+        assert report.case_counts == {"half_line": 4, "punctured": 4, "swapping": 0}
+        assert report.violations == (
+            "1: half_line", "d: half_line", "ada: half_line", "adad: half_line")
+        record = check_projections(OM, 8)[0]
+        assert record.status == "fail"
+        assert record.counterexample == list(report.violations)
+
+    def test_swap_everywhere_faults_swapping_only(self, monkeypatch):
+        # each element of S̃ in ball(8) then counts as swapping, and no
+        # element reaches the two level-fixing cases
+        true_decompose = grigcube.stabilizers.decompose
+        monkeypatch.setattr(grigcube.stabilizers, "decompose",
+                            lambda g: (True, *true_decompose(g)[1:]))
+        report = verify_restriction_lemma(OM, 8)
+        assert report.case_counts == {"half_line": 0, "punctured": 0, "swapping": 4}
+        assert report.violations == (
+            "1: swapping", "b: swapping", "c: swapping", "d: swapping")
 
     def test_no_swapping_element_stabilizes_punctured(self):
         # a swapping g in the punctured stabilizer would have δ(g0) = {0},
