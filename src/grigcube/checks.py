@@ -9,7 +9,7 @@ from itertools import product
 from random import Random
 from typing import NamedTuple
 
-from .cubes import CubeVertex, act, base_vertex, commensuration_delta
+from .cubes import CubeVertex, _ball_fixers, act, base_vertex, commensuration_delta
 from .elements import (
     GroupElement,
     ball_sections,
@@ -31,7 +31,6 @@ from .gamma import (
 from .omega import OmegaSequence, fixing_letter
 from .stabilizers import (
     _PUNCTURED,
-    _ball_fixers,
     stabilizer_in_ball,
     stabilizes_gamma_plus_tilde,
     stabilizer_bound_check,

@@ -14,23 +14,26 @@ with delta δ(g) Δ g·v.delta, which is the same cocycle push through the
 word started from v.delta in place of ∅: ``act`` is that push, and δ(g)
 is the push started from ∅.
 
-Whether g fixes v is asked far more often than where g sends it, so
-``fixes`` answers that without building the image: g permutes ℤ, and a
-size test on δ(g) rejects most pairs before any point of the delta is
-moved.  A walk over a ball builds each target δ(g) Δ v.delta once per
-δ it meets, and v's byte offsets once, so each element runs only the
-image test.
+Whether g fixes v is asked far more often than where g sends it, and one
+rule answers it, on integers: g permutes ℤ, so g can fix v only when
+|δ(g) Δ v.delta| = |v.delta|, and only then is v.delta pushed through g
+and its images tested to lie in δ(g) Δ v.delta.  ``fixes`` applies the
+rule to one element.  ``_ball_fixers`` applies it to every element of a
+ball and a list of vertices at once, in one walk of ``ball_action``, the
+only one: the suites that visit a whole ball read its lists.
 
-The suites that visit every element of a ball walk it with
-``ball_action``, which grows each element's δ and its byte table of
-line images from its parent's by one letter, so they look up no δ and
-push no word.  The δ table that ``commensuration_delta`` reads is
-bounded; it serves the elements that come one at a time.  The locality
-scan judges each distinct word once, so a repeated word is no hit.
+``ball_action`` grows each element's δ and its byte table of line images
+from its parent's by one letter, so the walk looks up no δ and pushes no
+word.  In this module the byte form of a point t, the byte t + 127
+within the reach 126, appears only in ``ball_action`` and
+``_ball_fixers``, where the tables are built and read.  The δ table that
+``commensuration_delta`` reads is bounded; it serves the elements that
+come one at a time.  The locality scan judges each distinct word once,
+so a repeated word is no hit.
 
 An element carries its sequence, so ``commensuration_delta``, ``act``
-and ``fixes`` read it off g; only ``ball_action`` and ``orbit_growth``,
-which enumerate a ball, are given one.
+and ``fixes`` read it off g; only ``ball_action``, ``_ball_fixers`` and
+``orbit_growth``, which enumerate a ball, are given one.
 """
 
 from __future__ import annotations
@@ -128,44 +131,8 @@ def fixes(g: GroupElement, v: CubeVertex) -> bool:
     the delta pushed through g; its |v.delta| images are distinct, so
     they make up the target exactly when they all lie in it.
     """
-    return _fixes(g, commensuration_delta(g), None, v)
-
-
-def _fixes(g: GroupElement, delta: frozenset, images: bytes | None, v: CubeVertex) -> bool:
-    """fixes(g, v) given δ(g) and, from ball_action, g's byte table of
-    images, or None: the size test of _target, then the image test of
-    _lands."""
-    target = _target(delta, v)
-    return target is not None and _lands(g, images, _held(v), target)
-
-
-def _held(v: CubeVertex) -> tuple:
-    """(v.delta, limit, its bytes t + 127): a byte table of a word of at
-    most limit = 126 − max|t| letters is exact on v.delta; past the byte
-    reach, limit < 0 and the bytes are empty."""
-    limit = _REACH - max(map(abs, v.delta), default=0)
-    return v.delta, limit, bytes([t + _OFFSET for t in v.delta]) if limit >= 0 else b""
-
-
-def _target(delta: frozenset, v: CubeVertex) -> frozenset | None:
-    """δ Δ v.delta as the integers t + 127, where g with δ(g) = delta
-    must send v.delta to fix v, or None when no such g can: the size
-    test |δ Δ v.delta| = |v.delta|."""
-    target = delta ^ v.delta
-    if len(target) != len(v.delta):
-        return None
-    return frozenset([t + _OFFSET for t in target])
-
-
-def _lands(g: GroupElement, images: bytes | None, held: tuple, target: frozenset) -> bool:
-    """Whether g sends the points of _held into the _target: one
-    ``translate`` of the held bytes through g's table while |g| <= limit,
-    else a _push of the points.  The images are distinct and as many as
-    the target, so they make it up exactly when they all lie in it."""
-    points, limit, held_bytes = held
-    if images is None or g.length > limit:
-        return target.issuperset([t + _OFFSET for t in _push(g.omega, g.word, points)])
-    return target.issuperset(held_bytes.translate(images))
+    target = commensuration_delta(g) ^ v.delta
+    return len(target) == len(v.delta) and target.issuperset(_push(g.omega, g.word, v.delta))
 
 
 # the byte table of the identity, which sends every byte to itself
@@ -212,6 +179,44 @@ def ball_action(omega: OmegaSequence,
             state = delta, table.translate(images)
         current[word] = state
         yield g, *state
+
+
+def _ball_fixers(omega: OmegaSequence, vertices: list[CubeVertex], max_len: int) -> list[list]:
+    """For each vertex v, the ball elements g that fix v, as fixes(g, v)
+    would, in ball order, from one pass of ball_action over the ball.
+
+    The size test |δ(g) Δ v.delta| = |v.delta| of fixes depends on δ(g)
+    only, so the vertices that pass it are listed once per δ seen in the
+    pass (ball(8) over :012 has 271 elements and 56 δ), each with its
+    target δ Δ v.delta as the bytes t + 127.  Each element then runs
+    only the image test of its δ's list: v's points, held as bytes once
+    per pass, go through g's table in one ``translate`` while
+    |g| <= 126 − max|t| keeps the table exact on them; past that reach
+    they are pushed through g's word.  A vertex given twice is tested
+    once, and both places in the result hold the same list.
+    """
+    fixers = {v: [] for v in vertices}
+    held = {}
+    for v in fixers:
+        limit = _REACH - max(map(abs, v.delta), default=0)
+        held[v] = limit, bytes([t + _OFFSET for t in v.delta]) if limit >= 0 else b""
+    candidates: dict[frozenset, list] = {}
+    for g, delta, images in ball_action(omega, max_len):
+        passing = candidates.get(delta)
+        if passing is None:
+            passing = candidates[delta] = [
+                (found, v.delta, *held[v], frozenset([t + _OFFSET for t in target]))
+                for v, found in fixers.items()
+                if len(target := delta ^ v.delta) == len(v.delta)
+            ]
+        for found, points, limit, held_bytes, target in passing:
+            if g.length <= limit:
+                landed = held_bytes.translate(images)
+            else:
+                landed = [t + _OFFSET for t in _push(omega, g.word, points)]
+            if target.issuperset(landed):
+                found.append(g)
+    return [fixers[v] for v in vertices]
 
 
 def distance(v: CubeVertex, w: CubeVertex) -> int:

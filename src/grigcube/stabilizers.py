@@ -2,15 +2,19 @@
 
 All computations here are restricted to an enumerated ball of elements;
 nothing is claimed about elements beyond that ball.  The half-line and
-its punctured variant are the cube vertices with delta ∅ and {0}, and
-for them the ball already exhibits the full stabilizer (a dihedral group
-of order 8 and a Klein four group).  One pass over the ball,
-_ball_fixers, finds the elements that fix each of a list of vertices;
-stabilizer_in_ball and stabilizer_bound_check both read it.  A subset
-closed under products gets a multiplication table, which is checked to
-be a group's; its type is named from the orders that element_order
-gives its elements, a computation that stops after 64 powers, so a
-wrong product makes a type unnamed rather than a loop endless.
+its punctured variant are the cube vertices with delta ∅ and {0}.  In
+the balls the suites read, their fixers are a dihedral group of order 8
+and a Klein four group; that no longer element joins them is evidence
+from the ball, not proved here.
+
+Which ball elements fix a vertex is answered in cubes, by one walk of
+the ball, cubes._ball_fixers, for a list of vertices at once;
+stabilizer_in_ball, stabilizer_bound_check and verify_restriction_lemma
+all read it.  A subset closed under products gets a multiplication
+table, which is checked to be a group's; its type is named from the
+orders that element_order gives its elements, a computation that stops
+after 64 powers, so a wrong product makes a type unnamed rather than a
+loop endless.
 
 The membership tests read the sequence off their elements; only the
 functions that walk a ball are given one.
@@ -22,16 +26,7 @@ from random import Random
 from typing import Iterable, NamedTuple
 
 from .elements import GroupElement, canonical_key, decompose, element_order
-from .cubes import (
-    CubeVertex,
-    _fixes,
-    _held,
-    _lands,
-    _target,
-    ball_action,
-    commensuration_delta,
-    fixes,
-)
+from .cubes import CubeVertex, _ball_fixers, base_vertex, commensuration_delta, fixes
 from .gamma import ray_at
 from .omega import OmegaSequence
 
@@ -140,36 +135,6 @@ def _small_group_table(elements: tuple) -> SmallGroupTable:
     if table is not None:
         _validate_table(table)
     return SmallGroupTable(elements, _recognize(elements, table))
-
-
-def _ball_fixers(omega: OmegaSequence, vertices: list[CubeVertex], max_len: int) -> list[list]:
-    """For each vertex v, the ball elements g that fix v, as fixes(g, v)
-    would, in ball order, from one pass of ball_action over the ball.
-
-    Each element's δ(g) and line images are grown from its parent's, so
-    no δ is looked up and no word is pushed.  Whether g can fix v first
-    asks |δ(g) Δ v.delta| = |v.delta|, which depends on δ(g) only, so
-    the vertices that pass it are listed once per δ seen in the pass
-    (ball(8) over :012 has 271 elements and 56 δ), each with its
-    target δ Δ v.delta, computed then; each element runs only the image
-    tests of its δ's list.  A vertex given twice is tested once, and its
-    byte offsets are computed once for the pass; both places in the
-    result hold the same list.
-    """
-    fixers = {v: [] for v in vertices}
-    held = {v: _held(v) for v in fixers}
-    candidates: dict[frozenset, list] = {}
-    for g, delta, images in ball_action(omega, max_len):
-        passing = candidates.get(delta)
-        if passing is None:
-            passing = candidates[delta] = [
-                (found, held[v], target) for v, found in fixers.items()
-                if (target := _target(delta, v)) is not None
-            ]
-        for found, v_held, target in passing:
-            if _lands(g, images, v_held, target):
-                found.append(g)
-    return [fixers[v] for v in vertices]
 
 
 def stabilizer_in_ball(
@@ -294,34 +259,28 @@ def verify_restriction_lemma(omega: OmegaSequence, max_len: int) -> RestrictionR
     always even, while g0 carrying the half-line onto the punctured
     half-line means δ(g0) = {0}, which is odd.
 
-    The ball comes from ball_action, so each g's δ and line images are
-    grown from its parent's by one letter, and both tests on g read
-    them; only the restrictions of the few g that stabilize either set
-    are tested one by one.
+    Both stabilizers come from one walk of _ball_fixers, as the fixers
+    of the base vertex and of the vertex {0}, and only their elements
+    are decomposed; an element of both is decomposed once per list.  So
+    the violations come by case: the half_line ones in ball order, then
+    the punctured and swapping ones in ball order.
     """
     counts = {"half_line": 0, "punctured": 0, "swapping": 0}
     violations = []
-    for g, delta, images in ball_action(omega, max_len):
-        stab_plus = not delta
-        stab_tilde = _fixes(g, delta, images, _PUNCTURED)
-        if not (stab_plus or stab_tilde):
-            continue
+    plus, tilde = _ball_fixers(omega, [base_vertex(), _PUNCTURED], max_len)
+    for g in plus:
         swap, g0, g1 = decompose(g)
-        if not swap and stab_plus:
+        if not swap:
             counts["half_line"] += 1
-            if not (
-                stabilizes_gamma_plus_tilde(g0)
-                and stabilizes_gamma_plus_tilde(g1)
-            ):
+            if not (stabilizes_gamma_plus_tilde(g0) and stabilizes_gamma_plus_tilde(g1)):
                 violations.append(f"{g.word or '1'}: half_line")
-        if not swap and stab_tilde:
-            counts["punctured"] += 1
-            if not (
-                stabilizes_gamma_plus(g0)
-                and stabilizes_gamma_plus_tilde(g1)
-            ):
-                violations.append(f"{g.word or '1'}: punctured")
-        if swap and stab_tilde:
+    for g in tilde:
+        swap, g0, g1 = decompose(g)
+        if swap:
             counts["swapping"] += 1
             violations.append(f"{g.word or '1'}: swapping")
+        else:
+            counts["punctured"] += 1
+            if not (stabilizes_gamma_plus(g0) and stabilizes_gamma_plus_tilde(g1)):
+                violations.append(f"{g.word or '1'}: punctured")
     return RestrictionReport(counts, tuple(violations))

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 import grigcube.cubes
 from grigcube.cubes import (
     CubeVertex,
+    _ball_fixers,
     _commensuration,
-    _fixes,
     act,
     ball_action,
     base_vertex,
@@ -239,28 +239,38 @@ class TestBallAction:
 
     @pytest.mark.parametrize("text", [":012", "2:01"])
     def test_far_vertex_takes_the_push(self, monkeypatch, text):
-        # at the byte reach the table answers; one point past it, or far
-        # out, the delta is pushed through the word, and both agree with
-        # fixes
+        # at the byte reach the table answers; one point past it the
+        # last sphere's words are pushed, and far out every word is; the
+        # push runs only past the size test, and every answer of
+        # _ball_fixers agrees with fixes
         om = OmegaSequence.parse(text)
+        cases = []
+        for n in range(7):
+            reach = 126 - n
+            walked = [(g, delta) for g, delta, _ in ball_action(om, n)]
+            # point sets with the least length of a word that is pushed
+            # for them; each element's own δ below 0 is a vertex it fixes
+            least = {frozenset({reach, -1}): n + 1, frozenset({reach + 1, 0}): n,
+                     frozenset({-reach - 1}): n, frozenset({2**20, -3}): 0}
+            least.update((frozenset(t for t in delta if t < 0), n + 1) for _, delta in walked)
+            vertices = [CubeVertex(points) for points in least]
+            expected = sorted(
+                g.word for g, delta in walked for v in vertices
+                if len(delta ^ v.delta) == len(v.delta) and g.length >= least[v.delta])
+            cases.append((n, walked, vertices, expected))
         pushed = []
         monkeypatch.setattr(grigcube.cubes, "_push",
                             lambda *args, **kw: pushed.append(args[1]) or _push(*args, **kw))
         fixed = ran = 0
-        for g, delta, images in ball_action(om, 6):
-            reach = 126 - g.length
-            own = frozenset(t for t in delta if t < 0)
-            for points, far in (({reach, -1}, False), ({reach + 1, 0}, True),
-                                ({-reach - 1}, True), ({2**20, -3}, True), (own, False)):
-                v = CubeVertex(frozenset(points))
-                del pushed[:]
-                answer = _fixes(g, delta, images, v)
-                # the push runs only past the size test
-                assert pushed == ([g.word] if far and len(delta ^ v.delta) == len(v.delta)
-                                  else []), (g.word, sorted(points))
-                ran += bool(pushed)
-                assert answer == fixes(g, v), (g.word, sorted(points))
-                fixed += answer
+        for n, walked, vertices, expected in cases:
+            del pushed[:]
+            found = _ball_fixers(om, vertices, n)
+            assert sorted(pushed) == expected, n
+            ran += len(pushed)
+            for v, fixers in zip(vertices, found):
+                assert [g.word for g in fixers] == [g.word for g, _ in walked if fixes(g, v)], \
+                    (n, sorted(v.delta))
+                fixed += len(fixers)
         assert fixed > 0 and ran > 0
 
     def test_long_words_take_the_level_rule(self):

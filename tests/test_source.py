@@ -178,14 +178,58 @@ def test_one_walk_extends_restriction_words():
 
 
 def test_one_walk_finds_ball_stabilizers():
-    # the fixers of vertices come from one pass, which stab, bound and
-    # faithful read; the restriction lemma decomposes its fixers on a
-    # walk of its own
+    # the fixers of vertices come from one pass, which stab, bound,
+    # faithful and the restriction lemma read; a second walk would be a
+    # second answer to whether g fixes v
     callers = set().union(*(_calls_by_function(p, "ball_action") for p in SOURCES))
-    assert callers == {
-        "stabilizers._ball_fixers",
-        "stabilizers.verify_restriction_lemma",
+    assert callers == {"cubes._ball_fixers"}
+
+
+# private names that one module of the package imports from another,
+# each with the reason it crosses the boundary
+PRIVATE_IMPORTS = {
+    "checks: cubes._ball_fixers": "stab, faithful and bound read the one walk of fixers",
+    "checks: gamma._coordinate": "the bound sample turns its random rays into coordinates",
+    "checks: gamma._window_signs": "the locality scan compares sign bytes of its window",
+    "checks: stabilizers._PUNCTURED": "the stab suite asks for the punctured half-line's fixers",
+    "cubes: gamma._OFFSET": "ball_action and _ball_fixers read the byte tables of the line",
+    "cubes: gamma._REACH": "_ball_fixers holds a vertex as bytes only within the byte reach",
+    "cubes: gamma._byte_tables": "ball_action grows each table from a letter's table",
+    "cubes: gamma._coordinate": "a vertex is parsed and flipped by ray",
+    "cubes: gamma._push": "δ, act and fixes push points through a word",
+    "elements: gamma._coordinate": "apply acts on rays through the coordinate",
+    "stabilizers: cubes._ball_fixers": "stab, bound and the restriction lemma read the one walk",
+}
+
+
+def _private_imports(path):
+    """module: source._name for each private name that a relative
+    import of the module binds, at any depth."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {
+        f"{path.stem}: {node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_")
     }
+
+
+def test_private_imports_are_listed():
+    # a private helper that crosses a module boundary is part of that
+    # boundary; the byte encoding of the line stays inside gamma and
+    # cubes unless a reason here says otherwise
+    found = set().union(*(_private_imports(p) for p in SOURCES))
+    assert found == set(PRIVATE_IMPORTS)
+
+
+def test_one_version_string():
+    # bench/run.py prints grigcube.__version__ as the provenance of a
+    # run, so it must be the version that pyproject.toml installs
+    pyproject = Path(__file__).parent.parent / "pyproject.toml"
+    found = re.search(r'^version = "([^"]+)"$',
+                      pyproject.read_text(encoding="utf-8"), re.MULTILINE)
+    assert found[1] == grigcube.__version__
 
 
 def test_samples_are_drawn_only_by_their_helpers():
