@@ -16,6 +16,7 @@ from .elements import (
     decompose,
     element_order,
     canonical_key,
+    require_reduced,
     UnsupportedOmegaError,
 )
 from .gamma import (
@@ -265,10 +266,14 @@ def _commensuration_sample(seed: int, max_len: int) -> tuple[tuple, tuple]:
     the ACTION_TRIPLES triples drawn after all LOCALITY_WORDS words.
 
     Random(seed) draws every word and triple of the suite; the samples
-    read no sequence, so every sequence of a run shares them.
+    read no sequence, so every sequence of a run shares them.  Each word
+    is checked to be reduced here, once per run, so check_commensuration
+    builds its elements without the constructor's check.
     """
     rng = Random(seed)
     words = dict.fromkeys([_random_word(rng, max_len) for _ in range(LOCALITY_WORDS)])
+    for word in words:
+        require_reduced(word)
     return tuple(words), _draw_triples(rng)
 
 
@@ -284,9 +289,14 @@ def _triples_after(seed: int, max_len: int, word: str) -> tuple:
 
 def _draw_triples(rng: Random) -> tuple:
     """ACTION_TRIPLES triples (g, h, v) of two words of up to 8 letters
-    and a vertex, each drawn in that order."""
-    return tuple((_random_word(rng, 8), _random_word(rng, 8), _random_vertex(rng))
-                 for _ in range(ACTION_TRIPLES))
+    and a vertex, each drawn in that order; each word is checked to be
+    reduced, as the locality words are."""
+    triples = tuple((_random_word(rng, 8), _random_word(rng, 8), _random_vertex(rng))
+                    for _ in range(ACTION_TRIPLES))
+    for g_word, h_word, _ in triples:
+        require_reduced(g_word)
+        require_reduced(h_word)
+    return triples
 
 
 @lru_cache(maxsize=4)
@@ -356,13 +366,14 @@ def check_commensuration(
     words at seed 0 are distinct), and the first failing word is still
     the one reported.  The stream stops at that word, so on a failure
     the triples are drawn again right after its first draw, by
-    _triples_after.
+    _triples_after.  Every sampled word is checked to be reduced when it
+    is drawn, so each sequence builds its elements with _make.
     """
     started = time.monotonic()
     words, triples = _commensuration_sample(seed, max_len)
     counterexample = None
     for word in words:
-        g = GroupElement(omega, word)
+        g = GroupElement._make((omega, word))
         counterexample = _locality_counterexample(g, commensuration_delta(g))
         if counterexample is not None:
             triples = _triples_after(seed, max_len, word)
@@ -376,7 +387,7 @@ def check_commensuration(
     started = time.monotonic()
     counterexample = None
     for g_word, h_word, v in triples:
-        g, h = GroupElement(omega, g_word), GroupElement(omega, h_word)
+        g, h = GroupElement._make((omega, g_word)), GroupElement._make((omega, h_word))
         if act(g * h, v) != act(g, act(h, v)):
             counterexample = {"g": g.word, "h": h.word, "vertex": v.text()}
             break

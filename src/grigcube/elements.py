@@ -84,6 +84,16 @@ def reduce_word(word: str) -> str:
     return "".join(stack)
 
 
+def require_reduced(word: str) -> None:
+    """Raise ValueError unless word is reduced, as the constructor of
+    GroupElement does; a caller that checks its words once may build
+    their elements with GroupElement._make."""
+    # a word is reduced exactly when no letter is foreign and no pair
+    # cancels or merges; reduce_word names a foreign letter
+    if _NOT_REDUCED.search(word) and word != reduce_word(word):
+        raise ValueError(f"word {word!r} is not reduced; use from_word")
+
+
 class GroupElement(namedtuple("GroupElement", "omega word")):
     """A group element over a fixed sequence, stored as a reduced word.
 
@@ -95,10 +105,7 @@ class GroupElement(namedtuple("GroupElement", "omega word")):
     __slots__ = ()
 
     def __new__(cls, omega: OmegaSequence, word: str = "") -> "GroupElement":
-        # a word is reduced exactly when no letter is foreign and no pair
-        # cancels or merges; reduce_word names a foreign letter
-        if _NOT_REDUCED.search(word) and word != reduce_word(word):
-            raise ValueError(f"word {word!r} is not reduced; use from_word")
+        require_reduced(word)
         return super().__new__(cls, omega, word)
 
     @classmethod
@@ -295,17 +302,20 @@ def enumerate_ball(omega: OmegaSequence, max_len: int) -> tuple[GroupElement, ..
     of the constructor.
 
     Each representative of the current sphere is kept with its swap flag
-    and the reduced words of its two restrictions, so a candidate's key
-    costs one letter, not a pass over its word.  _sections folds _extend
-    over a word left to right, so the state of r + s is _extend of r's
-    state by s.  Reduction is confluent, so reducing the restriction
-    words at each letter gives the normal form of all their letters,
-    and a reduced word with one more letter can only cancel or merge at
-    the join.  The candidate's key combines the keys of its restrictions
-    by the rule of _canonical_key, which for the empty word and single
-    letters gives their leaves as well.  The top-level keys are not
-    memoised: each is looked up once, and only the shorter restriction
-    words are shared.
+    and its two restriction words, so a candidate's key costs one
+    letter, not a pass over its word.  _sections folds _extend over a
+    word left to right, so the state of r + s is _extend of r's state by
+    s.  Reduction is confluent, so reducing the restriction words at
+    each letter gives the normal form of all their letters, and a
+    reduced word with one more letter can only cancel or merge at the
+    join.  The candidate's key combines the keys of its restrictions by
+    the rule of _canonical_key, which for the empty word and single
+    letters gives their leaves as well.  _grow_ball holds each
+    restriction word as an index, interned once per ball with the id of
+    its key, and deduplicates a candidate on its swap flag and the key
+    ids of its two words, which tells apart exactly the keys that the
+    combination gives.  The top-level keys are not memoised, and only
+    the shorter restriction words are keyed, once each.
 
     A shorter ball is read off the longest one enumerated so far, which
     is the only ball table.  The loop over lengths builds sphere n from
@@ -336,6 +346,35 @@ def _grow_ball(omega: OmegaSequence,
     after each sphere and the span of each element: the length of its
     longer restriction word when it fixes level 1, and 0 when it swaps.
 
+    Each restriction word is interned once per grow: the first time it
+    is met it gets the next index, and per index are kept its key id,
+    its length and, per letter x of b, c, d, the indices of its left and
+    right steps, the restriction words that _extend(active, False, w, w,
+    x) gives.  A key id is a dense int per distinct _canonical_key of a
+    restriction word, so every key still comes from that recursion, once
+    per word.  The steps of an index are filled the first time a
+    candidate reads them.  A sphere state is (word, swap, left index,
+    right index): "a" swaps the two indices, and x takes the left step
+    of the left index and the right step of the right one, which is
+    _extend of the state by x, since _extend acts on the two words apart.
+    A candidate costs a few list lookups; its word and element are built
+    only when it is a new representative.
+
+    Candidates are deduplicated on (swap, left key id, right key id),
+    which is exact: the key of a candidate is _combine of the swap flag
+    and its two restriction keys, and _combine is injective on such
+    triples.  It returns the triple itself except for two shapes:
+    (False, "1", "1") collapses to the leaf "1", and (False,
+    key(passive x), x) to the leaf x.  A leaf equals no triple, and each
+    leaf has one preimage, since x is read off the triple and fixes its
+    left key; so distinct triples give distinct keys.
+
+    The triple is packed into one int, two key ids of 14 bits each and
+    the swap bit, so each key seen is one small int.  Past 2 ** 14 key
+    ids the packing would collide, so it raises ValueError rather than
+    merge elements; ball(15) over :012 interns 401 restriction words
+    with 271 key ids, and its restriction words are at most 8 letters.
+
     Each letter of a word adds at most one letter to one of its
     restriction words, so a span is at most the length of its word, and
     so at most max_len.  A byte holds every span up to 255, and a
@@ -344,27 +383,54 @@ def _grow_ball(omega: OmegaSequence,
     4,973 elements.
     """
     shifted, active = _level(omega)
-    seen = set()
-    elements: list[GroupElement] = []
-    spans = bytearray()
-    ends: list[int] = []
-    sphere = [("", False, "", "")]
-    for length in range(max_len + 1):
+    bits = 14
+    index: dict[str, int] = {}
+    words: list[str] = []
+    key_ids: list[int] = []
+    lengths: list[int] = []
+    steps: dict[str, list[tuple[int, int] | None]] = {x: [] for x in BCD}
+    ids: dict = {}
+
+    def intern(word: str) -> int:
+        """The index of a restriction word, given when first met."""
+        i = index.get(word)
+        if i is None:
+            i = index[word] = len(words)
+            words.append(word)
+            key_ids.append(ids.setdefault(_canonical_key(shifted, word), len(ids)))
+            if len(ids) > 1 << bits:
+                raise ValueError(f"more than {1 << bits} restriction keys in one ball")
+            lengths.append(len(word))
+            for table in steps.values():
+                table.append(None)
+        return i
+
+    empty = intern("")
+    seen = {key_ids[empty] << bits + 1 | key_ids[empty] << 1}
+    elements = [GroupElement._make((omega, ""))]
+    spans = bytearray(1)
+    ends = [1]
+    sphere = [("", False, empty, empty)]
+    for _ in range(max_len):
         parents, sphere = sphere, []
-        candidates = (
-            ((r + s, *_extend(active, swap, left, right, s))
-             for r, swap, left, right in parents for s in _extensions(r))
-            if length else parents
-        )
-        for state in candidates:
-            word, swap, left, right = state
-            key = _combine(omega, swap, _canonical_key(shifted, left),
-                           _canonical_key(shifted, right))
-            if key not in seen:
-                seen.add(key)
-                elements.append(GroupElement._make((omega, word)))
-                spans.append(0 if swap else max(len(left), len(right)))
-                sphere.append(state)
+        for r, swap, left, right in parents:
+            for s in _extensions(r):
+                if s == "a":
+                    flag, i0, i1 = not swap, right, left
+                else:
+                    table = steps[s]
+                    for j in (left, right):
+                        if table[j] is None:
+                            _, w0, w1 = _extend(active, False, words[j], words[j], s)
+                            table[j] = intern(w0), intern(w1)
+                    flag, i0, i1 = swap, table[left][0], table[right][1]
+                key = key_ids[i0] << bits + 1 | key_ids[i1] << 1 | flag
+                if key not in seen:
+                    seen.add(key)
+                    word = r + s
+                    elements.append(GroupElement._make((omega, word)))
+                    spans.append(0 if flag else max(lengths[i0], lengths[i1]))
+                    sphere.append((word, flag, i0, i1))
         ends.append(len(elements))
     return tuple(elements), tuple(ends), bytes(spans)
 

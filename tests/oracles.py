@@ -16,9 +16,13 @@ code grows each sphere from the last one's representatives and reads
 its leaves off the syntax.  A second reference grows the spheres the same
 way but keys each candidate by a pass over its whole word; the
 production code carries each representative's restriction words and
-extends them by the candidate's last letter.  The wreath recursion here
-collects the restriction letters of a whole word and reduces them once;
-the production code reduces at each letter.
+extends them by the candidate's last letter.  A third reference carries
+the restriction words too and keys each candidate by combining their
+keys; the production code interns each restriction word once per ball,
+steps the indices of those words and deduplicates on the pair of their
+key ids.  The wreath recursion here collects the restriction letters of
+a whole word and reduces them once; the production code reduces at each
+letter.
 
 The Schreier line and its ball edges here are found by breadth-first
 search over the digit-scan action, and the half-line scans, the fixed vertex and the
@@ -56,7 +60,10 @@ from grigcube.checks import (
     _report,
 )
 from grigcube.cubes import CubeVertex, act, commensuration_delta, fixes
-from grigcube.elements import GroupElement, canonical_key, enumerate_ball, reduce_word
+from grigcube.elements import (
+    GroupElement, _canonical_key, _combine, _extend, _level, canonical_key, enumerate_ball,
+    reduce_word,
+)
 from grigcube.gamma import (
     Ray, ZERO_RAY, _coordinate, _rule_push, in_gamma_plus, in_gamma_plus_tilde, line_apply,
     ray_at,
@@ -256,6 +263,38 @@ def oracle_sphere_ball(omega: OmegaSequence, max_len: int) -> tuple[str, ...]:
                 found.append(word)
                 sphere.append(word)
     return tuple(found)
+
+
+def oracle_grow_ball(omega: OmegaSequence, max_len: int):
+    """(elements, ends, spans) of the ball as _grow_ball gives them, each
+    candidate carried with its swap flag and restriction words and
+    deduplicated on its whole key: _extend of its parent's state by the
+    letter, both restriction words keyed by _canonical_key and the key
+    built by _combine, with no interning and no key ids."""
+    shifted, active = _level(omega)
+    seen = set()
+    elements: list[GroupElement] = []
+    spans = bytearray()
+    ends: list[int] = []
+    sphere = [("", False, "", "")]
+    for length in range(max_len + 1):
+        parents, sphere = sphere, []
+        candidates = (
+            ((r + s, *_extend(active, swap, left, right, s))
+             for r, swap, left, right in parents for s in _extensions(r))
+            if length else parents
+        )
+        for state in candidates:
+            word, swap, left, right = state
+            key = _combine(omega, swap, _canonical_key(shifted, left),
+                           _canonical_key(shifted, right))
+            if key not in seen:
+                seen.add(key)
+                elements.append(GroupElement(omega, word))
+                spans.append(0 if swap else max(len(left), len(right)))
+                sphere.append(state)
+        ends.append(len(elements))
+    return tuple(elements), tuple(ends), bytes(spans)
 
 
 def oracle_sections(omega: OmegaSequence, word: str) -> tuple[bool, str, str]:

@@ -191,6 +191,21 @@ def test_locality_reports_a_wrong_delta(monkeypatch):
     assert report.counterexample["mismatch"] is True
 
 
+@pytest.mark.parametrize("unreduced_at", [4, 8], ids=["locality", "triples"])
+def test_unreduced_sample_word_is_rejected(monkeypatch, unreduced_at):
+    # the suite builds its elements without the constructor's check, so a
+    # sampled word that is not reduced must still raise its ValueError:
+    # "aa" for the locality words (4 letters here) or the triple words (8)
+    monkeypatch.setattr(grigcube.checks, "_random_word",
+                        lambda rng, max_len: "aa" if max_len == unreduced_at else "")
+    _commensuration_sample.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="not reduced"):
+            check_commensuration(OM, 4, 11)
+    finally:
+        _commensuration_sample.cache_clear()
+
+
 def test_draws_match_choice_and_randint():
     # the getrandbits draws take the bits that Random.choice and
     # Random.randint take on this interpreter: the same words and

@@ -1,3 +1,4 @@
+import gc
 import json
 import pickle
 from random import Random
@@ -13,6 +14,7 @@ from grigcube.elements import (
     _NOT_REDUCED,
     _canonical_key,
     _extend,
+    _grow_ball,
     _level,
     _longest,
     _sections,
@@ -35,6 +37,7 @@ from grigcube.omega import OmegaSequence
 from oracles import (
     all_strings,
     oracle_action_ball,
+    oracle_grow_ball,
     oracle_ball_words,
     oracle_inverse,
     oracle_is_trivial,
@@ -593,6 +596,53 @@ class TestAgainstOracle:
                 same_key = canonical_key(p) == canonical_key(q)
                 assert same_key == (oracle_key(om, p.word) == oracle_key(om, q.word))
                 assert same_key == oracle_is_trivial(om, (p * oracle_inverse(q)).word)
+
+
+def _repetition_free(symbols):
+    """preperiod:period from a first symbol, a rotation step per later
+    symbol and the length of the preperiod; adjacent symbols differ, and
+    a sequence whose period repeats across its wrap is filtered out."""
+    first, turns, cut = symbols
+    digits = [first]
+    for turn in turns:
+        digits.append((digits[-1] + turn) % 3)
+    text = "".join(map(str, digits))
+    return OmegaSequence(text[:min(cut, len(text) - 2)], text[min(cut, len(text) - 2):])
+
+
+repetition_free_omegas = st.tuples(
+    st.integers(0, 2), st.lists(st.sampled_from((1, 2)), min_size=1, max_size=6), st.integers(0, 3),
+).map(_repetition_free).filter(OmegaSequence.is_repetition_free)
+
+
+class TestGrowBall:
+    """The ball grown on interned restriction words against the growth
+    that keys every candidate's restriction words and combines the keys."""
+
+    @pytest.mark.parametrize("text", ORACLE_OMEGAS)
+    @pytest.mark.parametrize("n", (0, 1, 2, 5, 9, 13))
+    def test_matches_oracle_growth(self, text, n, cold_key_table):
+        om = OmegaSequence.parse(text)
+        assert _grow_ball(om, n) == oracle_grow_ball(om, n)
+
+    @given(om=repetition_free_omegas, n=st.integers(0, 10))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_oracle_growth_on_any_sequence(self, om, n):
+        _canonical_key.cache_clear()
+        assert _grow_ball(om, n) == oracle_grow_ball(om, n)
+
+    def test_leaves_no_cyclic_garbage(self, cold_key_table):
+        # the tables of a grow are freed by reference counting when it
+        # returns; index tables that pointed at each other would wait for
+        # the collector
+        gc.collect()
+        gc.disable()
+        try:
+            for text in (":012", ":01", "2:01"):
+                _grow_ball(OmegaSequence.parse(text), 12)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestSectionsStep:
