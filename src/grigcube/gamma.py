@@ -38,13 +38,18 @@ A push has two paths.  A letter moves a point by at most 1, so no
 point gets further from 0 than max|t| + len(word), its reach.  When the
 reach is at most 126, the points travel as one byte string, the byte
 of t being t + 127, and each letter is one ``bytes.translate`` through
-a 256-byte table of that letter's images over |t| ≤ 126.  The four
-tables of a sequence are built from the level rule on first use and
-kept in a small cache.  Every δ(g), ``act`` and ``fixes`` of the check
-suites runs this way.  The locality scan of the ``commensuration``
-suite asks ``_window_signs`` for the signs of a window's images: on
-this path the images stay bytes, and one more ``translate`` turns them
-into sign bytes, for every word of up to 61 letters.  A larger reach,
+a 256-byte table of that letter's images over |t| ≤ 126.  In the
+cocycle, a letter s that swaps the boundary pair {−1, 0} must give
+s·D Δ {−1, 0}, which holds −1 exactly when 0 ∉ D and 0 exactly when
+−1 ∉ D.  So s translates through a second table, its own with −1 and 0
+held fixed, and the pair is removed when D held both and added when it
+held neither; with one of them, that one is already right.  The tables
+of a sequence are built from the level rule on first use and kept in a
+small cache.  Every δ(g), ``act`` and ``fixes`` of the check suites
+runs this way.  The locality scan of the ``commensuration`` suite asks
+``_window_signs`` for the signs of a window's images: on this path the
+images stay bytes, and one more ``translate`` turns them into sign
+bytes, for every word of up to 61 letters.  A larger reach,
 such as the radius-200 interval of ``schreier``, a far ray given to
 ``act`` or ``orbit`` or the window of a longer locality word, takes the
 level rule point by point; it is the only path that reaches past ±126.
@@ -191,7 +196,9 @@ _BOUNDARY = frozenset({-1, 0})
 # and their images under one letter as bytes 0 to 254
 _REACH = 126
 _OFFSET = 127
-_BOUNDARY_BYTES = tuple(bytes([t + _OFFSET]) for t in _BOUNDARY)
+# the bytes of −1 and 0, which a cocycle push holds fixed
+_LOW, _HIGH = _OFFSET - 1, _OFFSET
+_PAIR = bytes([_LOW, _HIGH])
 
 
 def _push(omega: OmegaSequence, word: str, points, cocycle: bool = False) -> list:
@@ -203,19 +210,23 @@ def _push(omega: OmegaSequence, word: str, points, cocycle: bool = False) -> lis
     When that reach is at most _REACH (126), every point is a byte of
     one string and each letter is one ``bytes.translate`` through the
     letter's table from _byte_tables; with ``cocycle`` set, a letter that
-    swaps the boundary pair then toggles the bytes of −1 and 0.  Every
-    δ(g), ``act`` and ``fixes`` of the check suites takes that path.  A
-    larger reach, as the radius-200 interval of ``schreier`` or a far
-    ray given to ``act`` or ``orbit``, runs the level rule of _rule_push
-    point by point, the only path that reaches past ±126.
+    swaps the boundary pair translates through its held table and adds
+    or removes the pair by the rule of _push_bytes.  Every δ(g), ``act``
+    and ``fixes`` of the check suites takes that path; δ(g), pushed from
+    no points, goes to the bytes directly.  A larger reach, as the
+    radius-200 interval of ``schreier`` or a far ray given to ``act`` or
+    ``orbit``, runs the level rule of _rule_push point by point, the only
+    path that reaches past ±126.
 
-    With ``cocycle`` set, the points are a set and {−1, 0} is toggled
-    after each letter of b, c, d whose symbol is not ω₁: that is
-    δ(s) Δ s·D for the defect D of the suffix, so started from ∅ the
-    loop builds δ(word) and started from a vertex delta it builds the
-    delta of the image vertex (see cubes).  The result then lists that
-    set in no particular order.
+    With ``cocycle`` set, the points are a set and the result is
+    δ(s) Δ s·D after each letter s, for the set D pushed through the
+    suffix: δ(s) is {−1, 0} for a letter of b, c, d whose symbol is not
+    ω₁ and ∅ otherwise.  So started from ∅ the loop builds δ(word) and
+    started from a vertex delta it builds the delta of the image vertex
+    (see cubes).  The result then lists that set in no particular order.
     """
+    if not points and len(word) <= _REACH:
+        return [byte - _OFFSET for byte in _push_bytes(omega, word, b"", cocycle)]
     points = list(points)
     if max(map(abs, points), default=0) + len(word) > _REACH:
         return _rule_push(omega, word, points, cocycle)
@@ -226,14 +237,35 @@ def _push(omega: OmegaSequence, word: str, points, cocycle: bool = False) -> lis
 def _push_bytes(omega: OmegaSequence, word: str, held: bytes,
                 cocycle: bool = False) -> bytes:
     """The byte path of _push: points held as the bytes t + _OFFSET, of
-    reach at most _REACH, and their images held the same way."""
+    reach at most _REACH, and their images held the same way.
+
+    With ``cocycle`` set, a letter s that swaps −1 and 0 must send the
+    set D to s·D Δ {−1, 0}, and it does so with no search for the pair:
+    s·D holds −1 exactly when 0 ∈ D and 0 exactly when −1 ∈ D, so
+    s·D Δ {−1, 0} holds −1 exactly when 0 ∉ D and 0 exactly when −1 ∉ D.
+    Off the pair it is s·(D ∖ {−1, 0}), which misses the pair, since s
+    maps the pair onto itself.  So D goes through s's held table, which
+    is s's table with the bytes of −1 and 0 fixed, and then, with both
+    of the pair in D, both are removed, with neither, both are added,
+    and with exactly one, that one is already right.
+    """
     steps = _byte_tables(omega)
+    if not cocycle:
+        for letter in reversed(word):
+            held = held.translate(steps[letter][0])
+        return held
     for letter in reversed(word):
-        table, toggles = steps[letter]
-        held = held.translate(table)
-        if cocycle and toggles:
-            for mark in _BOUNDARY_BYTES:
-                held = held.replace(mark, b"") if mark in held else held + mark
+        table, held_table = steps[letter]
+        if held_table is None:
+            held = held.translate(table)
+            continue
+        low, high = _LOW in held, _HIGH in held
+        if low and high:
+            held = held.translate(held_table, _PAIR)
+        elif low or high:
+            held = held.translate(held_table)
+        else:
+            held = held.translate(held_table) + _PAIR
     return held
 
 
@@ -265,9 +297,12 @@ def _window_bytes(radius: int) -> bytes:
 
 
 @lru_cache(maxsize=32)
-def _byte_tables(omega: OmegaSequence) -> dict[str, tuple[bytes, bool]]:
-    """Per letter, its ``bytes.translate`` table over |t| <= _REACH and
-    whether it swaps the boundary pair {−1, 0} under ω.
+def _byte_tables(omega: OmegaSequence) -> dict[str, tuple[bytes, bytes | None]]:
+    """Per letter, its ``bytes.translate`` table over |t| <= _REACH and,
+    when it swaps the boundary pair {−1, 0} under ω, its held table,
+    which is the same table with the bytes of −1 and 0 fixed; None for
+    a letter that does not swap the pair, so the second entry also
+    answers whether it does.
 
     The table sends byte t + _OFFSET to the byte of the letter's image of
     t, as _rule_push computes it; the image lies in |t| <= 127.  The
@@ -283,7 +318,9 @@ def _byte_tables(omega: OmegaSequence) -> dict[str, tuple[bytes, bool]]:
         table = bytearray(range(256))
         table[_OFFSET - _REACH:_OFFSET + _REACH + 1] = bytes(
             [image + _OFFSET for image in _rule_push(omega, letter, span)])
-        steps[letter] = bytes(table), table[_OFFSET - 1] == _OFFSET
+        held_table = table.copy()
+        held_table[_LOW:_HIGH + 1] = _PAIR
+        steps[letter] = bytes(table), bytes(held_table) if table[_LOW] == _HIGH else None
     return steps
 
 

@@ -32,7 +32,11 @@ The defect δ(g) = Γ₊ Δ gΓ₊ is found here by scanning a window of the
 line, on rays or on integers, and by its cocycle moved point by point,
 one ``line_apply`` call per point and letter; the production code pushes
 the whole set through each letter at once and reads every half-line
-predicate off it.  The stabilizer order of a vertex is counted here one
+predicate off it.  The byte push of the cocycle here translates the
+whole set and then searches for each byte of the boundary pair, splicing
+it out or appending it; the production code holds the pair fixed in the
+translate and adds or removes it only when both or neither are there.
+The stabilizer order of a vertex is counted here one
 fixes call per element; the production code walks the ball once, with
 each element's δ and line images grown from its parent's, and tests the
 vertices that pass the size test once per δ.
@@ -65,8 +69,8 @@ from grigcube.elements import (
     reduce_word,
 )
 from grigcube.gamma import (
-    Ray, ZERO_RAY, _coordinate, _rule_push, in_gamma_plus, in_gamma_plus_tilde, line_apply,
-    ray_at,
+    Ray, ZERO_RAY, _byte_tables, _coordinate, _rule_push, in_gamma_plus, in_gamma_plus_tilde,
+    line_apply, ray_at,
 )
 from grigcube.omega import LETTER_SYMBOL, OmegaSequence, passive_letter
 from grigcube.stabilizers import stabilizer_bound_check
@@ -358,6 +362,7 @@ def oracle_line_coordinates(omega: OmegaSequence, radius: int) -> dict[Ray, int]
     return coordinates
 
 
+@lru_cache(maxsize=None)
 def oracle_commensuration(omega: OmegaSequence, g: GroupElement) -> frozenset:
     """Rays of the search ball of radius length(g) that g moves across
     the half-line boundary, tested on the rays themselves."""
@@ -411,16 +416,33 @@ def oracle_act(omega: OmegaSequence, g: GroupElement, rays: frozenset) -> frozen
     return oracle_commensuration(omega, g) ^ {oracle_apply(g, x) for x in rays}
 
 
-def oracle_cocycle(omega: OmegaSequence, word: str) -> frozenset:
+def oracle_cocycle(omega: OmegaSequence, word: str, delta: frozenset = frozenset()) -> frozenset:
     """δ(word) by its cocycle, letters right to left, each point of the
     defect moved by its own one-letter line_apply call: the suffix after
-    a letter s has defect D, the suffix from s on has δ(s) Δ s·D."""
-    delta = frozenset()
+    a letter s has defect D, the suffix from s on has δ(s) Δ s·D.
+    Started from a vertex delta in place of ∅, it gives the delta of the
+    image vertex."""
     for letter in reversed(word):
         delta = frozenset(line_apply(omega, letter, t) for t in delta)
         if letter != "a" and omega.at(1) != LETTER_SYMBOL[letter]:
             delta ^= {-1, 0}
     return delta
+
+
+def oracle_push_bytes(omega: OmegaSequence, word: str, held: bytes,
+                      cocycle: bool = False) -> bytes:
+    """The byte path of the push as a search and a splice: after each
+    letter's translate, a letter that swaps the boundary pair toggles
+    the bytes of −1 and 0 one at a time, each removed where the string
+    holds it and appended where it does not."""
+    steps = _byte_tables(omega)
+    for letter in reversed(word):
+        table, held_table = steps[letter]
+        held = held.translate(table)
+        if cocycle and held_table is not None:
+            for mark in (b"\x7e", b"\x7f"):  # the bytes t + 127 of −1 and 0
+                held = held.replace(mark, b"") if mark in held else held + mark
+    return held
 
 
 def oracle_stabilizer_order(omega: OmegaSequence, v: CubeVertex, max_len: int) -> int:

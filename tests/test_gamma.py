@@ -30,6 +30,7 @@ from grigcube.omega import OmegaSequence
 
 from oracles import (
     _apply_letter,
+    _extensions,
     oracle_act,
     oracle_apply,
     oracle_ball,
@@ -37,6 +38,7 @@ from oracles import (
     oracle_letter,
     oracle_cocycle,
     oracle_line_coordinates,
+    oracle_push_bytes,
     oracle_word,
 )
 
@@ -400,6 +402,56 @@ class TestPushOnBothSidesOfTheByteBound:
         image = _push(om, word, delta, cocycle=True)
         assert len(image) == len(set(image))
         assert _rays(image) == oracle_act(om, g, frozenset(_rays(delta)))
+
+
+def _alternating_words(max_len: int) -> list[str]:
+    words = layer = [""]
+    for _ in range(max_len):
+        layer = [w + s for w in layer for s in _extensions(w)]
+        words = words + layer
+    return words
+
+
+SHORT_WORDS = _alternating_words(8)
+
+# the four cases of a cocycle letter that swaps the boundary pair, by
+# whether the set it meets holds −1 and whether it holds 0
+BOUNDARY_CASES = {
+    (False, False): "neither of −1, 0",
+    (True, False): "−1 alone",
+    (False, True): "0 alone",
+    (True, True): "both of −1, 0",
+}
+
+
+@pytest.mark.parametrize("om", ORACLE_OMEGAS, ids=str)
+def test_cocycle_push_in_each_boundary_case(om):
+    # every alternating word of at most 8 letters, pushed from sets in
+    # each boundary case and from one whose far point sits at the byte
+    # reach; the cocycle needs no hypothesis on ω, so the sequences with
+    # repetition are held to it too.  The set a word's first letter
+    # meets is the oracle's push through the rest of the word, so that
+    # letter is checked alone first, and a failure names its case
+    assert len(set(SHORT_WORDS)) == 401
+    reached = {}
+    for word in SHORT_WORDS:
+        g = GroupElement(om, word)
+        for start in ((), (-1,), (0,), (-1, 0), (-1, 0, 3), (0, _REACH - len(word))):
+            start = frozenset(start)
+            before = reached.get((word[1:], start))
+            if before is None:
+                before = oracle_cocycle(om, word[1:], start)
+            expected = reached[word, start] = oracle_cocycle(om, word[:1], before)
+            step = _push(om, word[:1], before, cocycle=True)
+            case = BOUNDARY_CASES[-1 in before, 0 in before]
+            assert len(step) == len(set(step)), (case, word[:1], sorted(before))
+            assert frozenset(step) == expected, (case, word[:1], sorted(before))
+            image = _push(om, word, start, cocycle=True)
+            assert len(image) == len(set(image)), (word, sorted(start))
+            assert frozenset(image) == expected, (word, sorted(start))
+            assert _rays(image) == oracle_act(om, g, frozenset(_rays(start))), word
+            spliced = oracle_push_bytes(om, word, bytes([t + _OFFSET for t in start]), True)
+            assert frozenset(image) == {byte - _OFFSET for byte in spliced}, word
 
 
 def _outward_word(om: OmegaSequence, t: int, length: int) -> str:
