@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import time
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from random import Random
 from typing import NamedTuple
 
@@ -263,40 +263,24 @@ def _random_vertex(rng: Random, max_depth: int = 6) -> CubeVertex:
 def _commensuration_sample(seed: int, max_len: int) -> tuple[tuple, tuple]:
     """The samples of check_commensuration at a seed, drawn once per run:
     the distinct locality words, in the order of their first draw, and
-    the ACTION_TRIPLES triples drawn after all LOCALITY_WORDS words.
+    the ACTION_TRIPLES triples (g, h, v) of two words of up to 8 letters
+    and a vertex.
 
-    Random(seed) draws every word and triple of the suite; the samples
-    read no sequence, so every sequence of a run shares them.  Each word
-    is checked to be reduced here, once per run, so check_commensuration
-    builds its elements without the constructor's check.
+    Random(seed) draws the triples first and the LOCALITY_WORDS words
+    after them, so the triples depend on the seed alone and the words on
+    the seed and max_len, the params that each record prints.  The
+    samples read no sequence, so every sequence of a run shares them.
+    Each word is checked to be reduced here, once per run, so
+    check_commensuration builds its elements without the constructor's
+    check.
     """
     rng = Random(seed)
-    words = dict.fromkeys([_random_word(rng, max_len) for _ in range(LOCALITY_WORDS)])
-    for word in words:
-        require_reduced(word)
-    return tuple(words), _draw_triples(rng)
-
-
-def _triples_after(seed: int, max_len: int, word: str) -> tuple:
-    """The ACTION_TRIPLES triples drawn right after the first draw of a
-    locality word: the stream replayed to that word."""
-    rng = Random(seed)
-    for _ in range(LOCALITY_WORDS):
-        if _random_word(rng, max_len) == word:
-            return _draw_triples(rng)
-    raise AssertionError(f"{word!r} is not a locality word of seed {seed}")
-
-
-def _draw_triples(rng: Random) -> tuple:
-    """ACTION_TRIPLES triples (g, h, v) of two words of up to 8 letters
-    and a vertex, each drawn in that order; each word is checked to be
-    reduced, as the locality words are."""
     triples = tuple((_random_word(rng, 8), _random_word(rng, 8), _random_vertex(rng))
                     for _ in range(ACTION_TRIPLES))
-    for g_word, h_word, _ in triples:
-        require_reduced(g_word)
-        require_reduced(h_word)
-    return triples
+    words = dict.fromkeys([_random_word(rng, max_len) for _ in range(LOCALITY_WORDS)])
+    for word in chain(words, *(triple[:2] for triple in triples)):
+        require_reduced(word)
+    return tuple(words), triples
 
 
 @lru_cache(maxsize=4)
@@ -355,19 +339,18 @@ def check_commensuration(
     a group action, on LOCALITY_WORDS random words and ACTION_TRIPLES
     random triples.
 
-    Both samples come from one stream, Random(seed): the words, then the
-    triples.  They read no sequence, so _commensuration_sample draws
-    them once per run and every sequence shares them.  Each word's
-    crossings are judged against commensuration_delta by
-    _locality_counterexample, on sign bytes from the byte tables for
-    words of up to 61 letters and from the level rule for longer ones.
-    The verdict depends on the word alone, so each distinct word is
-    judged once, in the order of its first draw (about 640 of the 1,000
-    words at seed 0 are distinct), and the first failing word is still
-    the one reported.  The stream stops at that word, so on a failure
-    the triples are drawn again right after its first draw, by
-    _triples_after.  Every sampled word is checked to be reduced when it
-    is drawn, so each sequence builds its elements with _make.
+    Both samples come from one stream, Random(seed): the triples, then
+    the words, so no verdict of one record changes the sample of the
+    other.  They read no sequence, so _commensuration_sample draws them
+    once per run and every sequence shares them.  Each word's crossings
+    are judged against commensuration_delta by _locality_counterexample,
+    on sign bytes from the byte tables for words of up to 61 letters and
+    from the level rule for longer ones.  The verdict depends on the
+    word alone, so each distinct word is judged once, in the order of
+    its first draw (about 640 of the 1,000 words at seed 0 are
+    distinct), and the first failing word is the one reported.  Every
+    sampled word is checked to be reduced when it is drawn, so each
+    sequence builds its elements with _make.
     """
     started = time.monotonic()
     words, triples = _commensuration_sample(seed, max_len)
@@ -376,7 +359,6 @@ def check_commensuration(
         g = GroupElement._make((omega, word))
         counterexample = _locality_counterexample(g, commensuration_delta(g))
         if counterexample is not None:
-            triples = _triples_after(seed, max_len, word)
             break
     reports = [
         _report("commensuration_locality", omega,
@@ -500,13 +482,19 @@ def run_suite(
     of it is lost.  The package raises AssertionError only when its own
     results disagree, as a multiplication table that is not a group's;
     a suite that raises it on a sequence gives one fail record for it,
-    with the message as counterexample.  An unknown suite name, or a
-    max_len or depth too small for a suite's claim, raises ValueError
-    before any suite runs.
+    with the message as counterexample.  An unknown suite name, no
+    sequence, a negative seed, or a max_len or depth too small for a
+    suite's claim raises ValueError before any suite runs: Random seeds
+    an int by its absolute value, so seed -5 would draw the samples of
+    seed 5 under records that print -5.
     """
     if suite != "all" and suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected 'all' or one of "
                          f"{', '.join(SUITE_NAMES)}")
+    if not omegas:
+        raise ValueError("no sequence to check")
+    if seed < 0:
+        raise ValueError(f"--seed {seed} is negative; it must be a non-negative integer")
     names = SUITE_NAMES if suite == "all" else (suite,)
     _check_ball_sizes(names, {"max_len": max_len, "depth": depth})
     reports = []

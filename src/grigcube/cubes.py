@@ -76,7 +76,7 @@ class CubeVertex(NamedTuple):
     @classmethod
     def parse(cls, text: str) -> "CubeVertex":
         """Comma-separated rays; an empty part or a repeated ray is an error."""
-        if text in ("∅", "", "empty"):
+        if text in ("∅", ""):
             return cls()
         parts = text.split(",")
         if "" in parts:

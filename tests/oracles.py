@@ -49,10 +49,9 @@ The random words and vertices of the suites are drawn here by
 ``Random.choice`` and ``Random.randint``; the production code draws the
 same bits through its own copy of their rejection rule on
 ``getrandbits``.  The sampled suites here draw their samples anew for
-each sequence from ``Random(seed)`` and read the triples of the action
-law from the stream right where the locality words stop; the production
-code draws each sample once per run and, after a locality failure,
-replays the stream to the failing word.
+each sequence from ``Random(seed)``, the triples of the action law and
+then every locality word before any word is judged; the production code
+draws each sample once per run.
 """
 
 import time
@@ -515,15 +514,16 @@ def oracle_random_vertex(rng: Random, max_depth: int) -> CubeVertex:
 
 def oracle_check_commensuration(omega: OmegaSequence, max_len: int, seed: int) -> list[CheckReport]:
     """check_commensuration with its samples drawn for this sequence
-    alone: LOCALITY_WORDS words from Random(seed), each distinct one
-    judged at its first draw until one fails, then ACTION_TRIPLES
-    triples from the stream where the words stopped."""
+    alone from Random(seed): ACTION_TRIPLES triples, then LOCALITY_WORDS
+    words, each distinct word judged at its first draw until one fails."""
     rng = Random(seed)
+    triples = [(oracle_random_word(rng, 8), oracle_random_word(rng, 8),
+                oracle_random_vertex(rng, 6)) for _ in range(ACTION_TRIPLES)]
+    words = [oracle_random_word(rng, max_len) for _ in range(LOCALITY_WORDS)]
     started = time.monotonic()
     counterexample = None
     judged = set()
-    for _ in range(LOCALITY_WORDS):
-        word = oracle_random_word(rng, max_len)
+    for word in words:
         if word in judged:
             continue
         judged.add(word)
@@ -539,10 +539,8 @@ def oracle_check_commensuration(omega: OmegaSequence, max_len: int, seed: int) -
 
     started = time.monotonic()
     counterexample = None
-    for _ in range(ACTION_TRIPLES):
-        g = GroupElement(omega, oracle_random_word(rng, 8))
-        h = GroupElement(omega, oracle_random_word(rng, 8))
-        v = oracle_random_vertex(rng, 6)
+    for g_word, h_word, v in triples:
+        g, h = GroupElement(omega, g_word), GroupElement(omega, h_word)
         if act(g * h, v) != act(g, act(h, v)):
             counterexample = {"g": g.word, "h": h.word, "vertex": v.text()}
             break

@@ -221,11 +221,19 @@ def test_draws_match_choice_and_randint():
         assert ours.random() == theirs.random(), seed
 
 
+def _drawn(seed, max_len):
+    # the suite's samples by Random's own calls: the triples, then the
+    # locality words
+    rng = Random(seed)
+    triples = tuple((oracle_random_word(rng, 8), oracle_random_word(rng, 8),
+                     oracle_random_vertex(rng, 6)) for _ in range(ACTION_TRIPLES))
+    return [oracle_random_word(rng, max_len) for _ in range(LOCALITY_WORDS)], triples
+
+
 def test_locality_judges_each_distinct_word_once(monkeypatch):
     # the suite's words, drawn again: each distinct one is judged once,
     # in the order of its first draw
-    rng = Random(0)
-    words = [_random_word(rng, 16) for _ in range(LOCALITY_WORDS)]
+    words, _ = _drawn(0, 16)
     judged = []
     true_judge = grigcube.checks._locality_counterexample
     monkeypatch.setattr(grigcube.checks, "_locality_counterexample",
@@ -250,13 +258,13 @@ def _masked(reports):
 @pytest.mark.parametrize("seed", [0, 3, 7])
 def test_samples_are_the_suites_draws(seed):
     # the held samples are the draws of Random's own calls, in order:
-    # the locality words, the triples after all of them, and the vertices
-    for max_len in (1, 16, 70):
-        rng = Random(seed)
-        words = [oracle_random_word(rng, max_len) for _ in range(LOCALITY_WORDS)]
-        triples = tuple((oracle_random_word(rng, 8), oracle_random_word(rng, 8),
-                         oracle_random_vertex(rng, 6)) for _ in range(ACTION_TRIPLES))
+    # the triples, the locality words after them, and the vertices
+    for max_len in (1, 9, 16, 70):
+        words, triples = _drawn(seed, max_len)
         assert _commensuration_sample(seed, max_len) == (tuple(dict.fromkeys(words)), triples)
+    # the action_law record prints the seed and not max_len, and its
+    # triples depend on the seed alone
+    assert len({_commensuration_sample(seed, max_len)[1] for max_len in (1, 9, 16, 70)}) == 1
     rng = Random(seed)
     vertices = tuple(oracle_random_vertex(rng, 4) for _ in range(BOUND_VERTICES))
     assert _bound_sample(seed) == vertices
@@ -289,13 +297,12 @@ def test_sampled_suites_match_the_per_sequence_oracle(monkeypatch, seed):
 
 
 @pytest.mark.parametrize("seed", [0, 3, 7])
-def test_locality_failure_reads_the_triples_after_its_word(monkeypatch, seed):
+def test_locality_failure_leaves_the_action_law_record(monkeypatch, seed):
     # with g * h giving h the action law fails at a triple the stream
-    # decides; a δ one point off on the third distinct word stops the
-    # words there, and the triples must come right after its first draw
+    # decides; a δ one point off on the third distinct word fails the
+    # locality record there, and the action_law record must not move
     monkeypatch.setattr(GroupElement, "__mul__", lambda g, h: h)
-    rng = Random(seed)
-    words = list(dict.fromkeys(oracle_random_word(rng, 16) for _ in range(LOCALITY_WORDS)))
+    words = list(dict.fromkeys(_drawn(seed, 16)[0]))
     omegas = [OmegaSequence.parse(text) for text in DEFAULT_OMEGAS]
     passing = [check_commensuration(omega, 16, seed)[1] for omega in omegas]
     true_delta = grigcube.cubes._commensuration
@@ -305,9 +312,8 @@ def test_locality_failure_reads_the_triples_after_its_word(monkeypatch, seed):
         failing = check_commensuration(omega, 16, seed)
         assert failing[0].counterexample == {"word": words[2], "mismatch": True}
         assert _masked(failing) == _masked(oracle_check_commensuration(omega, 16, seed))
-        # the triples after the third word are not those after all 1,000
-        assert failing[1].status == action_law.status == "fail"
-        assert failing[1].counterexample != action_law.counterexample
+        assert action_law.status == "fail"
+        assert _masked(failing[1:]) == _masked([action_law])
 
 
 def test_one_check_draws_each_sample_once(monkeypatch, capsys):
@@ -329,6 +335,19 @@ def test_one_check_draws_each_sample_once(monkeypatch, capsys):
     assert main(["check"]) == 0
     capsys.readouterr()
     # 1,000 locality words and two per triple; a vertex per triple and 50
+    assert calls == {"word": 1400, "vertex": 250}
+    # a failing run draws no more: δ one point off on the third distinct
+    # word stops the locality words of every sequence there
+    grigcube.checks._commensuration_sample.cache_clear()
+    grigcube.checks._bound_sample.cache_clear()
+    calls.update(word=0, vertex=0)
+    third = list(dict.fromkeys(_drawn(0, 16)[0]))[2]
+    true_delta = grigcube.cubes._commensuration
+    monkeypatch.setattr(grigcube.cubes, "_commensuration", lambda omega, word: (
+        true_delta(omega, word) ^ {5} if word == third else true_delta(omega, word)))
+    assert main(["check"]) == 1
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["omega"] for r in records if r["status"] == "fail"] == list(DEFAULT_OMEGAS)
     assert calls == {"word": 1400, "vertex": 250}
 
 
@@ -436,6 +455,24 @@ def test_run_suite_rejects_a_ball_too_small(capsys, suite, sizes):
              for part in (f"--{key.replace('_', '-')}", str(value))]
     assert main(["check", "--suite", suite, "--omega", ":012", *flags]) == 2
     assert capsys.readouterr().err == f"error: {caught.value}\n"
+
+
+def test_run_suite_rejects_a_negative_seed(monkeypatch):
+    # Random seeds an int by its absolute value, so seed -5 would check
+    # the samples of seed 5 under records that print -5; the CLI's flag
+    # rejects it, and a library call gets a usage error before any suite
+    # runs
+    assert Random(-5).random() == Random(5).random()
+    monkeypatch.setitem(grigcube.checks._SUITES, "bound", None)
+    with pytest.raises(ValueError, match="--seed -5 is negative"):
+        run_suite("bound", [OM], seed=-5)
+
+
+def test_run_suite_rejects_no_sequence():
+    # with no sequence a run would return no record and so no failure;
+    # the CLI checks the defaults when no --omega is given
+    with pytest.raises(ValueError, match="no sequence to check"):
+        run_suite("all", [])
 
 
 def test_run_suite_rejects_an_unknown_suite():

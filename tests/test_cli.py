@@ -99,8 +99,10 @@ class TestExitCodes:
         ("act", "--omega", ":012", "--word", "b"),
         ("orbit", "--omega", ":01", "--max-len", "2"),
     ])
-    @pytest.mark.parametrize("vertex", ["1,,101", "101,", ",1", "0inf,0inf", "1,101,1"])
+    @pytest.mark.parametrize("vertex", ["1,,101", "101,", ",1", "0inf,0inf", "1,101,1", "empty"])
     def test_bad_vertex_is_usage_error(self, capsys, command, vertex):
+        # the base vertex is written ∅ or as the empty string; "empty" is
+        # read as a ray, and it is not one
         code, out, err = run_cli(capsys, *command, "--vertex", vertex)
         assert code == 2
         assert out == ""

@@ -238,7 +238,6 @@ def test_samples_are_drawn_only_by_their_helpers():
     path = next(p for p in SOURCES if p.stem == "checks")
     assert _calls_by_function(path, "Random") == {
         "checks._commensuration_sample",
-        "checks._triples_after",
         "checks._bound_sample",
     }
 

@@ -30,6 +30,7 @@ from grigcube.omega import OmegaSequence, fixing_letter
 from grigcube.stabilizers import (
     _PUNCTURED,
     _small_group_table,
+    _validate_table,
     fixed_vertex_for_subgroup,
     stabilizer_bound_check,
     stabilizer_in_ball,
@@ -156,6 +157,15 @@ def test_recognized_type_of_a_subset(monkeypatch, member, unbounded, expected):
             lambda g: None if g.word == unbounded else element_order(g))
     subset = tuple(g for g in enumerate_ball(OM, 6) if member(g))
     assert _small_group_table(subset).recognized_type == expected
+
+
+def test_table_with_permutation_rows_that_is_not_associative():
+    # x∘y = 2x + y mod 3 is a Latin square, so the row test passes it,
+    # but (1∘1)∘0 = 0 and 1∘(1∘0) = 1
+    table = tuple(tuple((2 * x + y) % 3 for y in range(3)) for x in range(3))
+    assert all(sorted(row) == [0, 1, 2] for row in table)
+    with pytest.raises(AssertionError, match="not associative"):
+        _validate_table(table)
 
 
 class TestVertexStabilizer:
