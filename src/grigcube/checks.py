@@ -206,57 +206,42 @@ def check_stab(omega: OmegaSequence, max_len: int = 10) -> list[CheckReport]:
     return reports
 
 
-def _below(draw, n: int) -> int:
-    """A uniform integer in [0, n) from draw, a generator's getrandbits:
-    n.bit_length() bits, drawn again while they read n or more.
-
-    That is Random._randbelow, the rule by which Random.choice(seq) and
-    Random.randint(a, b) draw seq[_below(len(seq))] and
-    a + _below(b - a + 1), so each draw here takes the same bits from the
-    stream as the call it stands for and leaves the generator in the
-    same state.
-    """
-    k = n.bit_length()
-    r = draw(k)
-    while r >= n:
-        r = draw(k)
-    return r
-
-
 def _random_word(rng: Random, max_len: int) -> str:
     """A random alternating word of 0 to max_len letters.
 
     Drawn as rng.randint(0, max_len) letters, the first by
     rng.choice("abcd") and each letter after an ``a`` by
-    rng.choice("bcd"), an ``a`` after each other letter; every draw goes
-    through _below on rng.getrandbits, which takes the same bits as the
-    call it stands for (3 bits for "abcd", 2 for "bcd"), so the words
-    and the generator's state are those of the calls.  After its first
-    letter the word is pairs "a" + x up to one trailing ``a``.
+    rng.choice("bcd"), an ``a`` after each other letter.  After its
+    first letter the word is pairs "a" + x up to one trailing ``a``.
     """
-    draw = rng.getrandbits
-    length = _below(draw, max_len + 1)
+    length = rng.randint(0, max_len)
     if not length:
         return ""
-    first = "abcd"[_below(draw, 4)]
+    first = rng.choice("abcd")
     # the part of the word that starts at an a
     rest = length if first == "a" else length - 1
-    pairs = "".join(["a" + "bcd"[_below(draw, 3)] for _ in range(rest // 2)])
+    pairs = "".join(["a" + rng.choice("bcd") for _ in range(rest // 2)])
     return ("" if first == "a" else first) + pairs + "a" * (rest % 2)
 
 
 def _random_vertex(rng: Random, max_depth: int = 6) -> CubeVertex:
-    """Up to 4 random rays of up to max_depth digits, as coordinates.
-
-    Drawn as rng.randint(0, 4) rays, each of rng.randint(0, max_depth)
-    digits by rng.choice("01"), through _below as _random_word draws.
-    """
-    draw = rng.getrandbits
+    """Up to 4 random rays of up to max_depth digits, as coordinates:
+    rng.randint(0, 4) rays, each of rng.randint(0, max_depth) digits by
+    rng.choice("01")."""
     delta = set()
-    for _ in range(_below(draw, 5)):
-        digits = "".join(["01"[_below(draw, 2)] for _ in range(_below(draw, max_depth + 1))])
+    for _ in range(rng.randint(0, 4)):
+        digits = "".join([rng.choice("01") for _ in range(rng.randint(0, max_depth))])
         delta.add(_coordinate(digits))
     return CubeVertex(frozenset(delta))
+
+
+def _require_seed(seed: int) -> int:
+    """The seed of a sample, or ValueError when it is negative: Random
+    seeds an int by its absolute value, so seed -5 would draw the
+    samples of seed 5 under records that print -5."""
+    if seed < 0:
+        raise ValueError(f"--seed {seed} is negative; it must be a non-negative integer")
+    return seed
 
 
 @lru_cache(maxsize=4)
@@ -274,7 +259,7 @@ def _commensuration_sample(seed: int, max_len: int) -> tuple[tuple, tuple]:
     check_commensuration builds its elements without the constructor's
     check.
     """
-    rng = Random(seed)
+    rng = Random(_require_seed(seed))
     triples = tuple((_random_word(rng, 8), _random_word(rng, 8), _random_vertex(rng))
                     for _ in range(ACTION_TRIPLES))
     words = dict.fromkeys([_random_word(rng, max_len) for _ in range(LOCALITY_WORDS)])
@@ -287,7 +272,7 @@ def _commensuration_sample(seed: int, max_len: int) -> tuple[tuple, tuple]:
 def _bound_sample(seed: int) -> tuple:
     """The BOUND_VERTICES vertices of check_bound at a seed, drawn once
     per run and shared by every sequence."""
-    rng = Random(seed)
+    rng = Random(_require_seed(seed))
     return tuple(_random_vertex(rng, max_depth=4) for _ in range(BOUND_VERTICES))
 
 
@@ -350,7 +335,8 @@ def check_commensuration(
     its first draw (about 640 of the 1,000 words at seed 0 are
     distinct), and the first failing word is the one reported.  Every
     sampled word is checked to be reduced when it is drawn, so each
-    sequence builds its elements with _make.
+    sequence builds its elements with _make.  A negative seed raises
+    ValueError before any record is made.
     """
     started = time.monotonic()
     words, triples = _commensuration_sample(seed, max_len)
@@ -416,7 +402,7 @@ def check_bound(omega: OmegaSequence, max_len: int = 8, seed: int = 0) -> list[C
 
     The vertices come from Random(seed) and read no sequence, so
     _bound_sample draws them once per run and every sequence shares
-    them.
+    them.  A negative seed raises ValueError before any record is made.
     """
     started = time.monotonic()
     vertices = _bound_sample(seed)
@@ -484,17 +470,14 @@ def run_suite(
     a suite that raises it on a sequence gives one fail record for it,
     with the message as counterexample.  An unknown suite name, no
     sequence, a negative seed, or a max_len or depth too small for a
-    suite's claim raises ValueError before any suite runs: Random seeds
-    an int by its absolute value, so seed -5 would draw the samples of
-    seed 5 under records that print -5.
+    suite's claim raises ValueError before any suite runs.
     """
     if suite != "all" and suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected 'all' or one of "
                          f"{', '.join(SUITE_NAMES)}")
     if not omegas:
         raise ValueError("no sequence to check")
-    if seed < 0:
-        raise ValueError(f"--seed {seed} is negative; it must be a non-negative integer")
+    _require_seed(seed)
     names = SUITE_NAMES if suite == "all" else (suite,)
     _check_ball_sizes(names, {"max_len": max_len, "depth": depth})
     reports = []

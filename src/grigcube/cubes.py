@@ -45,6 +45,7 @@ from typing import NamedTuple
 
 from .elements import GroupElement, enumerate_ball
 from .gamma import (
+    _IDENTITY,
     _OFFSET,
     _REACH,
     Ray,
@@ -133,10 +134,6 @@ def fixes(g: GroupElement, v: CubeVertex) -> bool:
     """
     target = commensuration_delta(g) ^ v.delta
     return len(target) == len(v.delta) and target.issuperset(_push(g.omega, g.word, v.delta))
-
-
-# the byte table of the identity, which sends every byte to itself
-_IDENTITY = bytes(range(256))
 
 
 def ball_action(omega: OmegaSequence,

@@ -199,6 +199,9 @@ _OFFSET = 127
 # the bytes of −1 and 0, which a cocycle push holds fixed
 _LOW, _HIGH = _OFFSET - 1, _OFFSET
 _PAIR = bytes([_LOW, _HIGH])
+# the byte table of the identity, which sends every byte to itself; its
+# slice [_OFFSET - r, _OFFSET + r] is the window |t| <= r as bytes
+_IDENTITY = bytes(range(256))
 
 
 def _push(omega: OmegaSequence, word: str, points, cocycle: bool = False) -> list:
@@ -286,14 +289,8 @@ def _window_signs(omega: OmegaSequence, word: str, radius: int) -> bytes:
     if radius + len(word) > _REACH:
         window = range(-radius, radius + 1)
         return bytes([image >= 0 for image in _rule_push(omega, word, window)])
-    return _push_bytes(omega, word, _window_bytes(radius)).translate(_SIGNS)
-
-
-@lru_cache(maxsize=128)
-def _window_bytes(radius: int) -> bytes:
-    """The bytes t + _OFFSET of the window |t| <= radius, for a radius
-    within the byte reach; one string per radius."""
-    return bytes(range(_OFFSET - radius, _OFFSET + radius + 1))
+    window = _IDENTITY[_OFFSET - radius:_OFFSET + radius + 1]
+    return _push_bytes(omega, word, window).translate(_SIGNS)
 
 
 @lru_cache(maxsize=32)
@@ -315,7 +312,7 @@ def _byte_tables(omega: OmegaSequence) -> dict[str, tuple[bytes, bytes | None]]:
     span = range(-_REACH, _REACH + 1)
     steps = {}
     for letter in "abcd":
-        table = bytearray(range(256))
+        table = bytearray(_IDENTITY)
         table[_OFFSET - _REACH:_OFFSET + _REACH + 1] = bytes(
             [image + _OFFSET for image in _rule_push(omega, letter, span)])
         held_table = table.copy()

@@ -22,7 +22,7 @@ functions that walk a ball are given one.
 
 from __future__ import annotations
 
-from random import Random
+from itertools import product
 from typing import Iterable, NamedTuple
 
 from .elements import GroupElement, canonical_key, decompose, element_order
@@ -80,17 +80,13 @@ def _build_table(elements: tuple) -> tuple | None:
 
 
 def _validate_table(table: tuple) -> None:
+    """Raise AssertionError unless every row is a permutation and the
+    table is associative, checked on every triple."""
     n = len(table)
-    rng = Random(0)
     for row in table:
         if sorted(row) != list(range(n)):
             raise AssertionError("multiplication table row is not a permutation")
-    triples = (
-        [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
-        if n <= 8
-        else [(rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(200)]
-    )
-    for i, j, k in triples:
+    for i, j, k in product(range(n), repeat=3):
         if table[table[i][j]][k] != table[i][table[j][k]]:
             raise AssertionError("multiplication table is not associative")
 

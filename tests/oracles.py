@@ -45,13 +45,12 @@ images moved point by point by the level rule; the production code
 compares sign bytes of the window's images with those δ(g) predicts.
 Words are reduced here by a fold that copies the reduced prefix at every
 letter; the production code rewrites the top of a stack.
-The random words and vertices of the suites are drawn here by
-``Random.choice`` and ``Random.randint``; the production code draws the
-same bits through its own copy of their rejection rule on
-``getrandbits``.  The sampled suites here draw their samples anew for
-each sequence from ``Random(seed)``, the triples of the action law and
-then every locality word before any word is judged; the production code
-draws each sample once per run.
+The random words here are drawn letter by letter; the production code
+makes the same calls of ``Random.choice`` and ``Random.randint`` and
+builds the word from pairs "a" + x.  The sampled suites here draw their
+samples anew for each sequence from ``Random(seed)``, the triples of the
+action law and then every locality word before any word is judged; the
+production code draws each sample once per run.
 """
 
 import time

@@ -207,9 +207,8 @@ def test_unreduced_sample_word_is_rejected(monkeypatch, unreduced_at):
 
 
 def test_draws_match_choice_and_randint():
-    # the getrandbits draws take the bits that Random.choice and
-    # Random.randint take on this interpreter: the same words and
-    # vertices, and the generator left in the same state
+    # the helpers' draws are those of the letter-by-letter oracle: the
+    # same words and vertices, and the generator left in the same state
     for seed in range(300):
         ours, theirs = Random(seed), Random(seed)
         for max_len in (0, 1, 2, 8, 16, 70):
@@ -466,6 +465,14 @@ def test_run_suite_rejects_a_negative_seed(monkeypatch):
     monkeypatch.setitem(grigcube.checks._SUITES, "bound", None)
     with pytest.raises(ValueError, match="--seed -5 is negative"):
         run_suite("bound", [OM], seed=-5)
+
+
+@pytest.mark.parametrize("suite", [check_commensuration, check_bound])
+def test_sampled_suite_rejects_a_negative_seed(suite):
+    # a direct call would check the samples of seed 5 under a record
+    # that prints -5; it raises where its generator is built
+    with pytest.raises(ValueError, match="--seed -5 is negative"):
+        suite(OM, 8, -5)
 
 
 def test_run_suite_rejects_no_sequence():

@@ -192,6 +192,7 @@ PRIVATE_IMPORTS = {
     "checks: gamma._coordinate": "the bound sample turns its random rays into coordinates",
     "checks: gamma._window_signs": "the locality scan compares sign bytes of its window",
     "checks: stabilizers._PUNCTURED": "the stab suite asks for the punctured half-line's fixers",
+    "cubes: gamma._IDENTITY": "ball_action starts from the identity's byte table",
     "cubes: gamma._OFFSET": "ball_action and _ball_fixers read the byte tables of the line",
     "cubes: gamma._REACH": "_ball_fixers holds a vertex as bytes only within the byte reach",
     "cubes: gamma._byte_tables": "ball_action grows each table from a letter's table",
@@ -223,6 +224,16 @@ def test_private_imports_are_listed():
     assert found == set(PRIVATE_IMPORTS)
 
 
+def test_one_identity_byte_table():
+    # the letter tables and the window of any radius within the byte
+    # reach start from the identity's table, so no second one is built
+    calls = [f"{path.stem}: {ast.unparse(node)}" for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("bytes", "bytearray")
+             and node.args and "range(" in ast.unparse(node.args[0])]
+    assert calls == ["gamma: bytes(range(256))"]
+
+
 def test_one_version_string():
     # bench/run.py prints grigcube.__version__ as the provenance of a
     # run, so it must be the version that pyproject.toml installs
@@ -234,9 +245,10 @@ def test_one_version_string():
 
 def test_samples_are_drawn_only_by_their_helpers():
     # a generator built in a suite would draw its sample again for each
-    # sequence; the helpers draw each sample once per run
-    path = next(p for p in SOURCES if p.stem == "checks")
-    assert _calls_by_function(path, "Random") == {
+    # sequence; the helpers draw each sample once per run, and no other
+    # module of the package draws at all
+    callers = set().union(*(_calls_by_function(p, "Random") for p in SOURCES))
+    assert callers == {
         "checks._commensuration_sample",
         "checks._bound_sample",
     }

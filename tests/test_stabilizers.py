@@ -168,6 +168,18 @@ def test_table_with_permutation_rows_that_is_not_associative():
         _validate_table(table)
 
 
+def test_associativity_is_checked_on_every_triple():
+    # the addition table of Z/64 with two entries of row 17 swapped: each
+    # row is still a permutation, and 498 of the 262,144 triples break
+    # associativity, which a sample of 200 triples from Random(0) misses
+    rows = [[(x + y) % 64 for y in range(64)] for x in range(64)]
+    rows[17][3], rows[17][9] = rows[17][9], rows[17][3]
+    table = tuple(tuple(row) for row in rows)
+    assert all(sorted(row) == list(range(64)) for row in table)
+    with pytest.raises(AssertionError, match="not associative"):
+        _validate_table(table)
+
+
 class TestVertexStabilizer:
     def test_base_vertex_table_is_half_line_table(self):
         # the half-line is the base vertex, so no separate target is needed
