@@ -276,13 +276,6 @@ def _bound_sample(seed: int) -> tuple:
     return tuple(_random_vertex(rng, max_depth=4) for _ in range(BOUND_VERTICES))
 
 
-@lru_cache(maxsize=128)
-def _own_signs(radius: int) -> bytes:
-    """The signs of the window |t| <= radius itself, radius zeros and
-    then radius + 1 ones; one string per radius."""
-    return bytes(radius) + b"\1" * (radius + 1)
-
-
 def _locality_counterexample(g: GroupElement, delta: frozenset) -> dict | None:
     """Whether the crossings of g are delta and lie within |t| <= |g|:
     None if so, else the counterexample of the locality record.
@@ -300,7 +293,7 @@ def _locality_counterexample(g: GroupElement, delta: frozenset) -> dict | None:
     """
     n = g.length
     radius = n + 4
-    own = _own_signs(radius)
+    own = bytes(radius) + b"\1" * (radius + 1)
     signs = _window_signs(g.omega, g.word[::-1], radius)
     if all(abs(t) <= n for t in delta):
         expected = bytearray(own)

@@ -14,13 +14,12 @@ with delta δ(g) Δ g·v.delta, which is the same cocycle push through the
 word started from v.delta in place of ∅: ``act`` is that push, and δ(g)
 is the push started from ∅.
 
-Whether g fixes v is asked far more often than where g sends it, and one
-rule answers it, on integers: g permutes ℤ, so g can fix v only when
-|δ(g) Δ v.delta| = |v.delta|, and only then is v.delta pushed through g
-and its images tested to lie in δ(g) Δ v.delta.  ``fixes`` applies the
-rule to one element.  ``_ball_fixers`` applies it to every element of a
-ball and a list of vertices at once, in one walk of ``ball_action``, the
-only one: the suites that visit a whole ball read its lists.
+``fixes`` is its definition: g fixes v when act(g, v) == v.  The suites
+that visit a whole ball ask it of every element and a list of vertices
+at once, and ``_ball_fixers`` answers them in one walk of
+``ball_action``, the only one, by a rule on integers: g permutes ℤ, so
+g can fix v only when |δ(g) Δ v.delta| = |v.delta|, and only then are
+the images of v.delta tested to lie in δ(g) Δ v.delta.
 
 ``ball_action`` grows each element's δ and its byte table of line images
 from its parent's by one letter, so the walk looks up no δ and pushes no
@@ -124,16 +123,8 @@ def act(g: GroupElement, v: CubeVertex) -> CubeVertex:
 
 
 def fixes(g: GroupElement, v: CubeVertex) -> bool:
-    """Whether g fixes v: the answer of comparing v with its image under act.
-
-    g·v has delta δ(g) Δ g·v.delta, so g fixes v exactly when
-    g·v.delta = δ(g) Δ v.delta; g permutes ℤ, so |g·v.delta| = |v.delta|,
-    and that needs |δ(g) Δ v.delta| = |v.delta| first.  Only then is
-    the delta pushed through g; its |v.delta| images are distinct, so
-    they make up the target exactly when they all lie in it.
-    """
-    target = commensuration_delta(g) ^ v.delta
-    return len(target) == len(v.delta) and target.issuperset(_push(g.omega, g.word, v.delta))
+    """Whether g fixes v: v compared with its image under act."""
+    return act(g, v) == v
 
 
 def ball_action(omega: OmegaSequence,
@@ -182,10 +173,16 @@ def _ball_fixers(omega: OmegaSequence, vertices: list[CubeVertex], max_len: int)
     """For each vertex v, the ball elements g that fix v, as fixes(g, v)
     would, in ball order, from one pass of ball_action over the ball.
 
-    The size test |δ(g) Δ v.delta| = |v.delta| of fixes depends on δ(g)
-    only, so the vertices that pass it are listed once per δ seen in the
-    pass (ball(8) over :012 has 271 elements and 56 δ), each with its
-    target δ Δ v.delta as the bytes t + 127.  Each element then runs
+    g·v has delta δ(g) Δ g·v.delta, so g fixes v exactly when
+    g·v.delta = δ(g) Δ v.delta; g permutes ℤ, so |g·v.delta| = |v.delta|,
+    and that needs |δ(g) Δ v.delta| = |v.delta| first.  The images of
+    v.delta are distinct, so they make up that target exactly when they
+    all lie in it.
+
+    The size test depends on δ(g) only, so the vertices that pass it
+    are listed once per δ seen in the pass (ball(8) over :012 has 271
+    elements and 56 δ), each with its target δ Δ v.delta as the bytes
+    t + 127.  Each element then runs
     only the image test of its δ's list: v's points, held as bytes once
     per pass, go through g's table in one ``translate`` while
     |g| <= 126 − max|t| keeps the table exact on them; past that reach

@@ -347,8 +347,8 @@ def _grow_ball(omega: OmegaSequence,
     longer restriction word when it fixes level 1, and 0 when it swaps.
 
     Each restriction word is interned once per grow: the first time it
-    is met it gets the next index, and per index are kept its key id,
-    its length and, per letter x of b, c, d, the indices of its left and
+    is met it gets the next index, and per index are kept its word, its
+    key id and, per letter x of b, c, d, the indices of its left and
     right steps, the restriction words that _extend(active, False, w, w,
     x) gives.  A key id is a dense int per distinct _canonical_key of a
     restriction word, so every key still comes from that recursion, once
@@ -369,11 +369,9 @@ def _grow_ball(omega: OmegaSequence,
     leaf has one preimage, since x is read off the triple and fixes its
     left key; so distinct triples give distinct keys.
 
-    The triple is packed into one int, two key ids of 14 bits each and
-    the swap bit, so each key seen is one small int.  Past 2 ** 14 key
-    ids the packing would collide, so it raises ValueError rather than
-    merge elements; ball(15) over :012 interns 401 restriction words
-    with 271 key ids, and its restriction words are at most 8 letters.
+    Each triple seen is kept as a tuple, so any number of key ids stays
+    apart; ball(15) over :012 interns 401 restriction words with 271 key
+    ids, and its restriction words are at most 8 letters.
 
     Each letter of a word adds at most one letter to one of its
     restriction words, so a span is at most the length of its word, and
@@ -383,11 +381,9 @@ def _grow_ball(omega: OmegaSequence,
     4,973 elements.
     """
     shifted, active = _level(omega)
-    bits = 14
     index: dict[str, int] = {}
     words: list[str] = []
     key_ids: list[int] = []
-    lengths: list[int] = []
     steps: dict[str, list[tuple[int, int] | None]] = {x: [] for x in BCD}
     ids: dict = {}
 
@@ -398,15 +394,12 @@ def _grow_ball(omega: OmegaSequence,
             i = index[word] = len(words)
             words.append(word)
             key_ids.append(ids.setdefault(_canonical_key(shifted, word), len(ids)))
-            if len(ids) > 1 << bits:
-                raise ValueError(f"more than {1 << bits} restriction keys in one ball")
-            lengths.append(len(word))
             for table in steps.values():
                 table.append(None)
         return i
 
     empty = intern("")
-    seen = {key_ids[empty] << bits + 1 | key_ids[empty] << 1}
+    seen = {(False, key_ids[empty], key_ids[empty])}
     elements = [GroupElement._make((omega, ""))]
     spans = bytearray(1)
     ends = [1]
@@ -424,12 +417,12 @@ def _grow_ball(omega: OmegaSequence,
                             _, w0, w1 = _extend(active, False, words[j], words[j], s)
                             table[j] = intern(w0), intern(w1)
                     flag, i0, i1 = swap, table[left][0], table[right][1]
-                key = key_ids[i0] << bits + 1 | key_ids[i1] << 1 | flag
+                key = flag, key_ids[i0], key_ids[i1]
                 if key not in seen:
                     seen.add(key)
                     word = r + s
                     elements.append(GroupElement._make((omega, word)))
-                    spans.append(0 if flag else max(lengths[i0], lengths[i1]))
+                    spans.append(0 if flag else max(len(words[i0]), len(words[i1])))
                     sphere.append((word, flag, i0, i1))
         ends.append(len(elements))
     return tuple(elements), tuple(ends), bytes(spans)

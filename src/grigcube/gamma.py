@@ -306,8 +306,9 @@ def _byte_tables(omega: OmegaSequence) -> dict[str, tuple[bytes, bytes | None]]:
     other bytes map to themselves, and _push keeps every point off them.
     The letter swaps the boundary pair exactly when its table sends −1
     to 0.  Built on first use, never at import.  The five default
-    sequences and their shifts are 11 sequences, so the bound holds them
-    all.
+    sequences and their shifts are 10 sequences, since 2:01 shifts to
+    :01, and a default check builds tables for 9 of them, so the bound
+    holds them all.
     """
     span = range(-_REACH, _REACH + 1)
     steps = {}

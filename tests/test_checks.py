@@ -36,6 +36,7 @@ from grigcube.cubes import CubeVertex, commensuration_delta, fixes
 from grigcube.elements import GroupElement, ball_sections, decompose, enumerate_ball
 from grigcube.gamma import ray_at
 from grigcube.omega import OmegaSequence
+from grigcube.stabilizers import BoundCheck
 
 from oracles import (
     oracle_check_bound,
@@ -167,6 +168,93 @@ def test_faithful_reports_the_first_element_fixing_every_witness(monkeypatch, de
         report = check_faithful(omega)[0]
         assert report.status == "fail"
         assert report.counterexample == {"word": first}
+
+
+def _tables_changed(monkeypatch, change):
+    """Patch the suite's stabilizer_in_ball to pass its two tables, the
+    half-line's and the punctured half-line's, through change."""
+    true_tables = grigcube.checks.stabilizer_in_ball
+    monkeypatch.setattr(grigcube.checks, "stabilizer_in_ball",
+                        lambda *args: change(*true_tables(*args)))
+
+
+def _closure_overflows(monkeypatch):
+    def overflow(generators):
+        raise ValueError("subgroup exceeds 64 elements")
+    monkeypatch.setattr(grigcube.checks, "subgroup_closure", overflow)
+
+
+# per fault of the stab suite over :012: the record it fails and that
+# record's counterexample; the half-line stabilizer in ball(10) is
+# "", a, d, ad, da, ada, dad, adad, and the fixing letter is d
+STAB_FAULTS = {
+    "half_line_order": (
+        lambda mp: _tables_changed(mp, lambda plus, tilde: (
+            plus._replace(elements=plus.elements[:7]), tilde)),
+        "stab_half_line", ["order 7", "not generated by a and the fixing letter"]),
+    "half_line_type": (
+        lambda mp: _tables_changed(mp, lambda plus, tilde: (
+            plus._replace(recognized_type="Z4"), tilde)),
+        "stab_half_line", ["type Z4"]),
+    "half_line_closure": (
+        _closure_overflows, "stab_half_line", ["subgroup exceeds 64 elements"]),
+    "half_line_rotation": (
+        lambda mp: mp.setattr(grigcube.checks, "element_order", lambda g: None),
+        "stab_half_line", ["a*d has order None"]),
+    "punctured_elements": (
+        lambda mp: _tables_changed(mp, lambda plus, tilde: (
+            plus, tilde._replace(elements=tilde.elements[:3]))),
+        "stab_punctured", ["elements ['', 'b', 'c']"]),
+    "punctured_type": (
+        lambda mp: _tables_changed(mp, lambda plus, tilde: (
+            plus, tilde._replace(recognized_type="Z4"))),
+        "stab_punctured", ["type Z4"]),
+    "intersection": (
+        lambda mp: mp.setattr(grigcube.checks, "stabilizes_gamma_plus_tilde", lambda g: True),
+        "stab_intersection",
+        {"intersection": ["", "a", "d", "ad", "da", "ada", "dad", "adad"]}),
+}
+
+
+@pytest.mark.parametrize("fault", STAB_FAULTS)
+def test_stab_reports_each_fault(monkeypatch, capsys, fault):
+    # each injected fault fails exactly its own record, with its own
+    # counterexample, and the suite exits 1
+    inject, check, expected = STAB_FAULTS[fault]
+    inject(monkeypatch)
+    reports = check_stab(OM)
+    assert {r.check: r.status for r in reports if r.check != check} == {
+        name: "pass" for name in ("stab_half_line", "stab_punctured", "stab_intersection")
+        if name != check}
+    [report] = [r for r in reports if r.check == check]
+    assert report.status == "fail"
+    assert report.counterexample == expected
+    assert main(["check", "--suite", "stab", "--omega", ":012"]) == 1
+    records = {r["check"]: r for r in map(json.loads, capsys.readouterr().out.splitlines())}
+    assert records[check]["status"] == "fail"
+    assert records[check]["counterexample"] == expected
+
+
+def test_bound_reports_a_vertex_over_its_bound(monkeypatch, capsys):
+    # the third sampled vertex, 0inf,01,1, has bound 8 * 4 * 4**2; given
+    # one element more than that, it is the vertex of the record
+    true_check = grigcube.checks.stabilizer_bound_check
+
+    def over_at_third(omega, vertices, max_len):
+        results = true_check(omega, vertices, max_len)
+        results[2] = BoundCheck(results[2].bound + 1, results[2].bound, False)
+        return results
+
+    monkeypatch.setattr(grigcube.checks, "stabilizer_bound_check", over_at_third)
+    expected = {"vertex": _bound_sample(0)[2].text(), "order": 513, "bound": 512}
+    assert expected["vertex"] == "0inf,01,1"
+    report = check_bound(OM)[0]
+    assert report.status == "fail"
+    assert report.counterexample == expected
+    assert main(["check", "--suite", "bound", "--omega", ":012"]) == 1
+    record = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert record["status"] == "fail"
+    assert record["counterexample"] == expected
 
 
 def test_projections_report_counts():
@@ -540,10 +628,10 @@ def test_ball_suites_look_up_no_delta(monkeypatch, capsys, suite):
 
 
 def test_stab_looks_up_delta_only_for_candidates(monkeypatch, capsys):
-    # stab finds both stabilizers in one walk, which looks up no δ; only
+    # stab finds both stabilizers in one walk, which looks up no δ, and
     # the intersection record tests the half-line stabilizer's 8
-    # elements one by one, so the lookups do not grow with the ball, and
-    # a ball longer than the δ table costs no refills
+    # elements by act, which pushes the vertex {0} without the δ table;
+    # so a ball longer than the table costs no refills
     assert grigcube.cubes._commensuration.cache_info().maxsize < 1487
     original = grigcube.cubes._commensuration
     counts = []
@@ -555,4 +643,7 @@ def test_stab_looks_up_delta_only_for_candidates(monkeypatch, capsys):
         records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert records and all(r["status"] == "pass" for r in records)
         counts.append(len(calls))
-    assert 0 < counts[0] == counts[1] <= 8
+    assert counts == [0, 0]
+    # the spy sees a lookup that does go through the table
+    commensuration_delta(GroupElement(OM, "b"))
+    assert calls == [(OM, "b")]

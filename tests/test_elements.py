@@ -417,6 +417,12 @@ class TestTriviality:
         assert element_order(GroupElement.from_word(OM, "ad")) == 4
         assert element_order(GroupElement.from_word(OM, "ab")) == 16
 
+    def test_element_order_is_none_past_64(self):
+        # over :0 the letter d is trivial and b equals c, and ab has
+        # infinite order
+        om = OmegaSequence.parse(":0")
+        assert element_order(GroupElement.from_word(om, "ab")) is None
+
 
 class TestTrivialLetters:
     """Over ``:s`` the letter whose symbol is s is the identity."""

@@ -79,6 +79,10 @@ class TestHalfLines:
         assert prepend("0", Ray.parse("1")).text() == "01"
         assert prepend("1", Ray.parse("01")).text() == "101"
 
+    def test_prepend_rejects_a_foreign_digit(self):
+        with pytest.raises(ValueError, match="invalid digit '2'"):
+            prepend("2", ZERO_RAY)
+
 
 class TestNeighbors:
     def test_degree_four_with_labels(self):

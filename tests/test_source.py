@@ -197,7 +197,7 @@ PRIVATE_IMPORTS = {
     "cubes: gamma._REACH": "_ball_fixers holds a vertex as bytes only within the byte reach",
     "cubes: gamma._byte_tables": "ball_action grows each table from a letter's table",
     "cubes: gamma._coordinate": "a vertex is parsed and flipped by ray",
-    "cubes: gamma._push": "δ, act and fixes push points through a word",
+    "cubes: gamma._push": "δ and act push points through a word, and _ball_fixers past the byte reach",
     "elements: gamma._coordinate": "apply acts on rays through the coordinate",
     "stabilizers: cubes._ball_fixers": "stab, bound and the restriction lemma read the one walk",
 }

@@ -241,6 +241,10 @@ class TestSubgroupClosure:
         with pytest.raises(ValueError):
             subgroup_closure([element("a"), element("b"), element("c")])
 
+    def test_needs_a_generator(self):
+        with pytest.raises(ValueError, match="at least one generator"):
+            subgroup_closure([])
+
 
 class TestFixedVertex:
     def test_single_letter_subgroups(self):
@@ -282,6 +286,13 @@ class TestFixedVertex:
         # the empty set is closed under products, yet holds no identity
         with pytest.raises(ValueError):
             fixed_vertex_for_subgroup([])
+
+    def test_unfixed_candidate_raises(self, monkeypatch):
+        # the candidate is fixed by construction, so only a fault in the
+        # fixing test reaches the check; it names the first element moved
+        monkeypatch.setattr(grigcube.stabilizers, "fixes", lambda g, v: False)
+        with pytest.raises(AssertionError, match="candidate vertex moved by ''"):
+            fixed_vertex_for_subgroup(subgroup_closure([element("b")]))
 
 
 class TestBound:
@@ -378,6 +389,26 @@ class TestRestrictionCases:
         assert report.case_counts == {"half_line": 4, "punctured": 4, "swapping": 0}
         assert report.violations == (
             "1: half_line", "d: half_line", "ada: half_line", "adad: half_line")
+        record = check_projections(OM, 8)[0]
+        assert record.status == "fail"
+        assert record.counterexample == list(report.violations)
+
+    def test_wrong_left_restriction_faults_punctured_only(self, monkeypatch):
+        # over the shifted sequence :120, b stabilizes Γ̃₊ but not Γ₊, so
+        # as g0 it breaks the punctured case of the four level-fixing
+        # elements of S̃ in ball(8), and leaves the half_line case, which
+        # asks g0 to stabilize Γ̃₊
+        true_decompose = grigcube.stabilizers.decompose
+
+        def left_is_b(g):
+            swap, g0, g1 = true_decompose(g)
+            return swap, GroupElement(g0.omega, "b"), g1
+
+        monkeypatch.setattr(grigcube.stabilizers, "decompose", left_is_b)
+        report = verify_restriction_lemma(OM, 8)
+        assert report.case_counts == {"half_line": 4, "punctured": 4, "swapping": 0}
+        assert report.violations == (
+            "1: punctured", "b: punctured", "c: punctured", "d: punctured")
         record = check_projections(OM, 8)[0]
         assert record.status == "fail"
         assert record.counterexample == list(report.violations)
