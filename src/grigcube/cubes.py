@@ -182,12 +182,12 @@ def _ball_fixers(omega: OmegaSequence, vertices: list[CubeVertex], max_len: int)
     The size test depends on δ(g) only, so the vertices that pass it
     are listed once per δ seen in the pass (ball(8) over :012 has 271
     elements and 56 δ), each with its target δ Δ v.delta as the bytes
-    t + 127.  Each element then runs
-    only the image test of its δ's list: v's points, held as bytes once
-    per pass, go through g's table in one ``translate`` while
-    |g| <= 126 − max|t| keeps the table exact on them; past that reach
-    they are pushed through g's word.  A vertex given twice is tested
-    once, and both places in the result hold the same list.
+    t + 127.  Each element then runs only the image test of its δ's
+    list: v's points, held as bytes once per pass, go through g's table
+    in one ``translate`` while |g| <= 126 − max|t| keeps the table exact
+    on them; past that reach they are pushed through g's word.  A vertex
+    given twice is tested once, and both places in the result hold the
+    same list.
     """
     fixers = {v: [] for v in vertices}
     held = {}

@@ -128,7 +128,7 @@ def main(argv: list[str]) -> int:
         for text, own in _statements(path):
             owner.update(dict.fromkeys(own, (text, min(own))))
     status, executed = _trace(
-        lambda: pytest.main(["-q", "-p", "no:cacheprovider", *argv], plugins=[_NoDeadline()]),
+        lambda: pytest.main(["-q", *argv], plugins=[_NoDeadline()]),
         owners)
     if status != 0:
         return int(status)
