@@ -41,10 +41,12 @@ from .stabilizers import (
 
 DEFAULT_OMEGAS = (":012", ":01", ":02", ":12", "2:01")
 
-# sample sizes of the random suites, printed in their params
+# sample sizes of the random suites and the depth of the prefix scan,
+# printed in their params
 LOCALITY_WORDS = 1000
 ACTION_TRIPLES = 200
 BOUND_VERTICES = 50
+PREFIX_DEPTH = 12
 
 
 class CheckReport(NamedTuple):
@@ -87,23 +89,24 @@ def all_rays(max_digits: int):
             yield Ray("".join(bits) + "1")
 
 
-def check_prefix(omega: OmegaSequence, depth: int = 12) -> list[CheckReport]:
-    """Half-line membership of a ray against both one-digit extensions.
+def check_prefix(omega: OmegaSequence) -> list[CheckReport]:
+    """Half-line membership of each ray of at most PREFIX_DEPTH digits
+    against both one-digit extensions.
 
-    The scan reads no sequence, so every sequence of a run shares the
-    scan of its depth; each still gets its own record.
+    The scan reads no sequence, so it runs once per run and every
+    sequence shares it; each still gets its own record.
     """
     started = time.monotonic()
-    found = _prefix_scan(depth)
+    found = _prefix_scan()
     counterexample = None if found is None else {"ray": found[0], "claims": list(found[1])}
-    return [_report("prefix", omega, {"depth": depth}, started, counterexample)]
+    return [_report("prefix", omega, {"depth": PREFIX_DEPTH}, started, counterexample)]
 
 
-@lru_cache(maxsize=4)
-def _prefix_scan(depth: int) -> tuple[str, tuple[bool, ...]] | None:
-    """The first ray of at most depth digits that breaks a claim, with
-    the claims' values, or None."""
-    for x in all_rays(depth):
+@lru_cache(maxsize=1)
+def _prefix_scan() -> tuple[str, tuple[bool, ...]] | None:
+    """The first ray of at most PREFIX_DEPTH digits that breaks a claim,
+    with the claims' values, or None."""
+    for x in all_rays(PREFIX_DEPTH):
         zero, one = prepend("0", x), prepend("1", x)
         # each predicate once per ray; the claims combine the five values
         plus, tilde = in_gamma_plus(x), in_gamma_plus_tilde(x)
@@ -427,22 +430,20 @@ _SUITES = {
 
 SUITE_NAMES = tuple(_SUITES)
 
-# the keyword that sizes each suite's ball and its least useful value,
-# where that is not max_len 1: a ball of length 0 holds the identity
-# alone, a prefix scan of depth 0 the all-zero ray alone, and the
-# half-line stabilizer first shows its order 8 at length 4
-_LEAST = {"prefix": ("depth", 1), "stab": ("max_len", 4)}
+# the least useful max_len of each suite, where that is not 1: a ball
+# of length 0 holds the identity alone, the half-line stabilizer first
+# shows its order 8 at length 4, and the prefix scan reads no max_len
+_LEAST = {"prefix": 0, "stab": 4}
 
 
-def _check_ball_sizes(names, sizes: dict) -> None:
-    """Raise ValueError when a size sets a suite's ball too small to test
-    its claim, which would make it pass vacuously or fail; the message
-    names the size as the CLI flag that sets it."""
+def _check_ball_sizes(names, max_len: int | None) -> None:
+    """Raise ValueError when max_len sets a suite's ball too small to
+    test its claim, which would make it pass vacuously or fail; the
+    message names it as the CLI flag that sets it."""
     for name in names:
-        key, least = _LEAST.get(name, ("max_len", 1))
-        value = sizes[key]
-        if value is not None and value < least:
-            raise ValueError(f"--{key.replace('_', '-')} {value} is too small "
+        least = _LEAST.get(name, 1)
+        if max_len is not None and max_len < least:
+            raise ValueError(f"--max-len {max_len} is too small "
                              f"for suite {name}; it needs at least {least}")
 
 
@@ -450,7 +451,6 @@ def run_suite(
     suite: str,
     omegas: list[OmegaSequence],
     max_len: int | None = None,
-    depth: int | None = None,
     seed: int = 0,
 ) -> list[CheckReport]:
     """Run one named suite (or all of them) over the given sequences.
@@ -462,8 +462,9 @@ def run_suite(
     results disagree, as a multiplication table that is not a group's;
     a suite that raises it on a sequence gives one fail record for it,
     with the message as counterexample.  An unknown suite name, no
-    sequence, a negative seed, or a max_len or depth too small for a
-    suite's claim raises ValueError before any suite runs.
+    sequence, a negative seed, or a max_len too small for a suite's
+    claim raises ValueError before any suite runs.  Every suite but
+    prefix, whose depth is PREFIX_DEPTH, is sized by max_len.
     """
     if suite != "all" and suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected 'all' or one of "
@@ -472,15 +473,12 @@ def run_suite(
         raise ValueError("no sequence to check")
     _require_seed(seed)
     names = SUITE_NAMES if suite == "all" else (suite,)
-    _check_ball_sizes(names, {"max_len": max_len, "depth": depth})
+    _check_ball_sizes(names, max_len)
     reports = []
     for name in names:
         for omega in omegas:
             kwargs = {}
-            if name == "prefix":
-                if depth is not None:
-                    kwargs["depth"] = depth
-            elif max_len is not None:
+            if max_len is not None and name != "prefix":
                 kwargs["max_len"] = max_len
             if name in ("commensuration", "bound"):
                 kwargs["seed"] = seed

@@ -41,8 +41,7 @@ def exit_code_for(statuses: list[str]) -> int:
 
 def _cmd_check(args) -> int:
     omegas = _parse_omegas(args.omega)
-    reports = run_suite(args.suite, omegas, max_len=args.max_len,
-                        depth=args.depth, seed=args.seed)
+    reports = run_suite(args.suite, omegas, max_len=args.max_len, seed=args.seed)
     statuses = []
     for report in reports:
         print(report.to_json())
@@ -110,7 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--omega", action="append",
                        help="sequence as pre:period, repeatable")
     check.add_argument("--max-len", type=_count, default=None)
-    check.add_argument("--depth", type=_count, default=None)
     check.add_argument("--seed", type=_count, default=0)
     check.set_defaults(func=_cmd_check)
 
@@ -151,9 +149,5 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
-def run() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    run()
+    sys.exit(main())

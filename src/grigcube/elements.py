@@ -11,7 +11,7 @@ reads that key.
 from __future__ import annotations
 
 import re
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from collections.abc import Iterator
 from functools import lru_cache
 
@@ -369,9 +369,12 @@ def _grow_ball(omega: OmegaSequence,
     leaf has one preimage, since x is read off the triple and fixes its
     left key; so distinct triples give distinct keys.
 
-    Each triple seen is kept as a tuple, so any number of key ids stays
-    apart; ball(15) over :012 interns 401 restriction words with 271 key
-    ids, and its restriction words are at most 8 letters.
+    The triples seen are kept by left key id, each as the int 2 * right
+    key id + swap flag in the set of its left key id: the same exact key
+    for any number of key ids, with no tuple per element for the
+    collector to track.  ball(15) over :012 interns 401 restriction
+    words with 271 key ids, and its restriction words are at most 8
+    letters.
 
     Each letter of a word adds at most one letter to one of its
     restriction words, so a span is at most the length of its word, and
@@ -399,7 +402,8 @@ def _grow_ball(omega: OmegaSequence,
         return i
 
     empty = intern("")
-    seen = {(False, key_ids[empty], key_ids[empty])}
+    seen: defaultdict[int, set[int]] = defaultdict(set)
+    seen[key_ids[empty]].add(2 * key_ids[empty])
     elements = [GroupElement._make((omega, ""))]
     spans = bytearray(1)
     ends = [1]
@@ -417,9 +421,10 @@ def _grow_ball(omega: OmegaSequence,
                             _, w0, w1 = _extend(active, False, words[j], words[j], s)
                             table[j] = intern(w0), intern(w1)
                     flag, i0, i1 = swap, table[left][0], table[right][1]
-                key = flag, key_ids[i0], key_ids[i1]
-                if key not in seen:
-                    seen.add(key)
+                pair = 2 * key_ids[i1] + flag
+                rights = seen[key_ids[i0]]
+                if pair not in rights:
+                    rights.add(pair)
                     word = r + s
                     elements.append(GroupElement._make((omega, word)))
                     spans.append(0 if flag else max(len(words[i0]), len(words[i1])))

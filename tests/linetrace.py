@@ -26,9 +26,7 @@ PACKAGE = (Path(__file__).parent.parent / "src" / "grigcube").resolve()
 # the module does not move it
 UNEXECUTED = {
     "cli: sys.exit(main())":
-        "run() is the console script; the entry-point step and the benchmark run it",
-    "cli: run()":
-        "the __main__ guard calls it only under python -m grigcube.cli, which the benchmark runs",
+        "the __main__ guard runs only under python -m grigcube.cli, which the benchmark runs",
 }
 
 

@@ -71,7 +71,7 @@ def test_c02_punctured_stabilizer_is_klein_four():
 
 def test_c03_prefix_bullets_exhaustive():
     started = time.monotonic()
-    reports = check_prefix(OMEGAS[0], depth=12)
+    reports = check_prefix(OMEGAS[0])
     assert all(r.status == "pass" for r in reports), reports
     assert time.monotonic() - started < 5
     passed(3, "all seven prefix bullets hold for every ray with <= 12 digits")

@@ -79,7 +79,7 @@ def test_report_json_keeps_counterexample_on_fail():
 
 
 def test_single_suite_runs_per_omega():
-    reports = run_suite("prefix", [OM, OmegaSequence.parse(":01")], depth=6)
+    reports = run_suite("prefix", [OM, OmegaSequence.parse(":01")])
     assert [r.omega for r in reports] == [":012", ":01"]
     assert all(r.status == "pass" for r in reports)
 
@@ -105,7 +105,7 @@ def test_shared_prefix_scan_fails_every_record(monkeypatch, fresh_prefix_scan):
 
 
 def test_all_suites_cover_every_name():
-    reports = run_suite("all", [OM], max_len=5, depth=5)
+    reports = run_suite("all", [OM], max_len=5)
     names = {r.check for r in reports}
     assert names == {
         "prefix",
@@ -126,7 +126,7 @@ def test_unsupported_marks_enumerating_suites_only(capsys):
     # the suites that reach the element layer's gate give one exact
     # record each; the pointwise ones run
     for text in (":0", "00:12", ":0112", "1:0"):
-        reports = run_suite("all", [OmegaSequence.parse(text)], max_len=4, depth=4)
+        reports = run_suite("all", [OmegaSequence.parse(text)], max_len=4)
         records = [json.loads(r.to_json()) for r in reports]
         for record in records:
             record["elapsed_ms"] = 0.0
@@ -144,12 +144,12 @@ def test_unsupported_marks_enumerating_suites_only(capsys):
         ]
         assert {r["check"]: r["status"] for r in records if r["status"] != "unsupported"} == {
             "prefix": "pass", "commensuration_locality": "pass", "action_law": "pass"}
-        assert main(["check", "--omega", text, "--max-len", "4", "--depth", "4"]) == 3
+        assert main(["check", "--omega", text, "--max-len", "4"]) == 3
         capsys.readouterr()
 
 
 def test_individual_checks_pass():
-    assert check_prefix(OM, 8)[0].status == "pass"
+    assert check_prefix(OM)[0].status == "pass"
     assert check_reduction(OM, 6)[0].status == "pass"
     assert all(r.status == "pass" for r in check_stab(OM, 8))
     assert check_faithful(OM, 5)[0].status == "pass"
@@ -530,9 +530,8 @@ def test_locality_and_contraction_margins_are_zero(text):
 @pytest.mark.parametrize("suite, sizes", [
     ("faithful", {"max_len": 0}),
     ("commensuration", {"max_len": 0}),
-    ("prefix", {"depth": 0}),
     ("stab", {"max_len": 3}),
-    ("all", {"max_len": 3, "depth": 4}),
+    ("all", {"max_len": 3}),
 ])
 def test_run_suite_rejects_a_ball_too_small(capsys, suite, sizes):
     # a library call gets the CLI's usage error, before any suite runs

@@ -67,14 +67,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ("check", "--suite", "faithful", "--omega", ":012", "--max-len", "-1"),
-        ("check", "--suite", "prefix", "--omega", ":012", "--depth", "-1"),
+        # check has no --depth: the prefix scan's depth is a constant
+        ("check", "--depth", "4"),
         ("orbit", "--omega", ":012", "--max-len", "-1"),
         ("schreier", "--omega", ":012", "--radius", "-2"),
         ("schreier", "--omega", ":012", "--radius", "two"),
         # a ball too small to test the claim
         *(("check", "--suite", suite, "--omega", ":012", "--max-len", "0")
           for suite in ("faithful", "bound", "reduction", "projections", "commensuration")),
-        ("check", "--suite", "prefix", "--omega", ":012", "--depth", "0"),
         ("check", "--suite", "stab", "--omega", ":012", "--max-len", "2"),
         ("check", "--suite", "stab", "--omega", ":012", "--max-len", "3"),
         ("check", "--omega", ":012", "--max-len", "3"),
@@ -111,9 +111,7 @@ class TestExitCodes:
 
 class TestCheck:
     def test_prefix_passes(self, capsys):
-        code, out, err = run_cli(
-            capsys, "check", "--suite", "prefix", "--omega", ":012", "--depth", "8"
-        )
+        code, out, err = run_cli(capsys, "check", "--suite", "prefix", "--omega", ":012")
         assert code == 0
         records = json_lines(out)
         assert len(records) == 1
@@ -167,7 +165,7 @@ class TestCheck:
         }]
         assert "0 passed, 1 failed" in err
         # the other suites still run and pass
-        reports = run_suite("all", [OmegaSequence.parse(":012")], max_len=4, depth=4)
+        reports = run_suite("all", [OmegaSequence.parse(":012")], max_len=4)
         assert [r.check for r in reports if r.status != "pass"] == ["stab"]
 
     def test_closure_past_the_cap_is_a_failed_check(self, capsys, monkeypatch):
@@ -370,7 +368,7 @@ def argvs(draw):
         argv += ["--suite", draw(st.sampled_from(SUITE_NAMES + ("all",)))]
         for _ in range(draw(st.integers(0, 2))):
             argv += ["--omega", draw(omega_texts)]
-        argv += ["--max-len", draw(ball_sizes), "--depth", draw(ball_sizes)]
+        argv += ["--max-len", draw(ball_sizes)]
         return argv
     argv += ["--omega", draw(omega_texts)]
     if command == "orbit":
