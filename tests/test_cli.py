@@ -75,6 +75,7 @@ class TestExitCodes:
         # a ball too small to test the claim
         *(("check", "--suite", suite, "--omega", ":012", "--max-len", "0")
           for suite in ("faithful", "bound", "reduction", "projections", "commensuration")),
+        ("check", "--suite", "faithful", "--omega", ":012", "--max-len", "two"),
         ("check", "--suite", "stab", "--omega", ":012", "--max-len", "2"),
         ("check", "--suite", "stab", "--omega", ":012", "--max-len", "3"),
         ("check", "--omega", ":012", "--max-len", "3"),
