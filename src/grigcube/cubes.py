@@ -26,9 +26,12 @@ from its parent's by one letter, so the walk looks up no δ and pushes no
 word.  In this module the byte form of a point t, the byte t + 127
 within the reach 126, appears only in ``ball_action`` and
 ``_ball_fixers``, where the tables are built and read.  The δ table that
-``commensuration_delta`` reads is bounded; it serves the elements that
-come one at a time.  The locality scan judges each distinct word once,
-so a repeated word is no hit.
+``commensuration_delta`` reads is bounded, and it saves a default
+``check`` next to nothing: the elements that come one at a time are
+mostly distinct, and the locality scan judges each distinct word once,
+so one default ``check`` in a fresh process leaves it at 12 hits and
+3,198 misses.  It stays because the benchmark's tracer reads it as
+``cubes.delta_cache``.
 
 An element carries its sequence, so ``commensuration_delta``, ``act``
 and ``fixes`` read it off g; only ``ball_action``, ``_ball_fixers`` and
@@ -102,7 +105,10 @@ def _commensuration(omega: OmegaSequence, word: str) -> frozenset:
     unless ω₁ is their symbol.  No window and no hypothesis on ω.
 
     The table is bounded: the suites that walk a whole ball read δ off
-    ball_action, so it serves only the elements that come one at a time.
+    ball_action, so it serves only the elements that come one at a time,
+    and those are mostly distinct; one default check in a fresh process
+    leaves it at 12 hits and 3,198 misses.  It is kept only because the
+    benchmark's tracer reads it as its delta cache.
     """
     return frozenset(_push(omega, word, (), cocycle=True))
 

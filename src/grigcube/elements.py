@@ -55,7 +55,8 @@ def _require_distinct_letters(omega: OmegaSequence) -> None:
 def _append(word: str, letter: str) -> str:
     """The reduced form of word + letter, for a reduced word: only the
     last letter of word can cancel or merge with it.  This is the one
-    statement of the rewriting rule; reduce_word applies it too."""
+    statement of the rewriting rule; reduce_word and the product of
+    GroupElement apply it, and no other rewrite."""
     if word:
         top = word[-1]
         if top == letter:
@@ -121,19 +122,17 @@ class GroupElement(namedtuple("GroupElement", "omega word")):
         return len(self.word)
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        """The product, joined at the seam: both words are reduced, so
-        only mirrored letters at the join cancel, and then the last
-        letter left of self can merge with the first one left of other."""
+        """The product: other's letters are joined to self's word by
+        _append while each one cancels or merges.  Once a letter joins
+        without a rewrite, the word ends in a pair that does not rewrite
+        and other's word from that letter on is reduced, so the rest of
+        it joins unchanged."""
         if self.omega != other.omega:
             raise OmegaMismatchError(f"{self.omega} vs {other.omega}")
-        left, right = self.word, other.word
-        n = 0
-        while n < len(left) and n < len(right) and left[-1 - n] == right[n]:
-            n += 1
-        left, right = left[:len(left) - n], right[n:]
-        if right:
-            left = _append(left, right[0]) + right[1:]
-        return GroupElement(self.omega, left)
+        word, rest = self.word, other.word
+        while rest and len(joined := _append(word, rest[0])) <= len(word):
+            word, rest = joined, rest[1:]
+        return GroupElement(self.omega, word + rest)
 
 
 def apply(g: GroupElement, ray: Ray) -> Ray:

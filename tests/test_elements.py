@@ -35,6 +35,7 @@ from grigcube.gamma import Ray, ZERO_RAY, line_apply
 from grigcube.omega import OmegaSequence
 
 from oracles import (
+    _extensions,
     all_strings,
     oracle_action_ball,
     oracle_grow_ball,
@@ -222,6 +223,20 @@ class TestProduct:
         for right in (h, oracle_inverse(g), rest):
             assert g * right == GroupElement.from_word(OM, g.word + right.word)
         assert (g * oracle_inverse(g)).word == ""
+
+    def test_every_pair_of_short_words_matches_reduce_word(self):
+        # every alternating word of at most 6 letters times every other:
+        # the product rewrites by _append alone, and the rewriting reads
+        # no sequence, so one sequence covers them all
+        words = sphere = [""]
+        for _ in range(6):
+            sphere = [w + s for w in sphere for s in _extensions(w)]
+            words = words + sphere
+        assert len(words) == 131
+        elements = [GroupElement(OM, w) for w in words]
+        for g in elements:
+            for h in elements:
+                assert (g * h).word == reduce_word(g.word + h.word), (g.word, h.word)
 
 
 class TestElementValidation:

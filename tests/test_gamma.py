@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import grigcube.gamma
-from grigcube.elements import GroupElement, apply
+from grigcube.elements import GroupElement, _append, apply
 from grigcube.gamma import (
     _OFFSET,
     _REACH,
@@ -456,6 +456,28 @@ def test_cocycle_push_in_each_boundary_case(om):
             assert _rays(image) == oracle_act(om, g, frozenset(_rays(start))), word
             spliced = oracle_push_bytes(om, word, bytes([t + _OFFSET for t in start]), True)
             assert frozenset(image) == {byte - _OFFSET for byte in spliced}, word
+
+
+# the rewrites of _append: a letter twice cancels, and two distinct
+# letters of b, c, d merge into the third
+REWRITES = {"aa": "", "bb": "", "cc": "", "dd": "",
+            "bc": "d", "cb": "d", "cd": "b", "dc": "b", "bd": "c", "db": "c"}
+
+
+@pytest.mark.parametrize("om", ORACLE_OMEGAS, ids=str)
+def test_each_rewrite_keeps_the_push_and_delta(om):
+    # each side of a rewrite moves every point of the window alike and
+    # has the same δ, so a word rewritten by _append keeps both, over
+    # sequences with repetition too.  Two letters from |t| <= _REACH - 2
+    # stay within the byte reach, so both sides take the byte tables
+    pairs = {x + y for x in "abcd" for y in "abcd"}
+    assert {pair for pair in pairs if _append(pair[0], pair[1]) != pair} == set(REWRITES)
+    window = range(2 - _REACH, _REACH - 1)
+    for pair, single in REWRITES.items():
+        assert _append(pair[0], pair[1]) == single
+        assert _push(om, pair, window) == _push(om, single, window), pair
+        assert (set(_push(om, pair, (), cocycle=True))
+                == set(_push(om, single, (), cocycle=True))), pair
 
 
 def _outward_word(om: OmegaSequence, t: int, length: int) -> str:
