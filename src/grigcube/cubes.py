@@ -23,9 +23,10 @@ the images of v.delta tested to lie in δ(g) Δ v.delta.
 
 ``ball_action`` grows each element's δ and its byte table of line images
 from its parent's by one letter, so the walk looks up no δ and pushes no
-word.  In this module the byte form of a point t, the byte t + 127
-within the reach 126, appears only in ``ball_action`` and
-``_ball_fixers``, where the tables are built and read.  The δ table that
+word; it walks the words of the ball table and builds no element.  In
+this module the byte form of a point t, the byte t + 127 within the
+reach 126, appears only in ``ball_action`` and ``_ball_fixers``, where
+the tables are built and read.  The δ table that
 ``commensuration_delta`` reads is bounded, and it saves a default
 ``check`` next to nothing: the elements that come one at a time are
 mostly distinct, and the locality scan judges each distinct word once,
@@ -45,7 +46,7 @@ from functools import lru_cache
 from itertools import groupby
 from typing import NamedTuple
 
-from .elements import GroupElement, enumerate_ball
+from .elements import GroupElement, _ball_words, enumerate_ball
 from .gamma import (
     _IDENTITY,
     _OFFSET,
@@ -134,11 +135,12 @@ def fixes(g: GroupElement, v: CubeVertex) -> bool:
 
 
 def ball_action(omega: OmegaSequence,
-                max_len: int) -> Iterator[tuple[GroupElement, frozenset, bytes]]:
-    """Each element g of enumerate_ball(omega, max_len), in order, with
-    δ(g) and its byte table, as (g, δ(g), images): images sends the
-    byte t + 127 to the byte of g·t, as _push would, wherever
-    |t| + |g| <= 126.
+                max_len: int) -> Iterator[tuple[str, frozenset, bytes]]:
+    """The word of each element g of enumerate_ball(omega, max_len), in
+    order, with δ(g) and its byte table, as (word, δ(g), images): images
+    sends the byte t + 127 to the byte of g·t, as _push would, wherever
+    |t| + |g| <= 126.  The words come from the ball table, and no
+    element is built.
 
     The parent of g is its word r without the last letter s, which
     enumerate_ball's proof shows to be a representative of the sphere
@@ -153,14 +155,14 @@ def ball_action(omega: OmegaSequence,
     Only the states of two spheres are kept, the parents' and the
     current one's, so the tables never outnumber two spheres.  The
     ball's checks, a sequence that is not repetition-free or a negative
-    max_len, raise at the first element.
+    max_len, are those of enumerate_ball, made by the one reader of the
+    ball table, and raise at the first word.
     """
     steps = _byte_tables(omega)
     parents: dict[str, tuple[frozenset, bytes]] = {}
     current: dict[str, tuple[frozenset, bytes]] = {}
     length = 0
-    for g in enumerate_ball(omega, max_len):
-        word = g.word
+    for word in _ball_words(omega, max_len):
         if not word:
             state = frozenset(), _IDENTITY
         else:
@@ -172,7 +174,7 @@ def ball_action(omega: OmegaSequence,
                 delta = delta ^ {images[_OFFSET - 1] - _OFFSET, images[_OFFSET] - _OFFSET}
             state = delta, table.translate(images)
         current[word] = state
-        yield g, *state
+        yield word, *state
 
 
 def _ball_fixers(omega: OmegaSequence, vertices: list[CubeVertex], max_len: int) -> list[list]:
@@ -193,7 +195,9 @@ def _ball_fixers(omega: OmegaSequence, vertices: list[CubeVertex], max_len: int)
     in one ``translate`` while |g| <= 126 − max|t| keeps the table exact
     on them; past that reach they are pushed through g's word.  A vertex
     given twice is tested once, and both places in the result hold the
-    same list.
+    same list.  The walk yields words, and an element is built only for
+    a word that fixes some vertex, when it is appended to that vertex's
+    list.
     """
     fixers = {v: [] for v in vertices}
     held = {}
@@ -201,7 +205,7 @@ def _ball_fixers(omega: OmegaSequence, vertices: list[CubeVertex], max_len: int)
         limit = _REACH - max(map(abs, v.delta), default=0)
         held[v] = limit, bytes([t + _OFFSET for t in v.delta]) if limit >= 0 else b""
     candidates: dict[frozenset, list] = {}
-    for g, delta, images in ball_action(omega, max_len):
+    for word, delta, images in ball_action(omega, max_len):
         passing = candidates.get(delta)
         if passing is None:
             passing = candidates[delta] = [
@@ -210,12 +214,12 @@ def _ball_fixers(omega: OmegaSequence, vertices: list[CubeVertex], max_len: int)
                 if len(target := delta ^ v.delta) == len(v.delta)
             ]
         for found, points, limit, held_bytes, target in passing:
-            if g.length <= limit:
+            if len(word) <= limit:
                 landed = held_bytes.translate(images)
             else:
-                landed = [t + _OFFSET for t in _push(omega, g.word, points)]
+                landed = [t + _OFFSET for t in _push(omega, word, points)]
             if target.issuperset(landed):
-                found.append(g)
+                found.append(GroupElement._make((omega, word)))
     return [fixers[v] for v in vertices]
 
 

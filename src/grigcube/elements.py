@@ -271,10 +271,10 @@ def _extensions(word: str) -> str:
     return BCD if word[-1] == "a" else "a"
 
 
-# per sequence, the longest ball enumerated so far, the index after each
-# of its spheres (ends[k] elements have length at most k) and the span of
-# each element, one byte each
-_longest: dict[OmegaSequence, tuple[tuple[GroupElement, ...], tuple[int, ...], bytes]] = {}
+# per sequence, the words of the longest ball enumerated so far, the
+# index after each of its spheres (ends[k] words have length at most k)
+# and the span of each word, one byte each; no element is kept
+_longest: dict[OmegaSequence, tuple[tuple[str, ...], tuple[int, ...], bytes]] = {}
 
 
 def enumerate_ball(omega: OmegaSequence, max_len: int) -> tuple[GroupElement, ...]:
@@ -297,8 +297,10 @@ def enumerate_ball(omega: OmegaSequence, max_len: int) -> tuple[GroupElement, ..
     is either shorter than n, so the element was found before, or an
     alternating word that comes before u + s.  Either way u + s would not
     be first, so u is a representative.  Every candidate alternates, so
-    it is reduced, and its element is built by _make, without the check
-    of the constructor.
+    it is reduced, and the elements are built from the words of
+    _ball_words by _make, without the check of the constructor, anew on
+    each call: the ball table holds words, and no element outlives the
+    tuple returned.
 
     Each representative of the current sphere is kept with its swap flag
     and its two restriction words, so a candidate's key costs one
@@ -316,34 +318,42 @@ def enumerate_ball(omega: OmegaSequence, max_len: int) -> tuple[GroupElement, ..
     combination gives.  The top-level keys are not memoised, and only
     the shorter restriction words are keyed, once each.
 
-    A shorter ball is read off the longest one enumerated so far, which
-    is the only ball table.  The loop over lengths builds sphere n from
-    sphere n - 1 and from the keys seen in spheres 0 to n, and nothing
-    in it reads max_len but its bound; so enumerate_ball(omega, n) is
-    exactly the part of enumerate_ball(omega, m), for any m >= n, whose
-    words have length at most n, the same words in the same order.  A
-    ball that the longest one covers is that part of it, a slice; a
-    longer one is enumerated and becomes the longest.  A default check
-    asks for lengths 12, 10 and 8 in that order, so it enumerates one
-    ball per sequence.
-
     A negative max_len raises ValueError, before the gate: no ball has
     a negative length, and a slice would read one from the end.
+    """
+    return tuple([GroupElement._make((omega, word)) for word in _ball_words(omega, max_len)])
+
+
+def _ball_words(omega: OmegaSequence, max_len: int) -> tuple[str, ...]:
+    """The words of enumerate_ball(omega, max_len), in order, read off
+    the longest ball enumerated so far, which is the only ball table.
+
+    The loop over lengths of _grow_ball builds sphere n from sphere
+    n - 1 and from the keys seen in spheres 0 to n, and nothing in it
+    reads max_len but its bound; so the ball of length n is exactly the
+    part of the ball of any length m >= n whose words have length at
+    most n, the same words in the same order.  A ball that the longest
+    one covers is that part of it, a slice; a longer one is grown and
+    becomes the longest.  A default check asks for lengths 12, 10 and 8
+    in that order, so it grows one ball per sequence.  enumerate_ball
+    and cubes.ball_action both read the ball here, so the negative
+    length check and the gate are made in this one place.
     """
     if max_len < 0:
         raise ValueError(f"ball length {max_len} is negative")
     _require_distinct_letters(omega)
     if omega not in _longest or max_len >= len(_longest[omega][1]):
         _longest[omega] = _grow_ball(omega, max_len)
-    elements, ends, _ = _longest[omega]
-    return elements[:ends[max_len]]
+    words, ends, _ = _longest[omega]
+    return words[:ends[max_len]]
 
 
 def _grow_ball(omega: OmegaSequence,
-               max_len: int) -> tuple[tuple[GroupElement, ...], tuple[int, ...], bytes]:
-    """The ball of enumerate_ball, grown sphere by sphere, the index
-    after each sphere and the span of each element: the length of its
-    longer restriction word when it fixes level 1, and 0 when it swaps.
+               max_len: int) -> tuple[tuple[str, ...], tuple[int, ...], bytes]:
+    """The words of the ball of enumerate_ball, grown sphere by sphere,
+    the index after each sphere and the span of each word: the length of
+    its longer restriction word when it fixes level 1, and 0 when it
+    swaps.
 
     Each restriction word is interned once per grow: the first time it
     is met it gets the next index, and per index are kept its word, its
@@ -356,8 +366,8 @@ def _grow_ball(omega: OmegaSequence,
     right index): "a" swaps the two indices, and x takes the left step
     of the left index and the right step of the right one, which is
     _extend of the state by x, since _extend acts on the two words apart.
-    A candidate costs a few list lookups; its word and element are built
-    only when it is a new representative.
+    A candidate costs a few list lookups; its word is built only when it
+    is a new representative, and no element is built at all.
 
     Candidates are deduplicated on (swap, left key id, right key id),
     which is exact: the key of a candidate is _combine of the swap flag
@@ -403,7 +413,7 @@ def _grow_ball(omega: OmegaSequence,
     empty = intern("")
     seen: defaultdict[int, set[int]] = defaultdict(set)
     seen[key_ids[empty]].add(2 * key_ids[empty])
-    elements = [GroupElement._make((omega, ""))]
+    ball = [""]
     spans = bytearray(1)
     ends = [1]
     sphere = [("", False, empty, empty)]
@@ -425,11 +435,11 @@ def _grow_ball(omega: OmegaSequence,
                 if pair not in rights:
                     rights.add(pair)
                     word = r + s
-                    elements.append(GroupElement._make((omega, word)))
+                    ball.append(word)
                     spans.append(0 if flag else max(len(words[i0]), len(words[i1])))
                     sphere.append((word, flag, i0, i1))
-        ends.append(len(elements))
-    return tuple(elements), tuple(ends), bytes(spans)
+        ends.append(len(ball))
+    return tuple(ball), tuple(ends), bytes(spans)
 
 
 def ball_sections(omega: OmegaSequence, max_len: int) -> Iterator[tuple[GroupElement, int]]:

@@ -213,25 +213,26 @@ class TestBallAction:
     def test_against_cocycle_and_push(self, text, n):
         om = OmegaSequence.parse(text)
         walked = list(ball_action(om, n))
-        assert [g for g, _, _ in walked] == list(enumerate_ball(om, n))
-        for g, delta, images in walked:
-            assert delta == oracle_cocycle(om, g.word), g.word
-            reach = 126 - g.length
+        assert [word for word, _, _ in walked] == [g.word for g in enumerate_ball(om, n)]
+        for word, delta, images in walked:
+            assert delta == oracle_cocycle(om, word), word
+            reach = 126 - len(word)
             span = range(-reach, reach + 1)
-            assert [images[t + 127] - 127 for t in span] == _push(om, g.word, span), g.word
+            assert [images[t + 127] - 127 for t in span] == _push(om, word, span), word
 
     def test_keeps_two_spheres(self):
         # after each element of length n, the kept states are those of
         # lengths n - 1 and n, and of n - 1 only the full sphere
         walk = ball_action(OM, 10)
         sizes = {}
-        for g, _, _ in walk:
-            sizes[g.length] = sizes.get(g.length, 0) + 1
+        for word, _, _ in walk:
+            n = len(word)
+            sizes[n] = sizes.get(n, 0) + 1
             state = walk.gi_frame.f_locals
-            kept = {len(word) for word in (*state["parents"], *state["current"])}
-            assert kept <= {g.length - 1, g.length}, g.word
-            if g.length:
-                assert len(state["parents"]) == sizes[g.length - 1]
+            kept = {len(held) for held in (*state["parents"], *state["current"])}
+            assert kept <= {n - 1, n}, word
+            if n:
+                assert len(state["parents"]) == sizes[n - 1]
 
     def test_negative_length_is_rejected(self):
         with pytest.raises(ValueError, match="negative"):
@@ -247,7 +248,7 @@ class TestBallAction:
         cases = []
         for n in range(7):
             reach = 126 - n
-            walked = [(g, delta) for g, delta, _ in ball_action(om, n)]
+            walked = [(GroupElement(om, word), delta) for word, delta, _ in ball_action(om, n)]
             # point sets with the least length of a word that is pushed
             # for them; each element's own δ below 0 is a vertex it fixes
             least = {frozenset({reach, -1}): n + 1, frozenset({reach + 1, 0}): n,

@@ -636,6 +636,13 @@ repetition_free_omegas = st.tuples(
 ).map(_repetition_free).filter(OmegaSequence.is_repetition_free)
 
 
+def _oracle_grown_words(om, n):
+    """oracle_grow_ball with each element given as its word, as the
+    ball table holds it."""
+    elements, ends, spans = oracle_grow_ball(om, n)
+    return tuple(g.word for g in elements), ends, spans
+
+
 class TestGrowBall:
     """The ball grown on interned restriction words against the growth
     that keys every candidate's restriction words and combines the keys."""
@@ -644,13 +651,13 @@ class TestGrowBall:
     @pytest.mark.parametrize("n", (0, 1, 2, 5, 9, 13))
     def test_matches_oracle_growth(self, text, n, cold_key_table):
         om = OmegaSequence.parse(text)
-        assert _grow_ball(om, n) == oracle_grow_ball(om, n)
+        assert _grow_ball(om, n) == _oracle_grown_words(om, n)
 
     @given(om=repetition_free_omegas, n=st.integers(0, 10))
     @settings(max_examples=40, deadline=None)
     def test_matches_oracle_growth_on_any_sequence(self, om, n):
         _canonical_key.cache_clear()
-        assert _grow_ball(om, n) == oracle_grow_ball(om, n)
+        assert _grow_ball(om, n) == _oracle_grown_words(om, n)
 
     def test_leaves_no_cyclic_garbage(self, cold_key_table):
         # the tables of a grow are freed by reference counting when it
@@ -814,3 +821,19 @@ def test_reduction_suite_walks_one_ball(monkeypatch, capsys, cold_key_table):
     assert main(["check", "--suite", "reduction", "--omega", ":012", "--max-len", "8"]) == 0
     assert json.loads(capsys.readouterr().out)["status"] == "pass"
     assert sorted(calls) == ["_grow_ball", "enumerate_ball"]
+
+
+def test_ball_table_keeps_no_element(capsys, cold_key_table):
+    # the ball table holds words: a reduction suite grows the balls and
+    # a faithful suite walks them, and no element outlives the runs for
+    # the collector to track and the exit to free
+    gc.collect()
+    before = sum(type(o) is GroupElement for o in gc.get_objects())
+    assert main(["check", "--suite", "reduction", "--max-len", "12"]) == 0
+    assert main(["check", "--suite", "faithful"]) == 0
+    capsys.readouterr()
+    gc.collect()
+    after = sum(type(o) is GroupElement for o in gc.get_objects())
+    assert after - before == 0
+    assert _longest and all(type(word) is str
+                            for words, _, _ in _longest.values() for word in words)

@@ -185,6 +185,13 @@ def test_one_walk_finds_ball_stabilizers():
     assert callers == {"cubes._ball_fixers"}
 
 
+def test_one_reader_of_the_ball_table():
+    # the length check, the gate and the grow-or-slice of a ball are
+    # made in one place, which the elements and the walk of words read
+    callers = set().union(*(_calls_by_function(p, "_ball_words") for p in SOURCES))
+    assert callers == {"elements.enumerate_ball", "cubes.ball_action"}
+
+
 # private names that one module of the package imports from another,
 # each with the reason it crosses the boundary
 PRIVATE_IMPORTS = {
@@ -192,6 +199,7 @@ PRIVATE_IMPORTS = {
     "checks: gamma._coordinate": "the bound sample turns its random rays into coordinates",
     "checks: gamma._window_signs": "the locality scan compares sign bytes of its window",
     "checks: stabilizers._PUNCTURED": "the stab suite asks for the punctured half-line's fixers",
+    "cubes: elements._ball_words": "ball_action walks the words of the ball table, not its elements",
     "cubes: gamma._IDENTITY": "ball_action starts from the identity's byte table",
     "cubes: gamma._OFFSET": "ball_action and _ball_fixers read the byte tables of the line",
     "cubes: gamma._REACH": "_ball_fixers holds a vertex as bytes only within the byte reach",
