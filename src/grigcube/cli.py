@@ -3,19 +3,18 @@
 One JSON record per line on stdout; a human-readable summary on stderr.
 Exit codes: 0 all checks passed, 1 at least one failed, 2 usage error,
 3 a requested computation is unsupported for the given sequence.
+
+Each command is its own process, so each command imports the layers it
+runs inside its handler, and ``json`` only where it writes JSON: a
+``schreier`` run loads omega and gamma alone.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from .checks import DEFAULT_OMEGAS, SUITE_NAMES, run_suite
-from .cubes import CubeVertex, act, distance, orbit_growth
-from .elements import GroupElement, UnsupportedOmegaError
-from .gamma import edge_records, to_dot
-from .omega import OmegaSequence
+from .omega import DEFAULT_OMEGAS, SUITE_NAMES, OmegaSequence, UnsupportedOmegaError
 
 
 def _count(text: str) -> int:
@@ -40,6 +39,8 @@ def exit_code_for(statuses: list[str]) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .checks import run_suite
+
     omegas = _parse_omegas(args.omega)
     reports = run_suite(args.suite, omegas, max_len=args.max_len, seed=args.seed)
     statuses = []
@@ -57,6 +58,10 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_orbit(args) -> int:
+    import json
+
+    from .cubes import CubeVertex, orbit_growth
+
     omega = OmegaSequence.parse(args.omega)
     vertex = CubeVertex.parse(args.vertex)
     for row in orbit_growth(omega, vertex, args.max_len):
@@ -71,10 +76,14 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_schreier(args) -> int:
+    from .gamma import edge_records, to_dot
+
     omega = OmegaSequence.parse(args.omega)
     if args.format == "dot":
         sys.stdout.write(to_dot(omega, args.radius))
     else:
+        import json
+
         for record in edge_records(omega, args.radius):
             print(json.dumps(record, ensure_ascii=False))
     print(f"ball of radius {args.radius} around the all-zero ray",
@@ -83,6 +92,11 @@ def _cmd_schreier(args) -> int:
 
 
 def _cmd_act(args) -> int:
+    import json
+
+    from .cubes import CubeVertex, act, distance
+    from .elements import GroupElement
+
     omega = OmegaSequence.parse(args.omega)
     g = GroupElement.from_word(omega, args.word)
     vertex = CubeVertex.parse(args.vertex)

@@ -16,7 +16,7 @@ from collections.abc import Iterator
 from functools import lru_cache
 
 from .gamma import Ray, _coordinate, line_apply, ray_at
-from .omega import LETTER_SYMBOL, OmegaSequence, passive_letter
+from .omega import LETTER_SYMBOL, OmegaSequence, UnsupportedOmegaError, passive_letter
 
 GENERATORS = "abcd"
 BCD = "bcd"
@@ -31,12 +31,6 @@ _NOT_REDUCED = re.compile("[^abcd]|aa|[bcd][bcd]")
 
 class OmegaMismatchError(ValueError):
     """Raised when combining elements defined over different sequences."""
-
-
-class UnsupportedOmegaError(ValueError):
-    """Raised where distinct letters must be distinct automorphisms, which
-    needs a repetition-free sequence; _require_distinct_letters is the one
-    place that raises it."""
 
 
 def _require_distinct_letters(omega: OmegaSequence) -> None:

@@ -57,7 +57,11 @@ level rule point by point; it is the only path that reaches past ±126.
 Rays appear at the edges: parsing and printing cube vertices, the
 digit-prefix suite, ``apply`` and ``neighbors`` (thin wrappers that take
 and return rays), and the DOT and JSON output, which is sorted by
-coordinate.
+coordinate.  The ball of radius r is the interval |t| ≤ r, and
+``_interval_rays`` lists its rays in coordinate order in one pass of the
+doubling of I_n; ``ball`` and ``ball_edges`` read that list.  ``ray_at``
+serves single points, such as the rays that ``act``, the checks and the
+stabilizers print.
 """
 
 from __future__ import annotations
@@ -135,7 +139,7 @@ def _jump(n: int) -> int:
     return (1 - (-2) ** n) // 3
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def line_coordinate(x: Ray) -> int:
     """Signed distance from the all-zero ray, positive on the gamma plus side.
 
@@ -146,8 +150,9 @@ def line_coordinate(x: Ray) -> int:
     t ≥ 0.  Every edge joins t to t ± 1 (see _push), so |c(x)| is
     the edge distance from the all-zero ray.  The formula reads digits
     only, so it holds for every sequence; ω decides the edge labels, not
-    the positions.  Memoised per ray, because a traced run reports the
-    counters of this table.
+    the positions.  Memoised per ray in a bounded table, as ray_at is,
+    because a traced run reports the counters of this table; only the
+    sort of to_dot fills it.
     """
     return _coordinate(x.digits)
 
@@ -371,30 +376,56 @@ def line_apply(omega: OmegaSequence, word: str, t: int) -> int:
     return _push(omega, word, (t,))[0]
 
 
+def _interval_rays(radius: int) -> list[Ray]:
+    """The rays of the coordinates −radius … radius, in coordinate order;
+    empty for a negative radius.
+
+    One pass of the doubling I_n = I_{n−1} ∪ (J(n) − I_{n−1}): the ray
+    of J(n) − c is the ray of c padded with 0s to n − 1 digits, then a 1,
+    and c ↦ J(n) − c reverses the order, so the new block is the old
+    list reversed and extended.  It goes above I_{n−1} for odd n and
+    below it for even n.  ray_at serves single points.
+    """
+    rays, low, n = [""], 0, 0
+    # rays[i] is the ray of coordinate low + i
+    while low > -radius or low + len(rays) <= radius:
+        n += 1
+        block = [digits.ljust(n - 1, "0") + "1" for digits in reversed(rays)]
+        if n % 2:
+            rays += block
+        else:
+            rays = block + rays
+            low -= len(block)
+    return [Ray(digits) for digits in rays[-radius - low:radius - low + 1]]
+
+
 def ball(radius: int) -> set[Ray]:
     """Vertices within the given edge distance of the all-zero ray.
 
     The line is ℤ for every sequence, so the ball is the interval of
-    coordinates |t| ≤ radius, mapped back to rays; it is empty for a
+    coordinates |t| ≤ radius, built in one pass; it is empty for a
     negative radius.
     """
-    return {ray_at(t) for t in range(-radius, radius + 1)}
+    return set(_interval_rays(radius))
 
 
 def ball_edges(omega: OmegaSequence, radius: int) -> list[LabelledEdge]:
     """Edges with both endpoints in the ball, one per unordered pair and label.
 
     The ball is an interval, so each letter pushes the whole of it at
-    once.  Sorted by endpoint line coordinates and label, so output is
-    diffable.
+    once.  Each letter is an involution, so every edge shows up at both
+    ends and is kept at its lower one, t ≤ image.  Sorted by endpoint
+    line coordinates and label, so output is diffable.
     """
+    rays = _interval_rays(radius)
     interval = range(-radius, radius + 1)
-    edges = set()
-    for label in "abcd":
-        for t, image in zip(interval, _push(omega, label, interval)):
-            if abs(image) <= radius:
-                edges.add((min(t, image), max(t, image), label))
-    return [LabelledEdge(ray_at(s), ray_at(t), label) for s, t, label in sorted(edges)]
+    edges = sorted(
+        (t, image, label)
+        for label in "abcd"
+        for t, image in zip(interval, _push(omega, label, interval))
+        if t <= image <= radius
+    )
+    return [LabelledEdge(rays[s + radius], rays[t + radius], label) for s, t, label in edges]
 
 
 def edge_records(omega: OmegaSequence, radius: int) -> list[dict]:

@@ -15,9 +15,23 @@ ALPHABET = "012"
 LETTER_SYMBOL = {"b": "2", "c": "1", "d": "0"}
 SYMBOL_LETTER = {symbol: letter for letter, symbol in LETTER_SYMBOL.items()}
 
+# the sequences that ``check`` runs when none is given
+DEFAULT_OMEGAS = (":012", ":01", ":02", ":12", "2:01")
+
+# the suites of checks, in the order ``check --suite all`` runs them;
+# defined here so that the CLI parser offers them without loading checks
+SUITE_NAMES = ("prefix", "reduction", "projections", "stab", "commensuration",
+               "faithful", "bound")
+
 
 class OmegaParseError(ValueError):
     """Raised for malformed sequence descriptions."""
+
+
+class UnsupportedOmegaError(ValueError):
+    """Raised where distinct letters must be distinct automorphisms, which
+    needs a repetition-free sequence; elements._require_distinct_letters
+    is the one place that raises it."""
 
 
 def _primitive_root(period: str) -> str:

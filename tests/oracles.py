@@ -28,6 +28,11 @@ The Schreier line and its ball edges here are found by breadth-first
 search over the digit-scan action, and the half-line scans, the fixed vertex and the
 action on cube vertices apply words to rays with it; the production code
 gives each ray its integer coordinate in closed form and acts on that.
+The interval ball here maps each coordinate back to its ray by one
+``ray_at`` call, and its edges are a set of coordinate pairs, each edge
+found at both of its ends; the production code lists the rays of the
+interval in one pass of the doubling of I_n, keeps each edge at its
+lower end and indexes that list.
 The defect δ(g) = Γ₊ Δ gΓ₊ is found here by scanning a window of the
 line, on rays or on integers, and by its cocycle moved point by point,
 one ``line_apply`` call per point and letter; the production code pushes
@@ -67,8 +72,8 @@ from grigcube.elements import (
     reduce_word,
 )
 from grigcube.gamma import (
-    Ray, ZERO_RAY, _byte_tables, _coordinate, _rule_push, in_gamma_plus, in_gamma_plus_tilde,
-    line_apply, ray_at,
+    LabelledEdge, Ray, ZERO_RAY, _byte_tables, _coordinate, _push, _rule_push, in_gamma_plus,
+    in_gamma_plus_tilde, line_apply, ray_at,
 )
 from grigcube.omega import LETTER_SYMBOL, OmegaSequence, passive_letter
 from grigcube.stabilizers import stabilizer_bound_check
@@ -342,6 +347,24 @@ def oracle_ball_edges(omega: OmegaSequence, radius: int) -> set:
         for s, y in zip("abcd", _neighbor_rays(omega, x))
         if y in vertices
     }
+
+
+def oracle_interval_ball(radius: int) -> set[Ray]:
+    """The rays of the coordinates |t| <= radius, one ray_at call each."""
+    return {ray_at(t) for t in range(-radius, radius + 1)}
+
+
+def oracle_interval_ball_edges(omega: OmegaSequence, radius: int) -> list[LabelledEdge]:
+    """The edges of the interval ball as ball_edges lists them: each letter
+    pushes the whole interval, every edge is collected into a set from
+    both of its ends, and its endpoints are found by ray_at."""
+    interval = range(-radius, radius + 1)
+    edges = set()
+    for label in "abcd":
+        for t, image in zip(interval, _push(omega, label, interval)):
+            if abs(image) <= radius:
+                edges.add((min(t, image), max(t, image), label))
+    return [LabelledEdge(ray_at(s), ray_at(t), label) for s, t, label in sorted(edges)]
 
 
 def oracle_line_coordinates(omega: OmegaSequence, radius: int) -> dict[Ray, int]:

@@ -120,6 +120,9 @@ def test_all_suites_cover_every_name():
         "stabilizer_bound",
     }
     assert all(r.status == "pass" for r in reports)
+    # the parser offers the names of omega, so the suites must be keyed by
+    # exactly those, in the order that all runs them
+    assert tuple(grigcube.checks._SUITES) == SUITE_NAMES
 
 
 def test_unsupported_marks_enumerating_suites_only(capsys):

@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import json
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import grigcube
-from grigcube import checks, stabilizers
+from grigcube import checks, elements, stabilizers
 from grigcube.checks import DEFAULT_OMEGAS, SUITE_NAMES, run_suite
 from grigcube.cli import build_parser, exit_code_for, main
 from grigcube.cubes import CubeVertex
@@ -419,3 +420,52 @@ def test_start_up_imports_neither_dataclasses_nor_inspect():
     result = subprocess.run([sys.executable, "-I", "-S", "-c", probe],
                             capture_output=True, text=True, check=True)
     assert result.stdout == "[]\n"
+
+
+# the layers and the library that a schreier run has no use for
+UNUSED_BY_SCHREIER = {"grigcube.checks", "grigcube.cubes", "grigcube.elements",
+                      "grigcube.stabilizers", "json"}
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (None, set()),
+    (["schreier", "--omega", ":012", "--radius", "3"], set()),
+    (["check", "--suite", "prefix", "--omega", ":012"], UNUSED_BY_SCHREIER),
+], ids=["import", "schreier", "check"])
+def test_each_command_loads_only_its_own_layers(argv, loaded):
+    # the package and the CLI import a layer where a command first runs
+    # it; check loads every one, so the empty sets are not vacuous
+    src = str(Path(grigcube.__file__).parent.parent)
+    probe = "\n".join([
+        "import contextlib, io, sys",
+        f"sys.path.insert(0, {src!r})",
+        "import grigcube.cli",
+        f"argv = {argv!r}",
+        "if argv is not None:",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        code = grigcube.cli.main(argv)",
+        "    if code:",
+        "        sys.exit(code)",
+        f"print(sorted({sorted(UNUSED_BY_SCHREIER)!r} & sys.modules.keys()))",
+    ])
+    result = subprocess.run([sys.executable, "-I", "-S", "-c", probe],
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == f"{sorted(loaded)}\n"
+
+
+def test_star_import_binds_each_name_from_its_own_module():
+    namespace = {}
+    exec("from grigcube import *", namespace)
+    assert set(grigcube.__all__) <= namespace.keys()
+    for name in grigcube.__all__:
+        home = importlib.import_module(f"grigcube.{grigcube._HOMES[name]}")
+        assert namespace[name] is getattr(home, name) is getattr(grigcube, name)
+        assert getattr(namespace[name], "__module__", home.__name__) == home.__name__
+    # the names the parser needs are defined once, in omega
+    assert checks.DEFAULT_OMEGAS is grigcube.DEFAULT_OMEGAS
+    assert elements.UnsupportedOmegaError is checks.UnsupportedOmegaError
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        grigcube.no_such_name

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import grigcube.gamma
+from grigcube.cli import main
 from grigcube.elements import GroupElement, _append, apply
 from grigcube.gamma import (
     _OFFSET,
@@ -12,6 +13,7 @@ from grigcube.gamma import (
     Ray,
     ZERO_RAY,
     _coordinate,
+    _interval_rays,
     _push,
     _window_signs,
     ball,
@@ -35,6 +37,8 @@ from oracles import (
     oracle_apply,
     oracle_ball,
     oracle_ball_edges,
+    oracle_interval_ball,
+    oracle_interval_ball_edges,
     oracle_letter,
     oracle_cocycle,
     oracle_line_coordinates,
@@ -170,7 +174,7 @@ class TestClosedFormAgainstOracle:
     def test_coordinates_and_ball_at_radius_200(self, searched):
         om, coordinates = searched
         near = {x for x, t in coordinates.items() if abs(t) <= 200}
-        assert ball(200) == near == oracle_ball(om, 200)
+        assert ball(200) == near == oracle_ball(om, 200) == oracle_interval_ball(200)
         for x in near:
             assert line_coordinate(x) == coordinates[x]
             assert ray_at(coordinates[x]) == x
@@ -185,6 +189,19 @@ class TestClosedFormAgainstOracle:
                 oracle_ball_edges(om, radius))
             keys = [(coordinates[e.source], coordinates[e.target], e.label) for e in edges]
             assert keys == sorted(set(keys)) and all(s <= t for s, t, _ in keys)
+
+    def test_ball_edges_match_the_set_of_both_ends(self, searched):
+        # each edge kept at its lower end and its rays indexed in the
+        # one-pass list, against the set of edges found at both ends and
+        # the rays found by ray_at
+        om, _ = searched
+        for radius in (0, 1, 2, 3, 21, 22, 200):
+            expected = oracle_interval_ball_edges(om, radius)
+            assert ball_edges(om, radius) == expected
+            assert edge_records(om, radius) == [
+                {"source": s.text(), "target": t.text(), "label": label}
+                for s, t, label in expected
+            ]
 
     def test_letters_per_coordinate(self, searched):
         om, coordinates = searched
@@ -218,6 +235,7 @@ class TestClosedFormAgainstOracle:
 
     def test_negative_radius_is_empty(self):
         assert ball(-1) == set()
+        assert _interval_rays(-4) == []
 
 
 class TestUnlabelledShape:
@@ -325,6 +343,28 @@ class TestEdgeRecordsAndDot:
         to_dot(OM, 20)
         to_dot(OM01, 20)
         assert line_coordinate.cache_info().currsize == 41
+
+    def test_coordinate_table_is_bounded(self, cold_coordinate_table, capsys):
+        # a radius-20 ball still misses once per ray, and a ball of more
+        # rays than the table's bound leaves it at the bound
+        bound = line_coordinate.cache_info().maxsize
+        assert main(["schreier", "--omega", ":012", "--radius", "20"]) == 0
+        assert line_coordinate.cache_info().misses == 41
+        assert main(["schreier", "--omega", ":012", "--radius", str(bound // 2 + 1)]) == 0
+        assert line_coordinate.cache_info().currsize <= bound
+        capsys.readouterr()
+
+
+# the largest radius that each I_n = I_{n-1} ∪ (J(n) − I_{n-1}) holds,
+# and one more, which needs another digit
+BOUNDARY_RADII = (0, 1, 2, 3, 5, 6, 10, 11, 21, 22, 42, 43, 85, 86, 170, 171, 341, 342)
+
+
+@pytest.mark.parametrize("radius", BOUNDARY_RADII)
+def test_interval_rays_are_the_rays_of_their_coordinates(radius):
+    rays = _interval_rays(radius)
+    assert len(rays) == 2 * radius + 1
+    assert all(rays[t + radius] == ray_at(t) for t in range(-radius, radius + 1))
 
 
 @pytest.fixture
