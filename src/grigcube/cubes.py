@@ -23,15 +23,16 @@ the images of v.delta tested to lie in δ(g) Δ v.delta.
 
 ``ball_action`` grows each element's δ and its byte table of line images
 from its parent's by one letter, so the walk looks up no δ and pushes no
-word; it walks the words of the ball table and builds no element.  In
-this module the byte form of a point t, the byte t + 127 within the
-reach 126, appears only in ``ball_action`` and ``_ball_fixers``, where
-the tables are built and read.  The δ table that
-``commensuration_delta`` reads is bounded, and it saves a default
-``check`` next to nothing: the elements that come one at a time are
-mostly distinct, and the locality scan judges each distinct word once,
-so one default ``check`` in a fresh process leaves it at 12 hits and
-3,198 misses.  It stays because the benchmark's tracer reads it as
+word; it walks the words that ``elements._ball_words`` reads, which the
+ball table holds as one string per sphere and a read slices out, and it
+builds no element.  In this module the byte form of a point t, the byte
+t + 127 within the reach 126, appears only in ``ball_action`` and
+``_ball_fixers``, where the tables are built and read.  The δ table that
+``commensuration_delta`` reads is bounded at 32 entries, and it saves a
+default ``check`` next to nothing: the elements that come one at a time
+are mostly distinct, and the locality scan judges each distinct word
+once, so one default ``check`` in a fresh process leaves it at 10 hits
+and 3,200 misses.  It stays because the benchmark's tracer reads it as
 ``cubes.delta_cache``.
 
 An element carries its sequence, so ``commensuration_delta``, ``act``
@@ -96,7 +97,7 @@ def base_vertex() -> CubeVertex:
     return CubeVertex()
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=32)
 def _commensuration(omega: OmegaSequence, word: str) -> frozenset:
     """δ(word) as line coordinates: the cocycle push started from ∅.
 
@@ -105,11 +106,12 @@ def _commensuration(omega: OmegaSequence, word: str) -> frozenset:
     boundary between −1 and 0, the pair at level 1, and they do so
     unless ω₁ is their symbol.  No window and no hypothesis on ω.
 
-    The table is bounded: the suites that walk a whole ball read δ off
-    ball_action, so it serves only the elements that come one at a time,
-    and those are mostly distinct; one default check in a fresh process
-    leaves it at 12 hits and 3,198 misses.  It is kept only because the
-    benchmark's tracer reads it as its delta cache.
+    The table is bounded at 32 entries: the suites that walk a whole
+    ball read δ off ball_action, so it serves only the elements that
+    come one at a time, and those are mostly distinct; one default check
+    in a fresh process leaves it at 10 hits and 3,200 misses.  It is
+    kept only because the benchmark's tracer reads it as its delta
+    cache.
     """
     return frozenset(_push(omega, word, (), cocycle=True))
 
@@ -139,8 +141,9 @@ def ball_action(omega: OmegaSequence,
     """The word of each element g of enumerate_ball(omega, max_len), in
     order, with δ(g) and its byte table, as (word, δ(g), images): images
     sends the byte t + 127 to the byte of g·t, as _push would, wherever
-    |t| + |g| <= 126.  The words come from the ball table, and no
-    element is built.
+    |t| + |g| <= 126.  The words are those of _ball_words: the grower's
+    own list when the read grows the ball, else sliced from the strings
+    of the table's spheres; no element is built.
 
     The parent of g is its word r without the last letter s, which
     enumerate_ball's proof shows to be a representative of the sphere

@@ -265,10 +265,11 @@ def _extensions(word: str) -> str:
     return BCD if word[-1] == "a" else "a"
 
 
-# per sequence, the words of the longest ball enumerated so far, the
-# index after each of its spheres (ends[k] words have length at most k)
-# and the span of each word, one byte each; no element is kept
-_longest: dict[OmegaSequence, tuple[tuple[str, ...], tuple[int, ...], bytes]] = {}
+# per sequence, the longest ball enumerated so far as one string per
+# sphere, its words in ball order joined (every word of sphere k is k
+# letters long), and the span of each word, one byte each; no element
+# and no word is kept
+_longest: dict[OmegaSequence, tuple[tuple[str, ...], bytes]] = {}
 
 
 def enumerate_ball(omega: OmegaSequence, max_len: int) -> tuple[GroupElement, ...]:
@@ -293,8 +294,9 @@ def enumerate_ball(omega: OmegaSequence, max_len: int) -> tuple[GroupElement, ..
     be first, so u is a representative.  Every candidate alternates, so
     it is reduced, and the elements are built from the words of
     _ball_words by _make, without the check of the constructor, anew on
-    each call: the ball table holds words, and no element outlives the
-    tuple returned.
+    each call: the ball table holds one string per sphere, a read slices
+    its words from it, and no element or word outlives the tuple
+    returned.
 
     Each representative of the current sphere is kept with its swap flag
     and its two restriction words, so a candidate's key costs one
@@ -318,7 +320,7 @@ def enumerate_ball(omega: OmegaSequence, max_len: int) -> tuple[GroupElement, ..
     return tuple([GroupElement._make((omega, word)) for word in _ball_words(omega, max_len)])
 
 
-def _ball_words(omega: OmegaSequence, max_len: int) -> tuple[str, ...]:
+def _ball_words(omega: OmegaSequence, max_len: int) -> list[str]:
     """The words of enumerate_ball(omega, max_len), in order, read off
     the longest ball enumerated so far, which is the only ball table.
 
@@ -327,27 +329,34 @@ def _ball_words(omega: OmegaSequence, max_len: int) -> tuple[str, ...]:
     reads max_len but its bound; so the ball of length n is exactly the
     part of the ball of any length m >= n whose words have length at
     most n, the same words in the same order.  A ball that the longest
-    one covers is that part of it, a slice; a longer one is grown and
-    becomes the longest.  A default check asks for lengths 12, 10 and 8
-    in that order, so it grows one ball per sequence.  enumerate_ball
-    and cubes.ball_action both read the ball here, so the negative
-    length check and the gate are made in this one place.
+    one covers is read from the strings of its spheres 0 to n, each
+    sliced into its words of k letters; a longer one is grown, its
+    spheres become the longest, and the grower's list of words is
+    returned as it is, with no slicing.  A default check asks for
+    lengths 12, 10 and 8 in that order, so it grows one ball per
+    sequence.  enumerate_ball and cubes.ball_action both read the ball
+    here, so the negative length check and the gate are made in this one
+    place.
     """
     if max_len < 0:
         raise ValueError(f"ball length {max_len} is negative")
     _require_distinct_letters(omega)
-    if omega not in _longest or max_len >= len(_longest[omega][1]):
-        _longest[omega] = _grow_ball(omega, max_len)
-    words, ends, _ = _longest[omega]
-    return words[:ends[max_len]]
+    if omega not in _longest or max_len >= len(_longest[omega][0]):
+        words, spheres, spans = _grow_ball(omega, max_len)
+        _longest[omega] = spheres, spans
+        return words
+    words = [""]
+    for k, sphere in enumerate(_longest[omega][0][1:max_len + 1], 1):
+        words += [sphere[i:i + k] for i in range(0, len(sphere), k)]
+    return words
 
 
 def _grow_ball(omega: OmegaSequence,
-               max_len: int) -> tuple[tuple[str, ...], tuple[int, ...], bytes]:
+               max_len: int) -> tuple[list[str], tuple[str, ...], bytes]:
     """The words of the ball of enumerate_ball, grown sphere by sphere,
-    the index after each sphere and the span of each word: the length of
-    its longer restriction word when it fixes level 1, and 0 when it
-    swaps.
+    the same words joined into one string per sphere, and the span of
+    each word: the length of its longer restriction word when it fixes
+    level 1, and 0 when it swaps.
 
     Each restriction word is interned once per grow: the first time it
     is met it gets the next index, and per index are kept its word, its
@@ -362,6 +371,13 @@ def _grow_ball(omega: OmegaSequence,
     _extend of the state by x, since _extend acts on the two words apart.
     A candidate costs a few list lookups; its word is built only when it
     is a new representative, and no element is built at all.
+
+    Sphere k is its words in ball order, joined: each is k letters long,
+    so the string cuts back into them, and sphere 0 is the empty word
+    alone.  _ball_words keeps the spheres and the spans, and hands the
+    list of words to the read that grew them; so a word is held only
+    while a caller walks it.  The 16 spheres of ball(15) over :012 take
+    65,548 bytes; a string per word would take 308,441.
 
     Candidates are deduplicated on (swap, left key id, right key id),
     which is exact: the key of a candidate is _combine of the swap flag
@@ -408,11 +424,11 @@ def _grow_ball(omega: OmegaSequence,
     seen: defaultdict[int, set[int]] = defaultdict(set)
     seen[key_ids[empty]].add(2 * key_ids[empty])
     ball = [""]
+    spheres = [""]
     spans = bytearray(1)
-    ends = [1]
     sphere = [("", False, empty, empty)]
     for _ in range(max_len):
-        parents, sphere = sphere, []
+        parents, sphere, start = sphere, [], len(ball)
         for r, swap, left, right in parents:
             for s in _extensions(r):
                 if s == "a":
@@ -432,8 +448,8 @@ def _grow_ball(omega: OmegaSequence,
                     ball.append(word)
                     spans.append(0 if flag else max(len(words[i0]), len(words[i1])))
                     sphere.append((word, flag, i0, i1))
-        ends.append(len(ball))
-    return tuple(ball), tuple(ends), bytes(spans)
+        spheres.append("".join(ball[start:]))
+    return ball, tuple(spheres), bytes(spans)
 
 
 def ball_sections(omega: OmegaSequence, max_len: int) -> Iterator[tuple[GroupElement, int]]:
@@ -441,11 +457,12 @@ def ball_sections(omega: OmegaSequence, max_len: int) -> Iterator[tuple[GroupEle
     its span, as (g, span): the length of the longer restriction word
     of decompose(g) when g fixes level 1, and 0 when it swaps.
 
-    _grow_ball records the spans as it grows the ball, and the spans of
-    the longest ball begin with those of every shorter one, so they are
-    read off, not derived again.
+    _grow_ball records the spans as it grows the ball, and the ball
+    table keeps them beside its spheres; the spans of the longest ball
+    begin with those of every shorter one, so they are read off, not
+    derived again.
     """
-    return zip(enumerate_ball(omega, max_len), _longest[omega][2])
+    return zip(enumerate_ball(omega, max_len), _longest[omega][1])
 
 
 def element_order(g: GroupElement) -> int | None:

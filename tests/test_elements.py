@@ -1,6 +1,7 @@
 import gc
 import json
 import pickle
+import sys
 from random import Random
 
 import pytest
@@ -12,6 +13,7 @@ from grigcube.checks import DEFAULT_OMEGAS
 from grigcube.cli import main
 from grigcube.elements import (
     _NOT_REDUCED,
+    _ball_words,
     _canonical_key,
     _extend,
     _grow_ball,
@@ -636,11 +638,19 @@ repetition_free_omegas = st.tuples(
 ).map(_repetition_free).filter(OmegaSequence.is_repetition_free)
 
 
-def _oracle_grown_words(om, n):
-    """oracle_grow_ball with each element given as its word, as the
-    ball table holds it."""
-    elements, ends, spans = oracle_grow_ball(om, n)
-    return tuple(g.word for g in elements), ends, spans
+def _assert_grows_as_oracle(om, n):
+    """_grow_ball's words, sphere strings and spans against
+    oracle_grow_ball: the k-letter pieces of sphere k are the words of
+    that sphere's oracle elements, in order."""
+    words, spheres, spans = _grow_ball(om, n)
+    elements, ends, oracle_spans = oracle_grow_ball(om, n)
+    assert words == [g.word for g in elements]
+    assert spans == oracle_spans
+    assert len(spheres) == len(ends) == n + 1
+    for k, (sphere, start, end) in enumerate(zip(spheres, (0, *ends), ends)):
+        oracle_words = [g.word for g in elements[start:end]]
+        pieces = [sphere[i:i + k] for i in range(0, len(sphere), k)] if k else [sphere]
+        assert pieces == oracle_words, k
 
 
 class TestGrowBall:
@@ -650,14 +660,20 @@ class TestGrowBall:
     @pytest.mark.parametrize("text", ORACLE_OMEGAS)
     @pytest.mark.parametrize("n", (0, 1, 2, 5, 9, 13))
     def test_matches_oracle_growth(self, text, n, cold_key_table):
-        om = OmegaSequence.parse(text)
-        assert _grow_ball(om, n) == _oracle_grown_words(om, n)
+        _assert_grows_as_oracle(OmegaSequence.parse(text), n)
 
     @given(om=repetition_free_omegas, n=st.integers(0, 10))
     @settings(max_examples=40, deadline=None)
     def test_matches_oracle_growth_on_any_sequence(self, om, n):
         _canonical_key.cache_clear()
-        assert _grow_ball(om, n) == _oracle_grown_words(om, n)
+        _assert_grows_as_oracle(om, n)
+
+    def test_spheres_are_small(self, cold_key_table):
+        # one string per sphere: 65,548 bytes for ball(15) over :012 when
+        # this was written, where one string per word took 308,441
+        words, spheres, _ = _grow_ball(OM, 15)
+        assert "".join(spheres) == "".join(words)
+        assert sum(map(sys.getsizeof, spheres)) <= 70_000
 
     def test_leaves_no_cyclic_garbage(self, cold_key_table):
         # the tables of a grow are freed by reference counting when it
@@ -784,6 +800,16 @@ def test_negative_ball_length_is_rejected(length, cold_key_table):
     assert len(enumerate_ball(OM, 3)) == 23
 
 
+@pytest.mark.parametrize("text", ORACLE_OMEGAS)
+def test_warm_reads_are_cold_reads(text, cold_key_table):
+    # the read that grows a ball returns the grower's words; a later
+    # read slices the same words out of the sphere strings
+    om = OmegaSequence.parse(text)
+    cold = _ball_words(om, 15)
+    assert _ball_words(om, 15) == cold
+    assert enumerate_ball(om, 15) == tuple(GroupElement(om, word) for word in cold)
+
+
 def test_a_longer_ball_after_a_shorter_one_is_cold(cold_key_table):
     enumerate_ball(OM, 8)
     assert enumerate_ball(OM, 12) == _cold_ball(OM, 12)
@@ -824,9 +850,9 @@ def test_reduction_suite_walks_one_ball(monkeypatch, capsys, cold_key_table):
 
 
 def test_ball_table_keeps_no_element(capsys, cold_key_table):
-    # the ball table holds words: a reduction suite grows the balls and
-    # a faithful suite walks them, and no element outlives the runs for
-    # the collector to track and the exit to free
+    # the ball table holds one string per sphere: a reduction suite
+    # grows the balls and a faithful suite walks them, and no element
+    # outlives the runs for the collector to track and the exit to free
     gc.collect()
     before = sum(type(o) is GroupElement for o in gc.get_objects())
     assert main(["check", "--suite", "reduction", "--max-len", "12"]) == 0
@@ -835,5 +861,10 @@ def test_ball_table_keeps_no_element(capsys, cold_key_table):
     gc.collect()
     after = sum(type(o) is GroupElement for o in gc.get_objects())
     assert after - before == 0
-    assert _longest and all(type(word) is str
-                            for words, _, _ in _longest.values() for word in words)
+    # each value is one str per sphere 0 to 12 and the bytes of the spans
+    assert len(_longest) == len(DEFAULT_OMEGAS)
+    for om, (spheres, spans) in _longest.items():
+        assert type(spheres) is tuple and len(spheres) == 13, om
+        assert all(type(sphere) is str for sphere in spheres), om
+        assert type(spans) is bytes
+        assert len(spans) == 1 + sum(len(spheres[k]) // k for k in range(1, 13)), om

@@ -137,9 +137,9 @@ def test_every_default_is_varied():
     assert unvaried == set(UNVARIED_DEFAULTS)
 
 
-def _calls_by_function(path, attr):
-    """The functions of a module that call a method or function named
-    attr, as module.function; a call at module level is under the
+def _functions_where(path, match):
+    """The functions of a module that hold a node for which match is
+    true, as module.function; a node at module level is under the
     module's name alone."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     found = set()
@@ -149,15 +149,24 @@ def _calls_by_function(path, attr):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, f"{path.stem}.{child.name}")
                 continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name == attr:
-                    found.add(owner)
+            if match(child):
+                found.add(owner)
             visit(child, owner)
 
     visit(tree, path.stem)
     return found
+
+
+def _calls_by_function(path, attr):
+    """The functions of a module that call a method or function named
+    attr."""
+    def calls(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        return (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == attr
+
+    return _functions_where(path, calls)
 
 
 @pytest.mark.parametrize("name", ["is_repetition_free", "UnsupportedOmegaError"])
@@ -190,6 +199,17 @@ def test_one_reader_of_the_ball_table():
     # made in one place, which the elements and the walk of words read
     callers = set().union(*(_calls_by_function(p, "_ball_words") for p in SOURCES))
     assert callers == {"elements.enumerate_ball", "cubes.ball_action"}
+
+
+def test_two_readers_of_the_ball_table():
+    # _ball_words grows the balls and slices their words from the sphere
+    # strings, and ball_sections reads the spans kept beside them; no
+    # other function depends on the shape of the table
+    def reads(node):
+        return isinstance(node, ast.Name) and node.id == "_longest" and isinstance(node.ctx, ast.Load)
+
+    readers = set().union(*(_functions_where(p, reads) for p in SOURCES))
+    assert readers == {"elements._ball_words", "elements.ball_sections"}
 
 
 # private names that one module of the package imports from another,
