@@ -9,7 +9,7 @@ from itertools import chain, product
 from random import Random
 from typing import NamedTuple
 
-from .cubes import CubeVertex, _ball_fixers, act, base_vertex, commensuration_delta
+from .cubes import CubeVertex, _ball_fixers, _planned_walk, act, base_vertex, commensuration_delta
 from .elements import (
     GroupElement,
     ball_sections,
@@ -38,7 +38,7 @@ from .omega import (
     fixing_letter,
 )
 from .stabilizers import (
-    _PUNCTURED,
+    _HALF_LINES,
     stabilizer_in_ball,
     stabilizes_gamma_plus_tilde,
     stabilizer_bound_check,
@@ -52,6 +52,11 @@ LOCALITY_WORDS = 1000
 ACTION_TRIPLES = 200
 BOUND_VERTICES = 50
 PREFIX_DEPTH = 12
+
+# the ball length of each suite that reads the fixers of vertices, when
+# no max_len is given; the suites' defaults and run_suite's plan of one
+# walk per sequence read it here
+FIXER_LENGTHS = {"projections": 10, "stab": 10, "faithful": 8, "bound": 8}
 
 
 class CheckReport(NamedTuple):
@@ -149,14 +154,15 @@ def check_reduction(omega: OmegaSequence, max_len: int = 12) -> list[CheckReport
     return [_report("reduction", omega, {"max_len": max_len}, started, counterexample)]
 
 
-def check_projections(omega: OmegaSequence, max_len: int = 10) -> list[CheckReport]:
+def check_projections(omega: OmegaSequence,
+                      max_len: int = FIXER_LENGTHS["projections"]) -> list[CheckReport]:
     started = time.monotonic()
     report = verify_restriction_lemma(omega, max_len)
     params = {"max_len": max_len, "case_counts": report.case_counts}
     return [_report("projections", omega, params, started, list(report.violations) or None)]
 
 
-def check_stab(omega: OmegaSequence, max_len: int = 10) -> list[CheckReport]:
+def check_stab(omega: OmegaSequence, max_len: int = FIXER_LENGTHS["stab"]) -> list[CheckReport]:
     """The two half-line stabilizers and their intersection in the ball.
 
     Γ₊ is the base vertex and Γ₊ Δ {0} the vertex with delta {0}, so
@@ -170,7 +176,7 @@ def check_stab(omega: OmegaSequence, max_len: int = 10) -> list[CheckReport]:
     a = GroupElement(omega, "a")
 
     started = time.monotonic()
-    plus, tilde = stabilizer_in_ball(omega, [base_vertex(), _PUNCTURED], max_len)
+    plus, tilde = stabilizer_in_ball(omega, _HALF_LINES, max_len)
     problems = []
     if plus.order != 8:
         problems.append(f"order {plus.order}")
@@ -374,7 +380,8 @@ def faithfulness_witnesses() -> tuple[CubeVertex, ...]:
     return (v0, v1, v2)
 
 
-def check_faithful(omega: OmegaSequence, max_len: int = 8) -> list[CheckReport]:
+def check_faithful(omega: OmegaSequence,
+                   max_len: int = FIXER_LENGTHS["faithful"]) -> list[CheckReport]:
     """Every nontrivial ball element moves one of three witness vertices.
 
     The fixers of the three witnesses come from one pass of _ball_fixers,
@@ -384,7 +391,7 @@ def check_faithful(omega: OmegaSequence, max_len: int = 8) -> list[CheckReport]:
     """
     started = time.monotonic()
     witnesses = faithfulness_witnesses()
-    first, *others = _ball_fixers(omega, witnesses, max_len)
+    first, *others = _ball_fixers(omega, [(v, max_len) for v in witnesses])
     # each ball element has one word; the identity's is empty and fixes
     # every vertex
     common = set.intersection(*({g.word for g in found} for found in others))
@@ -397,7 +404,8 @@ def check_faithful(omega: OmegaSequence, max_len: int = 8) -> list[CheckReport]:
     ]
 
 
-def check_bound(omega: OmegaSequence, max_len: int = 8, seed: int = 0) -> list[CheckReport]:
+def check_bound(omega: OmegaSequence, max_len: int = FIXER_LENGTHS["bound"],
+                seed: int = 0) -> list[CheckReport]:
     """BOUND_VERTICES random shallow vertices against the stabilizer order
     bound, counted in one pass over the ball.
 
@@ -451,6 +459,22 @@ def _check_ball_sizes(names, max_len: int | None) -> None:
                              f"for suite {name}; it needs at least {least}")
 
 
+def _fixer_plan(names, max_len: int | None, seed: int) -> list:
+    """The (vertex, length) requests that the suites among names make of
+    _ball_fixers for each sequence: Γ₊ and Γ₊ Δ {0} for projections and
+    stab, the three witnesses for faithful and the bound sample for
+    bound, each at its suite's FIXER_LENGTHS, or all at max_len when it
+    is given."""
+    vertices = {
+        "projections": lambda: _HALF_LINES,
+        "stab": lambda: _HALF_LINES,
+        "faithful": faithfulness_witnesses,
+        "bound": lambda: _bound_sample(seed),
+    }
+    return [(v, FIXER_LENGTHS[name] if max_len is None else max_len)
+            for name in names if name in vertices for v in vertices[name]()]
+
+
 def run_suite(
     suite: str,
     omegas: list[OmegaSequence],
@@ -469,6 +493,13 @@ def run_suite(
     sequence, a negative seed, or a max_len too small for a suite's
     claim raises ValueError before any suite runs.  Every suite but
     prefix, whose depth is PREFIX_DEPTH, is sized by max_len.
+
+    The suites that read the fixers of vertices, projections, stab,
+    faithful and bound, share one walk of each sequence's ball: the
+    first of them to reach a sequence walks it once for every request
+    of _fixer_plan, testing each vertex only up to its own length, and
+    so bills the walk to its own elapsed_ms; the others read the lists.
+    The lists are dropped when run_suite returns or raises.
     """
     if suite != "all" and suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected 'all' or one of "
@@ -479,29 +510,30 @@ def run_suite(
     names = SUITE_NAMES if suite == "all" else (suite,)
     _check_ball_sizes(names, max_len)
     reports = []
-    for name in names:
-        for omega in omegas:
-            kwargs = {}
-            if max_len is not None and name != "prefix":
-                kwargs["max_len"] = max_len
-            if name in ("commensuration", "bound"):
-                kwargs["seed"] = seed
-            try:
-                reports.extend(_SUITES[name](omega, **kwargs))
-            except UnsupportedOmegaError:
-                reports.append(
-                    CheckReport(
-                        check=name,
-                        omega=str(omega),
-                        params={},
-                        status="unsupported",
-                        counterexample="sequence is not repetition-free; "
-                        "ball deduplication is unavailable",
+    with _planned_walk(_fixer_plan(names, max_len, seed)):
+        for name in names:
+            for omega in omegas:
+                kwargs = {}
+                if max_len is not None and name != "prefix":
+                    kwargs["max_len"] = max_len
+                if name in ("commensuration", "bound"):
+                    kwargs["seed"] = seed
+                try:
+                    reports.extend(_SUITES[name](omega, **kwargs))
+                except UnsupportedOmegaError:
+                    reports.append(
+                        CheckReport(
+                            check=name,
+                            omega=str(omega),
+                            params={},
+                            status="unsupported",
+                            counterexample="sequence is not repetition-free; "
+                            "ball deduplication is unavailable",
+                        )
                     )
-                )
-            except AssertionError as err:
-                reports.append(
-                    CheckReport(check=name, omega=str(omega), params={},
-                                status="fail", counterexample=str(err))
-                )
+                except AssertionError as err:
+                    reports.append(
+                        CheckReport(check=name, omega=str(omega), params={},
+                                    status="fail", counterexample=str(err))
+                    )
     return reports

@@ -15,11 +15,16 @@ word started from v.delta in place of ∅: ``act`` is that push, and δ(g)
 is the push started from ∅.
 
 ``fixes`` is its definition: g fixes v when act(g, v) == v.  The suites
-that visit a whole ball ask it of every element and a list of vertices
-at once, and ``_ball_fixers`` answers them in one walk of
-``ball_action``, the only one, by a rule on integers: g permutes ℤ, so
-g can fix v only when |δ(g) Δ v.delta| = |v.delta|, and only then are
-the images of v.delta tested to lie in δ(g) Δ v.delta.
+that visit a whole ball ask it of every element and a list of
+(vertex, length) requests at once, and ``_ball_fixers`` answers them in
+one walk of ``ball_action``, the only one, up to the largest length,
+testing each vertex only within its own, by a rule on integers: g
+permutes ℤ, so g can fix v only when |δ(g) Δ v.delta| = |v.delta|, and
+only then are the images of v.delta tested to lie in δ(g) Δ v.delta.
+Within a check run, ``_planned_walk`` makes that one walk per sequence
+serve the requests of every ball suite: the first suite to reach a
+sequence walks for all of them, and the lists are dropped at the end
+of the run.
 
 ``ball_action`` grows each element's δ and its byte table of line images
 from its parent's by one letter, so the walk looks up no δ and pushes no
@@ -42,7 +47,8 @@ and ``fixes`` read it off g; only ``ball_action``, ``_ball_fixers`` and
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from functools import lru_cache
 from itertools import groupby
 from typing import NamedTuple
@@ -180,9 +186,37 @@ def ball_action(omega: OmegaSequence,
         yield word, *state
 
 
-def _ball_fixers(omega: OmegaSequence, vertices: list[CubeVertex], max_len: int) -> list[list]:
-    """For each vertex v, the ball elements g that fix v, as fixes(g, v)
-    would, in ball order, from one pass of ball_action over the ball.
+# One check run's fixer lists: the (vertex, max_len) requests that its
+# ball suites make of each sequence, as keys, and by sequence the lists
+# that the first walk found for all of them.  checks.run_suite fills the
+# plan through _planned_walk, which empties both when the run ends.
+_planned: dict = {}
+_walked: dict[OmegaSequence, dict] = {}
+
+
+@contextmanager
+def _planned_walk(requests: Iterable[tuple[CubeVertex, int]]) -> Iterator[None]:
+    """Within the block, one walk per sequence answers every request of
+    requests; on leaving it, by return or raise, the lists are dropped."""
+    _planned.update(dict.fromkeys(requests))
+    try:
+        yield
+    finally:
+        _planned.clear()
+        _walked.clear()
+
+
+def _ball_fixers(omega: OmegaSequence,
+                 requests: Iterable[tuple[CubeVertex, int]]) -> list[list]:
+    """For each request (v, n), the elements of enumerate_ball(omega, n)
+    that fix v, as fixes(g, v) would, in ball order, all from one pass of
+    ball_action up to the largest n.
+
+    The ball comes in length order, so a vertex tested only on the
+    elements within its own n gets exactly the list that a walk of
+    ball(n) would give.  Within a _planned_walk block, requests that all
+    lie in the plan are answered from the one walk of the whole plan,
+    made at the first such call for the sequence.
 
     g·v has delta δ(g) Δ g·v.delta, so g fixes v exactly when
     g·v.delta = δ(g) Δ v.delta; g permutes ℤ, so |g·v.delta| = |v.delta|,
@@ -190,30 +224,42 @@ def _ball_fixers(omega: OmegaSequence, vertices: list[CubeVertex], max_len: int)
     v.delta are distinct, so they make up that target exactly when they
     all lie in it.
 
-    The size test depends on δ(g) only, so the vertices that pass it
-    are listed once per δ seen in the pass (ball(8) over :012 has 271
+    The size test depends on δ(g) only, so the requests that pass it are
+    listed once per δ seen in the pass (ball(8) over :012 has 271
     elements and 56 δ), each with its target δ Δ v.delta as the bytes
-    t + 127.  Each element then runs only the image test of its δ's
-    list: v's points, held as bytes once per pass, go through g's table
-    in one ``translate`` while |g| <= 126 − max|t| keeps the table exact
-    on them; past that reach they are pushed through g's word.  A vertex
-    given twice is tested once, and both places in the result hold the
-    same list.  The walk yields words, and an element is built only for
-    a word that fixes some vertex, when it is appended to that vertex's
-    list.
+    t + 127; the lists are built again when a request's ball ends, so
+    no request is screened past its n.  Each element then runs only the
+    image test of its δ's list: v's points, held as bytes once per pass,
+    go through g's table in one ``translate`` while
+    |g| <= 126 − max|t| keeps the table exact on them; past that reach
+    they are pushed through g's word.  A request given twice is tested
+    once, and both places in the result hold the same list.  The walk
+    yields words, and an element is built only for a word that fixes
+    some vertex, when it is appended to that request's list.
     """
-    fixers = {v: [] for v in vertices}
+    requests = list(requests)
+    planned = bool(_planned) and all(r in _planned for r in requests)
+    if planned and omega in _walked:
+        fixers = _walked[omega]
+        return [fixers[r] for r in requests]
+    fixers = {r: [] for r in (_planned if planned else requests)}
     held = {}
-    for v in fixers:
+    for v, _ in fixers:
         limit = _REACH - max(map(abs, v.delta), default=0)
         held[v] = limit, bytes([t + _OFFSET for t in v.delta]) if limit >= 0 else b""
+    live = list(fixers.items())
+    shortest = min((n for _, n in fixers), default=0)
     candidates: dict[frozenset, list] = {}
-    for word, delta, images in ball_action(omega, max_len):
+    for word, delta, images in ball_action(omega, max((n for _, n in fixers), default=0)):
+        if len(word) > shortest:
+            live = [((v, n), found) for (v, n), found in live if n >= len(word)]
+            shortest = min(n for (_, n), _ in live)
+            candidates = {}
         passing = candidates.get(delta)
         if passing is None:
             passing = candidates[delta] = [
                 (found, v.delta, *held[v], frozenset([t + _OFFSET for t in target]))
-                for v, found in fixers.items()
+                for (v, _), found in live
                 if len(target := delta ^ v.delta) == len(v.delta)
             ]
         for found, points, limit, held_bytes, target in passing:
@@ -223,7 +269,9 @@ def _ball_fixers(omega: OmegaSequence, vertices: list[CubeVertex], max_len: int)
                 landed = [t + _OFFSET for t in _push(omega, word, points)]
             if target.issuperset(landed):
                 found.append(GroupElement._make((omega, word)))
-    return [fixers[v] for v in vertices]
+    if planned:
+        _walked[omega] = fixers
+    return [fixers[r] for r in requests]
 
 
 def distance(v: CubeVertex, w: CubeVertex) -> int:

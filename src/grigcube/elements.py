@@ -423,12 +423,12 @@ def _grow_ball(omega: OmegaSequence,
     empty = intern("")
     seen: defaultdict[int, set[int]] = defaultdict(set)
     seen[key_ids[empty]].add(2 * key_ids[empty])
-    ball = [""]
+    grown = [""]
     spheres = [""]
     spans = bytearray(1)
     sphere = [("", False, empty, empty)]
     for _ in range(max_len):
-        parents, sphere, start = sphere, [], len(ball)
+        parents, sphere, start = sphere, [], len(grown)
         for r, swap, left, right in parents:
             for s in _extensions(r):
                 if s == "a":
@@ -445,11 +445,11 @@ def _grow_ball(omega: OmegaSequence,
                 if pair not in rights:
                     rights.add(pair)
                     word = r + s
-                    ball.append(word)
+                    grown.append(word)
                     spans.append(0 if flag else max(len(words[i0]), len(words[i1])))
                     sphere.append((word, flag, i0, i1))
-        spheres.append("".join(ball[start:]))
-    return ball, tuple(spheres), bytes(spans)
+        spheres.append("".join(grown[start:]))
+    return grown, tuple(spheres), bytes(spans)
 
 
 def ball_sections(omega: OmegaSequence, max_len: int) -> Iterator[tuple[GroupElement, int]]:

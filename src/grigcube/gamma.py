@@ -59,7 +59,8 @@ digit-prefix suite, ``apply`` and ``neighbors`` (thin wrappers that take
 and return rays), and the DOT and JSON output, which is sorted by
 coordinate.  The ball of radius r is the interval |t| ≤ r, and
 ``_interval_rays`` lists its rays in coordinate order in one pass of the
-doubling of I_n; ``ball`` and ``ball_edges`` read that list.  ``ray_at``
+doubling of I_n; ``ball``, ``ball_edges`` and ``to_dot`` read that list,
+``to_dot`` once for its vertices and its edges.  ``ray_at``
 serves single points, such as the rays that ``act``, the checks and the
 stabilizers print.
 """
@@ -417,7 +418,11 @@ def ball_edges(omega: OmegaSequence, radius: int) -> list[LabelledEdge]:
     ends and is kept at its lower one, t ≤ image.  Sorted by endpoint
     line coordinates and label, so output is diffable.
     """
-    rays = _interval_rays(radius)
+    return _edges(omega, radius, _interval_rays(radius))
+
+
+def _edges(omega: OmegaSequence, radius: int, rays: list[Ray]) -> list[LabelledEdge]:
+    """ball_edges on the ball's rays, _interval_rays(radius), once built."""
     interval = range(-radius, radius + 1)
     edges = sorted(
         (t, image, label)
@@ -437,13 +442,15 @@ def edge_records(omega: OmegaSequence, radius: int) -> list[dict]:
 
 
 def to_dot(omega: OmegaSequence, radius: int) -> str:
-    """Graphviz source for the ball graph, stable-sorted."""
-    vertices = sorted(ball(radius), key=line_coordinate)
+    """Graphviz source for the ball graph, stable-sorted; the ball's rays
+    are built once, for the vertices and the edges."""
+    rays = _interval_rays(radius)
+    vertices = sorted(rays, key=line_coordinate)
     lines = ["graph schreier {", "  node [shape=circle];"]
     lines += [f'  "{v.text()}";' for v in vertices]
     lines += [
         f'  "{s.text()}" -- "{t.text()}" [label="{label}", color="{GENERATOR_COLORS[label]}"];'
-        for s, t, label in ball_edges(omega, radius)
+        for s, t, label in _edges(omega, radius, rays)
     ]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -8,13 +8,16 @@ and a Klein four group; that no longer element joins them is evidence
 from the ball, not proved here.
 
 Which ball elements fix a vertex is answered in cubes, by one walk of
-the ball, cubes._ball_fixers, for a list of vertices at once;
-stabilizer_in_ball, stabilizer_bound_check and verify_restriction_lemma
-all read it.  A subset closed under products gets a multiplication
-table, which is checked to be a group's; its type is named from the
-orders that element_order gives its elements, a computation that stops
-after 64 powers, so a wrong product makes a type unnamed rather than a
-loop endless.
+the ball, cubes._ball_fixers, for a list of (vertex, length) requests at
+once; stabilizer_in_ball, stabilizer_bound_check and
+verify_restriction_lemma all read it.  Each works on its own, with a
+walk of its own; within a check run, the one walk per sequence that
+run_suite plans answers all three and the faithful suite, each vertex
+tested only up to its own length.  A subset closed under products gets
+a multiplication table, which is checked to be a group's; its type is
+named from the orders that element_order gives its elements, a
+computation that stops after 64 powers, so a wrong product makes a type
+unnamed rather than a loop endless.
 
 The membership tests read the sequence off their elements; only the
 functions that walk a ball are given one.
@@ -46,6 +49,9 @@ def stabilizes_gamma_plus_tilde(g: GroupElement) -> bool:
 
 
 _PUNCTURED = CubeVertex(frozenset({0}))
+
+# Γ₊ and Γ₊ Δ {0}, whose fixers the stab and projections suites read
+_HALF_LINES = (base_vertex(), _PUNCTURED)
 
 
 class SmallGroupTable(NamedTuple):
@@ -144,7 +150,7 @@ def stabilizer_in_ball(
     tables of those two vertices.
     """
     return [_small_group_table(tuple(found))
-            for found in _ball_fixers(omega, vertices, max_len)]
+            for found in _ball_fixers(omega, [(v, max_len) for v in vertices])]
 
 
 def subgroup_closure(generators: Iterable[GroupElement]) -> tuple:
@@ -217,7 +223,7 @@ def stabilizer_bound_check(
     """
     vertices = list(vertices)
     checks = []
-    for v, found in zip(vertices, _ball_fixers(omega, vertices, max_len)):
+    for v, found in zip(vertices, _ball_fixers(omega, [(v, max_len) for v in vertices])):
         depth = max((len(ray_at(t).digits) for t in v.delta), default=0)
         if depth % 2:
             depth += 1
@@ -263,7 +269,7 @@ def verify_restriction_lemma(omega: OmegaSequence, max_len: int) -> RestrictionR
     """
     counts = {"half_line": 0, "punctured": 0, "swapping": 0}
     violations = []
-    plus, tilde = _ball_fixers(omega, [base_vertex(), _PUNCTURED], max_len)
+    plus, tilde = _ball_fixers(omega, [(v, max_len) for v in _HALF_LINES])
     for g in plus:
         swap, g0, g1 = decompose(g)
         if not swap:

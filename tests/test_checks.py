@@ -612,6 +612,50 @@ def test_commensuration_suite_passes(capsys, argv):
     assert records and all(r["status"] == "pass" for r in records)
 
 
+def test_ball_suites_share_one_walk_per_run(monkeypatch):
+    # projections, stab, faithful and bound read one walk of each
+    # sequence's ball, and the fixer lists it leaves do not outlive the
+    # run, whether it returns, gives unsupported or fail records, or
+    # raises
+    walks = []
+    original = grigcube.cubes.ball_action
+    monkeypatch.setattr(grigcube.cubes, "ball_action",
+                        lambda omega, n: walks.append((str(omega), n)) or original(omega, n))
+    omegas = [OmegaSequence.parse(text) for text in DEFAULT_OMEGAS]
+
+    def left():
+        return grigcube.cubes._planned, grigcube.cubes._walked
+
+    assert all(r.status == "pass" for r in run_suite("all", omegas))
+    assert sorted(walks) == sorted((text, 10) for text in DEFAULT_OMEGAS)
+    assert left() == ({}, {})
+    del walks[:]
+    assert all(r.status == "pass" for r in run_suite("stab", omegas))
+    assert sorted(walks) == sorted((text, 10) for text in DEFAULT_OMEGAS)
+    assert left() == ({}, {})
+
+    statuses = {r.check: r.status for r in run_suite("all", [OmegaSequence.parse(":001")])}
+    assert [name for name, status in statuses.items() if status == "unsupported"] == [
+        "reduction", "projections", "stab", "faithful", "bound"]
+    assert left() == ({}, {})
+
+    def disagree(*args):
+        raise AssertionError("injected")
+
+    monkeypatch.setattr(grigcube.checks, "stabilizer_bound_check", disagree)
+    [record] = [r for r in run_suite("all", omegas[:1]) if r.check == "bound"]
+    assert (record.status, record.counterexample) == ("fail", "injected")
+    assert left() == ({}, {})
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(grigcube.checks, "subgroup_closure", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_suite("all", omegas)
+    assert left() == ({}, {})
+
+
 @pytest.mark.parametrize("suite", ["bound", "faithful"])
 def test_ball_suites_look_up_no_delta(monkeypatch, capsys, suite):
     # both suites read δ off ball_action, so the bounded δ table is

@@ -265,7 +265,7 @@ class TestBallAction:
         fixed = ran = 0
         for n, walked, vertices, expected in cases:
             del pushed[:]
-            found = _ball_fixers(om, vertices, n)
+            found = _ball_fixers(om, [(v, n) for v in vertices])
             assert sorted(pushed) == expected, n
             ran += len(pushed)
             for v, fixers in zip(vertices, found):
@@ -358,7 +358,7 @@ class TestFixes:
         om = OmegaSequence.parse(text)
         rng = Random(4)
         draws = [_random_vertex(rng) for _ in range(50)]
-        fixers = _ball_fixers(om, draws, 8)
+        fixers = _ball_fixers(om, [(v, 8) for v in draws])
         fixed = 0
         for v, found in zip(draws, fixers):
             expected = [g for g in enumerate_ball(om, 8) if act(g, v) == v]
@@ -366,6 +366,25 @@ class TestFixes:
             fixed += len(found)
         # the identity alone fixes all 50; more pairs must pass the size test
         assert fixed > 50
+
+    @pytest.mark.parametrize("text", ORACLE_OMEGAS)
+    def test_paired_walk(self, monkeypatch, text):
+        # one walk answers requests of lengths 0 to 10, Γ₊ at two
+        # lengths and {124} past the byte reach of words of 3 letters,
+        # each as a walk of its own ball would: fixes on ball(n)
+        om = OmegaSequence.parse(text)
+        rng = Random(8)
+        requests = [(_random_vertex(rng), n) for n in range(11)]
+        requests += [(base_vertex(), 10), (base_vertex(), 3),
+                     (CubeVertex(frozenset({124})), 6), (CubeVertex(frozenset({0})), 7)]
+        pushed = []
+        monkeypatch.setattr(grigcube.cubes, "_push",
+                            lambda *args, **kw: pushed.append(args[1]) or _push(*args, **kw))
+        found = _ball_fixers(om, requests)
+        assert pushed and all(3 <= len(word) <= 6 for word in pushed)
+        for (v, n), fixers in zip(requests, found):
+            assert fixers == [g for g in enumerate_ball(om, n) if fixes(g, v)], (n, v.text())
+        assert len(found[11]) == 8 and len(found[12]) < 8
 
     @pytest.mark.parametrize("text", [":0", "00:12", "1:12"])
     def test_on_long_words(self, text):

@@ -215,10 +215,11 @@ def test_two_readers_of_the_ball_table():
 # private names that one module of the package imports from another,
 # each with the reason it crosses the boundary
 PRIVATE_IMPORTS = {
-    "checks: cubes._ball_fixers": "stab, faithful and bound read the one walk of fixers",
+    "checks: cubes._ball_fixers": "faithful reads the one walk of fixers",
+    "checks: cubes._planned_walk": "run_suite plans one walk per sequence for its ball suites",
     "checks: gamma._coordinate": "the bound sample turns its random rays into coordinates",
     "checks: gamma._window_signs": "the locality scan compares sign bytes of its window",
-    "checks: stabilizers._PUNCTURED": "the stab suite asks for the punctured half-line's fixers",
+    "checks: stabilizers._HALF_LINES": "stab and the plan of the walk ask for the half-lines' fixers",
     "cubes: elements._ball_words": "ball_action walks the words of the ball table, not its elements",
     "cubes: gamma._IDENTITY": "ball_action starts from the identity's byte table",
     "cubes: gamma._OFFSET": "ball_action and _ball_fixers read the byte tables of the line",
@@ -306,6 +307,7 @@ def test_stabilizers_keep_no_memo_table():
 # names exported for a reason other than a caller inside the package
 UNCALLED_EXPORTS = {
     "apply": "a span of bench/tracer.py",
+    "ball": "a span of bench/tracer.py",
     "neighbors": "a span of bench/tracer.py",
     "fixed_vertex_for_subgroup": "the E_FIN claim, checked by pytest only",
 }
