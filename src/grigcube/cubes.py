@@ -21,6 +21,9 @@ one walk of ``ball_action``, the only one, up to the largest length,
 testing each vertex only within its own, by a rule on integers: g
 permutes ℤ, so g can fix v only when |δ(g) Δ v.delta| = |v.delta|, and
 only then are the images of v.delta tested to lie in δ(g) Δ v.delta.
+Whether the walk's byte tables reach a request is decided once for the
+request, from its farthest point and its length; a request past that
+reach is answered by the definition, which no command needs.
 Within a check run, ``_planned_walk`` makes that one walk per sequence
 serve the requests of every ball suite: the first suite to reach a
 sequence walks for all of them, and the lists are dropped at the end
@@ -32,7 +35,8 @@ word; it walks the words that ``elements._ball_words`` reads, which the
 ball table holds as one string per sphere and a read slices out, and it
 builds no element.  In this module the byte form of a point t, the byte
 t + 127 within the reach 126, appears only in ``ball_action`` and
-``_ball_fixers``, where the tables are built and read.  The δ table that
+``_ball_fixers``, and there the walk stays in it: δ and the targets are
+sets of bytes, so no point is converted per element.  The δ table that
 ``commensuration_delta`` reads is bounded at 32 entries, and it saves a
 default ``check`` next to nothing: the elements that come one at a time
 are mostly distinct, and the locality scan judges each distinct word
@@ -145,11 +149,12 @@ def fixes(g: GroupElement, v: CubeVertex) -> bool:
 def ball_action(omega: OmegaSequence,
                 max_len: int) -> Iterator[tuple[str, frozenset, bytes]]:
     """The word of each element g of enumerate_ball(omega, max_len), in
-    order, with δ(g) and its byte table, as (word, δ(g), images): images
-    sends the byte t + 127 to the byte of g·t, as _push would, wherever
-    |t| + |g| <= 126.  The words are those of _ball_words: the grower's
-    own list when the read grows the ball, else sliced from the strings
-    of the table's spheres; no element is built.
+    order, with δ(g) and its byte table, as (word, δ(g), images), both in
+    byte form: δ(g) holds the byte t + 127 of each of its points t, and
+    images sends the byte t + 127 to the byte of g·t, as _push would,
+    wherever |t| + |g| <= 126.  The words are those of _ball_words: the
+    grower's own list when the read grows the ball, else sliced from the
+    strings of the table's spheres; no element is built.
 
     The parent of g is its word r without the last letter s, which
     enumerate_ball's proof shows to be a representative of the sphere
@@ -157,9 +162,10 @@ def ball_action(omega: OmegaSequence,
     table translated through r's, one ``bytes.translate``, and exact
     where |t| + |g| <= 126, since s moves t by at most 1.  Its δ is
     δ(r) Δ r·δ(s) by the cocycle law, and δ(s) is {−1, 0} or ∅, so δ(g)
-    is δ(r) toggled at r's images of −1 and 0 when s swaps that pair.
-    Those images are exact while |g| <= 126, and no ball that long can
-    be grown, since ball(15) over :012 already holds 4,973 elements.
+    is δ(r) toggled at r's image bytes of −1 and 0 when s swaps that
+    pair, read straight off r's table.  Those images are exact while
+    |g| <= 126, and no ball that long can be grown, since ball(15) over
+    :012 already holds 4,973 elements.
 
     Only the states of two spheres are kept, the parents' and the
     current one's, so the tables never outnumber two spheres.  The
@@ -180,7 +186,7 @@ def ball_action(omega: OmegaSequence,
             delta, images = parents[word[:-1]]
             table, toggles = steps[word[-1]]
             if toggles:
-                delta = delta ^ {images[_OFFSET - 1] - _OFFSET, images[_OFFSET] - _OFFSET}
+                delta = delta ^ {images[_OFFSET - 1], images[_OFFSET]}
             state = delta, table.translate(images)
         current[word] = state
         yield word, *state
@@ -209,14 +215,20 @@ def _planned_walk(requests: Iterable[tuple[CubeVertex, int]]) -> Iterator[None]:
 def _ball_fixers(omega: OmegaSequence,
                  requests: Iterable[tuple[CubeVertex, int]]) -> list[list]:
     """For each request (v, n), the elements of enumerate_ball(omega, n)
-    that fix v, as fixes(g, v) would, in ball order, all from one pass of
-    ball_action up to the largest n.
+    that fix v, as fixes(g, v) would, in ball order.
 
-    The ball comes in length order, so a vertex tested only on the
-    elements within its own n gets exactly the list that a walk of
-    ball(n) would give.  Within a _planned_walk block, requests that all
-    lie in the plan are answered from the one walk of the whole plan,
-    made at the first such call for the sequence.
+    The byte reach is decided once per request.  A request with
+    max|t ∈ v.delta| + n <= 126 lies within it: every image that its
+    test reads is exact on the walk's tables, and it is answered from
+    one pass of ball_action up to the largest such n.  Any other request
+    is answered by the definition, fixes on each element of
+    enumerate_ball(omega, n); no command makes one, since a check asks
+    only of points |t| <= 10, so that would need n >= 116.  The ball
+    comes in length order, so a vertex tested only on the elements
+    within its own n gets exactly the list that a walk of ball(n) would
+    give.  Within a _planned_walk block, requests that all lie in the
+    plan are answered from the one walk of the whole plan, made at the
+    first such call for the sequence.
 
     g·v has delta δ(g) Δ g·v.delta, so g fixes v exactly when
     g·v.delta = δ(g) Δ v.delta; g permutes ℤ, so |g·v.delta| = |v.delta|,
@@ -224,50 +236,46 @@ def _ball_fixers(omega: OmegaSequence,
     v.delta are distinct, so they make up that target exactly when they
     all lie in it.
 
-    The size test depends on δ(g) only, so the requests that pass it are
-    listed once per δ seen in the pass (ball(8) over :012 has 271
-    elements and 56 δ), each with its target δ Δ v.delta as the bytes
-    t + 127; the lists are built again when a request's ball ends, so
-    no request is screened past its n.  Each element then runs only the
-    image test of its δ's list: v's points, held as bytes once per pass,
-    go through g's table in one ``translate`` while
-    |g| <= 126 − max|t| keeps the table exact on them; past that reach
-    they are pushed through g's word.  A request given twice is tested
-    once, and both places in the result hold the same list.  The walk
-    yields words, and an element is built only for a word that fixes
-    some vertex, when it is appended to that request's list.
+    Everything the pass compares is in byte form.  Each request's
+    points are held once, as a frozenset of their bytes and as a bytes
+    string.  The size test depends on δ(g) only, so the requests that
+    pass it are listed once per δ seen in the pass (ball(8) over :012
+    has 271 elements and 56 δ), each with its target δ Δ points; the
+    lists are built again when a request's ball ends, so no request is
+    screened past its n.  Each element then runs only the image test of
+    its δ's list, one ``translate`` of the held string through g's table
+    and a superset test.  A request given twice is tested once, and both
+    places in the result hold the same list.  The walk yields words, and
+    an element is built only for a word that fixes some vertex, when it
+    is appended to that request's list.
     """
     requests = list(requests)
     planned = bool(_planned) and all(r in _planned for r in requests)
     if planned and omega in _walked:
         fixers = _walked[omega]
         return [fixers[r] for r in requests]
-    fixers = {r: [] for r in (_planned if planned else requests)}
-    held = {}
-    for v, _ in fixers:
-        limit = _REACH - max(map(abs, v.delta), default=0)
-        held[v] = limit, bytes([t + _OFFSET for t in v.delta]) if limit >= 0 else b""
-    live = list(fixers.items())
-    shortest = min((n for _, n in fixers), default=0)
+    fixers, live = {}, []
+    for v, n in dict.fromkeys(_planned if planned else requests):
+        if max(map(abs, v.delta), default=0) + n > _REACH:
+            fixers[v, n] = [g for g in enumerate_ball(omega, n) if fixes(g, v)]
+        else:
+            held = bytes([t + _OFFSET for t in v.delta])
+            live.append((n, frozenset(held), held, fixers.setdefault((v, n), [])))
+    shortest = min((n for n, *_ in live), default=0)
     candidates: dict[frozenset, list] = {}
-    for word, delta, images in ball_action(omega, max((n for _, n in fixers), default=0)):
+    for word, delta, images in ball_action(omega, max((n for n, *_ in live), default=0)):
         if len(word) > shortest:
-            live = [((v, n), found) for (v, n), found in live if n >= len(word)]
-            shortest = min(n for (_, n), _ in live)
+            live = [request for request in live if request[0] >= len(word)]
+            shortest = min(n for n, *_ in live)
             candidates = {}
         passing = candidates.get(delta)
         if passing is None:
             passing = candidates[delta] = [
-                (found, v.delta, *held[v], frozenset([t + _OFFSET for t in target]))
-                for (v, _), found in live
-                if len(target := delta ^ v.delta) == len(v.delta)
+                (found, held, target) for _, points, held, found in live
+                if len(target := delta ^ points) == len(points)
             ]
-        for found, points, limit, held_bytes, target in passing:
-            if len(word) <= limit:
-                landed = held_bytes.translate(images)
-            else:
-                landed = [t + _OFFSET for t in _push(omega, word, points)]
-            if target.issuperset(landed):
+        for found, held, target in passing:
+            if target.issuperset(held.translate(images)):
                 found.append(GroupElement._make((omega, word)))
     if planned:
         _walked[omega] = fixers

@@ -656,6 +656,24 @@ def test_ball_suites_share_one_walk_per_run(monkeypatch):
     assert left() == ({}, {})
 
 
+def test_ball_suites_stay_within_the_byte_reach(monkeypatch):
+    # every request that a check makes of the walk lies within its byte
+    # reach, so the definition path of _ball_fixers, the only caller of
+    # enumerate_ball in cubes during a check, never runs
+    calls = []
+    original = grigcube.cubes.enumerate_ball
+    monkeypatch.setattr(grigcube.cubes, "enumerate_ball",
+                        lambda *args: calls.append(args) or original(*args))
+    omegas = [OmegaSequence.parse(text) for text in DEFAULT_OMEGAS]
+    assert all(r.status == "pass" for r in run_suite("all", omegas))
+    assert all(r.status == "pass" for r in run_suite("stab", omegas, max_len=15))
+    assert calls == []
+    # the spy sees a request past the reach, which the definition answers
+    far = CubeVertex(frozenset({127}))
+    assert grigcube.cubes._ball_fixers(OM, [(far, 0)]) == [[GroupElement(OM, "")]]
+    assert calls == [(OM, 0)]
+
+
 @pytest.mark.parametrize("suite", ["bound", "faithful"])
 def test_ball_suites_look_up_no_delta(monkeypatch, capsys, suite):
     # both suites read δ off ball_action, so the bounded δ table is

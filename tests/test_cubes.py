@@ -215,7 +215,8 @@ class TestBallAction:
         walked = list(ball_action(om, n))
         assert [word for word, _, _ in walked] == [g.word for g in enumerate_ball(om, n)]
         for word, delta, images in walked:
-            assert delta == oracle_cocycle(om, word), word
+            # δ comes as the bytes t + 127 of its points
+            assert {byte - 127 for byte in delta} == oracle_cocycle(om, word), word
             reach = 126 - len(word)
             span = range(-reach, reach + 1)
             assert [images[t + 127] - 127 for t in span] == _push(om, word, span), word
@@ -239,40 +240,42 @@ class TestBallAction:
             next(ball_action(OM, -1))
 
     @pytest.mark.parametrize("text", [":012", "2:01"])
-    def test_far_vertex_takes_the_push(self, monkeypatch, text):
-        # at the byte reach the table answers; one point past it the
-        # last sphere's words are pushed, and far out every word is; the
-        # push runs only past the size test, and every answer of
-        # _ball_fixers agrees with fixes
+    def test_far_vertex_takes_the_definition(self, monkeypatch, text):
+        # the byte reach is decided once per request: at max|t| + n = 126
+        # the walk's tables answer, with no push and no act; at 127, and
+        # far out, the request is answered by the definition, fixes on
+        # each element of ball(n); every answer agrees with fixes
         om = OmegaSequence.parse(text)
         cases = []
         for n in range(7):
             reach = 126 - n
-            walked = [(GroupElement(om, word), delta) for word, delta, _ in ball_action(om, n)]
-            # point sets with the least length of a word that is pushed
-            # for them; each element's own δ below 0 is a vertex it fixes
-            least = {frozenset({reach, -1}): n + 1, frozenset({reach + 1, 0}): n,
-                     frozenset({-reach - 1}): n, frozenset({2**20, -3}): 0}
-            least.update((frozenset(t for t in delta if t < 0), n + 1) for _, delta in walked)
-            vertices = [CubeVertex(points) for points in least]
-            expected = sorted(
-                g.word for g, delta in walked for v in vertices
-                if len(delta ^ v.delta) == len(v.delta) and g.length >= least[v.delta])
-            cases.append((n, walked, vertices, expected))
-        pushed = []
-        monkeypatch.setattr(grigcube.cubes, "_push",
-                            lambda *args, **kw: pushed.append(args[1]) or _push(*args, **kw))
-        fixed = ran = 0
-        for n, walked, vertices, expected in cases:
-            del pushed[:]
-            found = _ball_fixers(om, [(v, n) for v in vertices])
-            assert sorted(pushed) == expected, n
-            ran += len(pushed)
-            for v, fixers in zip(vertices, found):
-                assert [g.word for g in fixers] == [g.word for g, _ in walked if fixes(g, v)], \
-                    (n, sorted(v.delta))
-                fixed += len(fixers)
-        assert fixed > 0 and ran > 0
+            ball_n = enumerate_ball(om, n)
+            # each element's own δ below 0 is a vertex near the boundary
+            near = [CubeVertex(frozenset(t for t in commensuration_delta(g) if t < 0))
+                    for g in ball_n]
+            near += [CubeVertex(frozenset({reach, -1})), CubeVertex(frozenset({-reach}))]
+            far = [CubeVertex(frozenset(points))
+                   for points in ({reach + 1, 0}, {-reach - 1}, {2**20, -3})]
+            expected = {v: [g for g in ball_n if fixes(g, v)] for v in (*near, *far)}
+            cases.append((n, list(dict.fromkeys(near)), far, expected))
+        calls = []
+        for name in ("_push", "act", "enumerate_ball"):
+            true = getattr(grigcube.cubes, name)
+            monkeypatch.setattr(grigcube.cubes, name, lambda *args, _name=name, _true=true, **kw:
+                                calls.append(_name) or _true(*args, **kw))
+        fixed = 0
+        for n, near, far, expected in cases:
+            del calls[:]
+            found = _ball_fixers(om, [(v, n) for v in near])
+            assert calls == [], n
+            assert found == [expected[v] for v in near], n
+            del calls[:]
+            found = _ball_fixers(om, [(v, n) for v in (*far, *near)])
+            assert calls.count("enumerate_ball") == len(far), n
+            assert found == [expected[v] for v in (*far, *near)], n
+            fixed += sum(map(len, found))
+        # the identity alone fixes each request once; more pairs pass
+        assert fixed > sum(len(near) + len(far) for _, near, far, _ in cases)
 
     def test_long_words_take_the_level_rule(self):
         # the δ table pushes words past 126 letters by the level rule
@@ -369,22 +372,27 @@ class TestFixes:
 
     @pytest.mark.parametrize("text", ORACLE_OMEGAS)
     def test_paired_walk(self, monkeypatch, text):
-        # one walk answers requests of lengths 0 to 10, Γ₊ at two
-        # lengths and {124} past the byte reach of words of 3 letters,
-        # each as a walk of its own ball would: fixes on ball(n)
+        # one walk answers requests of lengths 0 to 10 and Γ₊ at two
+        # lengths, each as a walk of its own ball would: fixes on
+        # ball(n); {124} at 6 lies past the byte reach, so the definition
+        # answers it, and in a planned walk the sequence is still walked
+        # once
         om = OmegaSequence.parse(text)
         rng = Random(8)
         requests = [(_random_vertex(rng), n) for n in range(11)]
         requests += [(base_vertex(), 10), (base_vertex(), 3),
                      (CubeVertex(frozenset({124})), 6), (CubeVertex(frozenset({0})), 7)]
-        pushed = []
-        monkeypatch.setattr(grigcube.cubes, "_push",
-                            lambda *args, **kw: pushed.append(args[1]) or _push(*args, **kw))
+        walks = []
+        monkeypatch.setattr(grigcube.cubes, "ball_action",
+                            lambda omega, n: walks.append(n) or ball_action(omega, n))
         found = _ball_fixers(om, requests)
-        assert pushed and all(3 <= len(word) <= 6 for word in pushed)
         for (v, n), fixers in zip(requests, found):
             assert fixers == [g for g in enumerate_ball(om, n) if fixes(g, v)], (n, v.text())
         assert len(found[11]) == 8 and len(found[12]) < 8
+        with grigcube.cubes._planned_walk(requests):
+            assert _ball_fixers(om, requests[-2:]) == found[-2:]
+            assert _ball_fixers(om, requests) == found
+        assert walks == [10, 10]
 
     @pytest.mark.parametrize("text", [":0", "00:12", "1:12"])
     def test_on_long_words(self, text):

@@ -2,6 +2,7 @@
 
 import ast
 import re
+import symtable
 from pathlib import Path
 
 import pytest
@@ -223,10 +224,10 @@ PRIVATE_IMPORTS = {
     "cubes: elements._ball_words": "ball_action walks the words of the ball table, not its elements",
     "cubes: gamma._IDENTITY": "ball_action starts from the identity's byte table",
     "cubes: gamma._OFFSET": "ball_action and _ball_fixers read the byte tables of the line",
-    "cubes: gamma._REACH": "_ball_fixers holds a vertex as bytes only within the byte reach",
+    "cubes: gamma._REACH": "_ball_fixers decides once per request whether the byte tables reach it",
     "cubes: gamma._byte_tables": "ball_action grows each table from a letter's table",
     "cubes: gamma._coordinate": "a vertex is parsed and flipped by ray",
-    "cubes: gamma._push": "δ and act push points through a word, and _ball_fixers past the byte reach",
+    "cubes: gamma._push": "δ and act push points through a word; the walk of _ball_fixers pushes none",
     "elements: gamma._coordinate": "apply acts on rays through the coordinate",
     "stabilizers: cubes._ball_fixers": "stab, bound and the restriction lemma read the one walk",
 }
@@ -322,11 +323,52 @@ def _loaded_names(path):
     }
 
 
+def _called_names(source):
+    """The names through which a module may call something it did not
+    define in the calling scope: each name its module scope references,
+    each name a function or class scope references as a global, free or
+    imported name, and each attribute it loads.  A local variable of a
+    function is none of these, so it does not count as a call of the
+    export of the same name."""
+    top = symtable.symtable(source, "<module>", "exec")
+    names, tables = set(), [top]
+    while tables:
+        table = tables.pop()
+        tables += table.get_children()
+        names.update(
+            symbol.get_name() for symbol in table.get_symbols()
+            if symbol.is_referenced() and (table is top or symbol.is_global()
+                                           or symbol.is_free() or symbol.is_imported()))
+    names.update(
+        node.attr for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    return names
+
+
+def test_a_local_variable_calls_no_export():
+    # an export that appears elsewhere only as a local variable has no
+    # caller; a name imported inside a function and called does
+    source = (
+        "def ball(radius):\n"
+        "    return radius\n"
+        "def grow(n):\n"
+        "    ball = [n]\n"
+        "    return [x for x in ball]\n"
+        "def handler():\n"
+        "    from .gamma import to_dot\n"
+        "    return to_dot(grow(1))\n"
+    )
+    called = _called_names(source)
+    assert "ball" not in called
+    assert {"grow", "to_dot"} <= called
+
+
 def test_every_export_has_a_caller():
-    # a public name that no module of the package loads is surface that
-    # no command, suite or claim runs
-    loaded = set().union(*(_loaded_names(p) for p in SOURCES if p.stem != "__init__"))
-    uncalled = set(grigcube.__all__) - loaded
+    # a public name that no module of the package references is surface
+    # that no command, suite or claim runs
+    called = set().union(*(_called_names(p.read_text(encoding="utf-8"))
+                           for p in SOURCES if p.stem != "__init__"))
+    uncalled = set(grigcube.__all__) - called
     assert uncalled == set(UNCALLED_EXPORTS)
 
 

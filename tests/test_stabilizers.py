@@ -335,28 +335,32 @@ class TestBound:
         assert sum(orders) > 51
 
     def test_far_vertex_takes_the_push(self):
-        # past the byte reach the images are pushed, as fixes does
+        # past the byte reach the definition answers: fixes, which pushes
+        # the points through each word
         v = CubeVertex(frozenset({-1, 0, 130, 2**20}))
         [result] = stabilizer_bound_check(OM, [v], 6)
         assert result.order == oracle_stabilizer_order(OM, v, 6)
 
     @pytest.mark.parametrize("text", [":012", "2:01"])
     def test_vertices_at_the_byte_reach(self, monkeypatch, text):
-        # over ball(8) a point at |t| = 118 has every image on the byte
-        # tables, 118 + 8 = 126, and one at |t| = 119 is pushed through
-        # the words of 8 letters; both orders are those of one fixes
+        # over ball(8) a point at |t| = 118 lies within the byte reach,
+        # 118 + 8 = 126, and the walk's tables answer with no push and no
+        # act; at |t| = 119 each request is answered by the definition,
+        # one enumerate_ball each; both orders are those of one fixes
         # call per element
         om = OmegaSequence.parse(text)
-        pushed = []
-        true_push = grigcube.cubes._push
-        monkeypatch.setattr(grigcube.cubes, "_push",
-                            lambda *args, **kw: pushed.append(args[1]) or true_push(*args, **kw))
+        calls = []
+        for name in ("_push", "act", "enumerate_ball"):
+            true = getattr(grigcube.cubes, name)
+            monkeypatch.setattr(grigcube.cubes, name, lambda *args, _name=name, _true=true, **kw:
+                                calls.append(_name) or _true(*args, **kw))
         for reach, far in ((118, False), (119, True)):
             vertices = [CubeVertex(frozenset(points)) for points in (
                 {reach - 1, reach}, {-reach, 1 - reach}, {-1, 0, reach - 1, reach}, {-reach})]
-            del pushed[:]
+            del calls[:]
             orders = [r.order for r in stabilizer_bound_check(om, vertices, 8)]
-            assert bool(pushed) == far and {len(word) for word in pushed} <= {8}
+            assert calls.count("enumerate_ball") == (len(vertices) if far else 0)
+            assert bool(calls) == far
             assert orders == [oracle_stabilizer_order(om, v, 8) for v in vertices]
             assert sum(orders) > len(vertices)
 
